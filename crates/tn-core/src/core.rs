@@ -39,9 +39,13 @@ pub struct KernelStats {
     /// Synapse phases dispatched to the bit-sliced kernel (the remainder
     /// ran the scalar row walk or were skipped outright).
     pub kernel_synapse_ticks: u64,
+    /// Neuron phases dispatched to the draw-ahead dense step (the
+    /// remainder ran the masked or full scalar sweep, or were skipped).
+    pub dense_neuron_ticks: u64,
     /// Neuron `step()` invocations actually executed. A full sweep costs
-    /// 256 per tick; the masked sweep costs the population of
-    /// `touched | always_step | restless`; a skipped phase costs 0.
+    /// 256 per tick; the masked sweep and the dense step cost the
+    /// population of `touched | always_step | restless` (the dense step's
+    /// other lanes are identities); a skipped phase costs 0.
     pub neurons_stepped: u64,
 }
 
@@ -49,6 +53,7 @@ impl KernelStats {
     /// Component-wise accumulation.
     pub fn add(&mut self, other: &KernelStats) {
         self.kernel_synapse_ticks += other.kernel_synapse_ticks;
+        self.dense_neuron_ticks += other.dense_neuron_ticks;
         self.neurons_stepped += other.neurons_stepped;
     }
 }
