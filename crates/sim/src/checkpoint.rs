@@ -698,6 +698,76 @@ impl DeltaReplica {
 
 const MIGRATION_HEADER_BYTES: usize = 16;
 
+/// What the receiver of a full-or-delta stream (the buddy's mirror, the
+/// durable store) holds after the last ship — the base the next delta is
+/// diffed against. Senders keep one per engine call on purpose: a fresh
+/// base (`ships == 0`) forces a full payload, so a fresh or degraded
+/// segment re-anchors its receivers unconditionally.
+#[derive(Debug, Default)]
+pub(crate) struct DeltaBase {
+    pub(crate) tick: u32,
+    pub(crate) ships: u64,
+    /// Recorded history the receiver already holds.
+    trace_len: usize,
+    fires_len: usize,
+    /// The blob the receiver holds. Kept current on full ships too, so a
+    /// fallback re-anchor resumes the delta stream cleanly.
+    pub(crate) blob: Vec<u8>,
+}
+
+impl DeltaBase {
+    /// The payload that advances the receiver to rank `me`'s state `cur`
+    /// at tick `t`: everything (state and the recorded `trace`/`fires`
+    /// history) when `full`, otherwise only the 64-byte chunks of the
+    /// `dirty` cores that differ from the base, plus the history suffix.
+    /// Clean cores travel as nothing — the receiver reconstructs their
+    /// tick counters arithmetically.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn payload(
+        &self,
+        full: bool,
+        me: u32,
+        t: u32,
+        cur: &[u8],
+        dirty: impl FnOnce() -> Vec<u32>,
+        trace: &[Spike],
+        fires: &[u64],
+    ) -> Vec<u8> {
+        if full {
+            let ckpt = RankCheckpoint {
+                rank: me,
+                start_tick: t,
+                blob: cur.to_vec(),
+            };
+            return ReplicaPayload {
+                ckpt,
+                trace: trace.to_vec(),
+                fires_per_tick: fires.to_vec(),
+            }
+            .to_bytes();
+        }
+        DeltaReplica::diff(
+            self.tick,
+            t,
+            dirty(),
+            &self.blob,
+            cur,
+            trace[self.trace_len.min(trace.len())..].to_vec(),
+            fires[self.fires_len.min(fires.len())..].to_vec(),
+        )
+        .to_bytes()
+    }
+
+    /// The receiver now holds tick `t` and the whole of `trace`/`fires`
+    /// (the caller installs the blob).
+    pub(crate) fn advance(&mut self, t: u32, trace: &[Spike], fires: &[u64]) {
+        self.tick = t;
+        self.ships += 1;
+        self.trace_len = trace.len();
+        self.fires_len = fires.len();
+    }
+}
+
 /// One contiguous run of migrating cores: `count` consecutive global
 /// core ids starting at `global_start`, with their `TNCS` snapshots.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -777,6 +847,15 @@ impl MigrationEnvelope {
         let boundary = read_u32(bytes, 8)?;
         let n_runs = read_u32(bytes, 12)? as usize;
         let mut at = MIGRATION_HEADER_BYTES;
+        // Bound the count before allocating for it: every run costs at
+        // least its 12-byte header, so a count the remaining bytes cannot
+        // hold is a truncation (or a flipped bit), not a reservation.
+        if n_runs > (bytes.len() - MIGRATION_HEADER_BYTES) / 12 {
+            return Err(CheckpointError::Truncated {
+                expected: MIGRATION_HEADER_BYTES.saturating_add(n_runs.saturating_mul(12)),
+                got: bytes.len(),
+            });
+        }
         let mut runs = Vec::with_capacity(n_runs);
         for _ in 0..n_runs {
             if bytes.len() < at + 12 {

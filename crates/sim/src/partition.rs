@@ -97,6 +97,22 @@ impl Partition {
         Self { starts }
     }
 
+    /// The `world`-sized partition hosting `total` cores on `members` only
+    /// — the elastic layout: member blocks split by `costs` (measured
+    /// per-core tick cost; `None` means uniform), every non-member block
+    /// empty — the shape [`SurvivorView::remap`] expects.
+    pub(crate) fn among(total: u64, world: usize, members: &[Rank], costs: Option<&[u64]>) -> Self {
+        let blocks = match costs {
+            Some(c) => Self::by_cost(c, members.len()),
+            None => Self::uniform(total, members.len()),
+        };
+        let mut counts = vec![0u64; world];
+        for (i, &m) in members.iter().enumerate() {
+            counts[m] = blocks.count(i);
+        }
+        Self::from_counts(&counts)
+    }
+
     /// Number of ranks.
     pub fn ranks(&self) -> usize {
         self.starts.len() - 1
@@ -340,6 +356,28 @@ impl SurvivorView {
             .find(|b| self.members.contains(b))
             .unwrap_or(r)
     }
+}
+
+/// Ascending intersections of two ascending block lists — the contiguous
+/// core runs one old owner must ship to one new owner at an elastic
+/// boundary. Each run falls inside exactly one block of either side, so its
+/// snapshot bytes are contiguous in both hosts' flat checkpoint blobs.
+pub(crate) fn intersect_blocks(
+    a: &[std::ops::Range<CoreId>],
+    b: &[std::ops::Range<CoreId>],
+) -> Vec<std::ops::Range<CoreId>> {
+    let mut out = Vec::new();
+    for ra in a {
+        for rb in b {
+            let start = ra.start.max(rb.start);
+            let end = ra.end.min(rb.end);
+            if start < end {
+                out.push(start..end);
+            }
+        }
+    }
+    out.sort_by_key(|r| r.start);
+    out
 }
 
 #[cfg(test)]

@@ -67,6 +67,15 @@ impl Default for RecoveryPolicy {
 }
 
 impl RecoveryPolicy {
+    /// This policy with crash survival forced on (every front that accepts
+    /// a crash plan arms it).
+    pub(crate) fn surviving_crashes(self) -> Self {
+        Self {
+            survive_crashes: true,
+            ..self
+        }
+    }
+
     /// A policy checkpointing every `n` ticks with the default rollback
     /// budget.
     pub fn every(n: u32) -> Self {

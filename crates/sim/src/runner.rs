@@ -1,28 +1,111 @@
-//! Whole-world convenience runner.
+//! Whole-world runners.
 //!
-//! [`run`] wraps [`compass_comm::World::run`] around the per-rank engine:
-//! it partitions an explicit [`NetworkModel`] uniformly over the configured
-//! ranks, hands each rank its slice of core configurations, executes the
-//! main loop, and folds the per-rank reports plus transport metrics into a
-//! [`RunReport`]. The Parallel Compass Compiler path bypasses this and
-//! calls [`crate::engine::run_rank`] directly inside its own world, exactly
-//! as the paper's in-situ compile-then-simulate flow does.
+//! Every public entry point here is a front over one driver, `launch`:
+//! it builds the world once, walks each rank through the segments of the
+//! job (one, unless an [`ElasticPlan`] cuts the run at membership
+//! boundaries), and folds the per-rank reports plus transport metrics into
+//! a [`RunReport`]. [`run`] is the driver with nothing armed; the other
+//! fronts add the reliable layer, rollback recovery, crash survival,
+//! durable checkpoints and elastic membership. The Parallel Compass
+//! Compiler path bypasses all of this and calls [`crate::engine::run_rank`]
+//! inside its own world, as the paper's in-situ compile-then-simulate flow
+//! does.
 
 use crate::checkpoint::{MigrationEnvelope, MigrationRun, RankCheckpoint};
-use crate::engine::{run_rank, run_rank_view, run_rank_with, EngineConfig, RunOptions};
+use crate::engine::{run_rank_view, DeathInterrupt, EngineConfig, RunOptions, RunOutcome};
 use crate::model::{ModelError, NetworkModel};
-use crate::partition::{Partition, SurvivorView};
+use crate::partition::{intersect_blocks, Partition, SurvivorView};
 use crate::recovery::RecoveryPolicy;
 use crate::stats::{RankReport, RunReport};
-use crate::store::{CheckpointStore, DurabilityPolicy, StoreError};
+use crate::store::{CheckpointStore, DurabilityPolicy, ResumePoint, StoreError};
 use compass_comm::{
     CrashPlan, FaultInjector, FaultPlan, Rank, RankCtx, ReliableConfig, ReliableWorld,
     TransportMetrics, World, WorldConfig,
 };
 use std::fmt;
+use std::mem::take;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tn_core::{CoreConfig, Spike, CORE_SNAPSHOT_BYTES};
+use tn_core::{Spike, CORE_SNAPSHOT_BYTES};
+
+/// What a front asks of the driver. The default is [`run`]: no faults, no
+/// reliable layer, no recovery, every rank a member from start to finish.
+#[derive(Default)]
+pub(crate) struct Job<'a> {
+    /// Seeded message faults ([`ReliableConfig::against`] tunes the
+    /// reliable layer's retransmission path to the same loss rate).
+    faults: Option<FaultPlan>,
+    /// Install the reliable-delivery layer (framing, per-tick audit).
+    reliable: bool,
+    recovery: Option<RecoveryPolicy>,
+    /// One planned rank death; every rank carries the same plan.
+    crash: Option<CrashPlan>,
+    /// Durable checkpoints, and the committed generation to resume from.
+    durability: Option<DurabilityPolicy>,
+    resume: Option<ResumePoint>,
+    /// The membership schedule; `None` keeps every rank a member.
+    elastic: Option<&'a ElasticPlan>,
+}
+
+/// The one driver: builds the world `job` describes, runs every rank
+/// through the job's segments, and merges the results. The second value is
+/// the first durable-write failure any rank reported.
+pub(crate) fn launch(
+    model: &NetworkModel,
+    world: WorldConfig,
+    cfg: &EngineConfig,
+    job: &Job<'_>,
+) -> (RunReport, Option<String>) {
+    let metrics = Arc::new(TransportMetrics::new());
+    let faults = job
+        .faults
+        .map(|p| Arc::new(FaultInjector::new(p, world.ranks)));
+    let rely = job.reliable.then(|| {
+        let against = job.faults.as_ref().map(ReliableConfig::against);
+        let metrics = Arc::clone(&metrics);
+        Arc::new(ReliableWorld::new(
+            world.ranks,
+            metrics,
+            against.unwrap_or_default(),
+        ))
+    });
+    let started = Instant::now();
+    let results = World::try_run_with_recovery(world, Arc::clone(&metrics), faults, rely, |ctx| {
+        RankRun::new(ctx, model, cfg, job).run()
+    });
+    let wall = started.elapsed();
+
+    let mut ranks = Vec::with_capacity(world.ranks);
+    let mut write_error = None;
+    for res in results {
+        match res {
+            Ok((report, durable_error)) => {
+                write_error = write_error.or(durable_error);
+                ranks.push(report);
+            }
+            Err(failure) => {
+                // The planned victim's thread is gone; its pre-crash
+                // history is accounted by the adopting buddy, so its slot
+                // stays empty. Any other death is a bug and is re-raised.
+                let planned = failure.crash().zip(job.crash).is_some_and(|(rc, cp)| {
+                    failure.rank == cp.rank && (rc.rank, rc.tick) == (cp.rank, cp.at_tick)
+                });
+                if !planned {
+                    failure.resume();
+                }
+                ranks.push(RankReport::default());
+            }
+        }
+    }
+    let report = RunReport {
+        ranks,
+        wall,
+        ticks: cfg.ticks,
+        transport: metrics.snapshot(),
+    };
+    (report, write_error)
+}
 
 /// Simulates `model` on a world of shape `world` with engine options `cfg`.
 ///
@@ -39,22 +122,7 @@ pub fn run(
     cfg: &EngineConfig,
 ) -> Result<RunReport, ModelError> {
     model.validate()?;
-    let partition = Partition::uniform(model.total_cores(), world.ranks);
-    let metrics = Arc::new(TransportMetrics::new());
-    let started = Instant::now();
-    let ranks = World::run_with_metrics(world, Arc::clone(&metrics), |ctx| {
-        let block = partition.block(ctx.rank());
-        let configs: Vec<CoreConfig> =
-            model.cores[block.start as usize..block.end as usize].to_vec();
-        run_rank(ctx, &partition, configs, &model.initial_deliveries, cfg)
-    });
-    let wall = started.elapsed();
-    Ok(RunReport {
-        ranks,
-        wall,
-        ticks: cfg.ticks,
-        transport: metrics.snapshot(),
-    })
+    Ok(launch(model, world, cfg, &Job::default()).0)
 }
 
 /// Simulates `model` under a reliable-delivery layer, optionally with
@@ -79,44 +147,13 @@ pub fn run_recovering(
     policy: Option<RecoveryPolicy>,
 ) -> Result<RunReport, ModelError> {
     model.validate()?;
-    let partition = Partition::uniform(model.total_cores(), world.ranks);
-    let metrics = Arc::new(TransportMetrics::new());
-    let faults = plan.map(|p| Arc::new(FaultInjector::new(p, world.ranks)));
-    let rely_cfg = match &plan {
-        Some(p) => ReliableConfig::against(p),
-        None => ReliableConfig::default(),
-    };
-    let rely = Arc::new(ReliableWorld::new(
-        world.ranks,
-        Arc::clone(&metrics),
-        rely_cfg,
-    ));
-    let opts = RunOptions {
+    let job = Job {
+        faults: plan,
+        reliable: true,
         recovery: policy,
-        ..RunOptions::default()
+        ..Job::default()
     };
-    let started = Instant::now();
-    let ranks = World::run_with_recovery(world, Arc::clone(&metrics), faults, Some(rely), |ctx| {
-        let block = partition.block(ctx.rank());
-        let configs: Vec<CoreConfig> =
-            model.cores[block.start as usize..block.end as usize].to_vec();
-        run_rank_with(
-            ctx,
-            &partition,
-            configs,
-            &model.initial_deliveries,
-            cfg,
-            &opts,
-        )
-        .report
-    });
-    let wall = started.elapsed();
-    Ok(RunReport {
-        ranks,
-        wall,
-        ticks: cfg.ticks,
-        transport: metrics.snapshot(),
-    })
+    Ok(launch(model, world, cfg, &job).0)
 }
 
 /// Simulates `model` while one rank is killed mid-run, and drives the full
@@ -155,6 +192,22 @@ pub fn run_surviving(
     policy: RecoveryPolicy,
 ) -> Result<RunReport, ModelError> {
     model.validate()?;
+    assert_crash_fits(&crash, world);
+    assert!(
+        crash.at_tick < cfg.ticks,
+        "the victim must die before the run ends"
+    );
+    let job = Job {
+        faults: plan,
+        reliable: true,
+        recovery: Some(policy.surviving_crashes()),
+        crash: Some(crash),
+        ..Job::default()
+    };
+    Ok(launch(model, world, cfg, &job).0)
+}
+
+fn assert_crash_fits(crash: &CrashPlan, world: WorldConfig) {
     assert!(
         world.ranks >= 2,
         "crash survival needs at least one survivor"
@@ -165,175 +218,6 @@ pub fn run_surviving(
         crash.rank,
         world.ranks
     );
-    assert!(
-        crash.at_tick < cfg.ticks,
-        "the victim must die before the run ends"
-    );
-    let policy = RecoveryPolicy {
-        survive_crashes: true,
-        ..policy
-    };
-    let n_ranks = world.ranks;
-    let partition = Partition::uniform(model.total_cores(), n_ranks);
-    let metrics = Arc::new(TransportMetrics::new());
-    let faults = plan.map(|p| Arc::new(FaultInjector::new(p, n_ranks)));
-    let rely_cfg = match &plan {
-        Some(p) => ReliableConfig::against(p),
-        None => ReliableConfig::default(),
-    };
-    let rely = Arc::new(ReliableWorld::new(n_ranks, Arc::clone(&metrics), rely_cfg));
-    let started = Instant::now();
-    let results =
-        World::try_run_with_recovery(world, Arc::clone(&metrics), faults, Some(rely), |ctx| {
-            let me = ctx.rank();
-            let view = SurvivorView::identity(partition.clone());
-            let block = partition.block(me);
-            let configs: Vec<CoreConfig> =
-                model.cores[block.start as usize..block.end as usize].to_vec();
-            let opts = RunOptions {
-                recovery: Some(policy),
-                crash: Some(crash),
-                ..RunOptions::default()
-            };
-            let seg1 = run_rank_view(ctx, &view, configs, &model.initial_deliveries, cfg, &opts);
-            // The victim never reaches this point (it died by panic); every
-            // survivor was interrupted by the unanimous verdict.
-            let int = seg1
-                .interrupt
-                .clone()
-                .expect("a planned crash must interrupt every survivor");
-            let mut rep1 = seg1.report;
-
-            // Degraded world: the buddy adopts the victim's block, everyone
-            // resumes from the common checkpoint boundary and replays.
-            let view2 = view.without(int.dead);
-            let configs2: Vec<CoreConfig> = view2
-                .blocks_of(me)
-                .into_iter()
-                .flat_map(|b| {
-                    model.cores[b.start as usize..b.end as usize]
-                        .iter()
-                        .cloned()
-                })
-                .collect();
-            // Merge own + adopted checkpoint cores in ascending original-
-            // rank order — the layout `view2.local_index` expects. With the
-            // flat-blob checkpoints this is a pair of arena-range copies.
-            let mut adopted_cores = 0u64;
-            let mut blob: Vec<u8> = Vec::new();
-            for r in 0..n_ranks {
-                if r == me {
-                    blob.extend_from_slice(&int.resume.blob);
-                } else if r == int.dead {
-                    if let Some(rp) = &int.adopted {
-                        adopted_cores = rp.ckpt.core_count() as u64;
-                        blob.extend_from_slice(&rp.ckpt.blob);
-                        // The victim's recorded history died with its
-                        // thread; its replica carries both, and they join
-                        // this rank's own pre-boundary prefix.
-                        rep1.trace.extend(rp.trace.iter().copied());
-                        for (a, b) in rep1.fires_per_tick.iter_mut().zip(&rp.fires_per_tick) {
-                            *a += b;
-                        }
-                    }
-                }
-            }
-            let merged = RankCheckpoint {
-                rank: me as u32,
-                start_tick: int.resume.start_tick(),
-                blob,
-            };
-            let opts2 = RunOptions {
-                resume: Some(merged),
-                recovery: Some(policy),
-                ..RunOptions::default()
-            };
-            let seg2 = run_rank_view(
-                ctx,
-                &view2,
-                configs2,
-                &model.initial_deliveries,
-                cfg,
-                &opts2,
-            );
-            assert!(
-                seg2.interrupt.is_none(),
-                "one crash per run: the degraded world must finish"
-            );
-            let gap = u64::from(int.at_tick - int.resume.start_tick());
-            let mut out = stitch_segments(rep1, seg2.report, gap);
-            out.adopted_cores = adopted_cores;
-            out
-        });
-
-    let mut ranks = Vec::with_capacity(n_ranks);
-    for (rank, res) in results.into_iter().enumerate() {
-        match res {
-            Ok(report) => ranks.push(report),
-            Err(failure) => {
-                assert_eq!(rank, crash.rank, "only the planned victim may die");
-                let rc = failure
-                    .crash()
-                    .unwrap_or_else(|| panic!("victim died abnormally: {}", failure.message()));
-                assert_eq!((rc.rank, rc.tick), (crash.rank, crash.at_tick));
-                // The victim's thread is gone; its pre-crash history is
-                // accounted by the adopting buddy, so its slot stays empty.
-                ranks.push(RankReport::default());
-            }
-        }
-    }
-    let wall = started.elapsed();
-    Ok(RunReport {
-        ranks,
-        wall,
-        ticks: cfg.ticks,
-        transport: metrics.snapshot(),
-    })
-}
-
-/// Folds a survivor's pre-verdict segment into its degraded-mode segment.
-///
-/// Lifetime, core-derived values (`fires`, `fires_per_core`, `activity`,
-/// `spikes_in_flight`, `kernel`, `cores`, `memory_bytes`) come from the
-/// second segment alone — they travel inside the checkpoints. Reliable-
-/// layer counters (`retransmits`, `dedup_drops`, `crc_rejects`) are
-/// cumulative over the shared [`ReliableWorld`], so the second segment's
-/// values already include the first. Everything else is work actually
-/// done, and sums; `gap` is the verdict-to-boundary distance, charged as
-/// replayed ticks.
-fn stitch_segments(seg1: RankReport, seg2: RankReport, gap: u64) -> RankReport {
-    let mut out = seg2;
-    out.phases.add(&seg1.phases);
-    out.spikes_local += seg1.spikes_local;
-    out.spikes_remote += seg1.spikes_remote;
-    out.messages_sent += seg1.messages_sent;
-    for (a, b) in out.bytes_to.iter_mut().zip(&seg1.bytes_to) {
-        *a += b;
-    }
-    out.critical_wait += seg1.critical_wait;
-    out.critical_hold += seg1.critical_hold;
-    out.synapse_skips += seg1.synapse_skips;
-    out.neuron_skips += seg1.neuron_skips;
-    out.checkpoint_bytes += seg1.checkpoint_bytes;
-    out.checkpoint_time += seg1.checkpoint_time;
-    out.rollbacks += seg1.rollbacks;
-    out.replayed_ticks += seg1.replayed_ticks + gap;
-    out.recovery_time += seg1.recovery_time;
-    out.death_verdicts += seg1.death_verdicts;
-    out.replication_bytes += seg1.replication_bytes;
-    out.replication_time += seg1.replication_time;
-    out.delta_replica_ships += seg1.delta_replica_ships;
-    out.full_replica_ships += seg1.full_replica_ships;
-    out.durable_bytes += seg1.durable_bytes;
-    out.durable_time += seg1.durable_time;
-    out.durable_generations += seg1.durable_generations;
-    let mut trace = seg1.trace;
-    trace.append(&mut out.trace);
-    out.trace = trace;
-    let mut fires_per_tick = seg1.fires_per_tick;
-    fires_per_tick.append(&mut out.fires_per_tick);
-    out.fires_per_tick = fires_per_tick;
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -431,173 +315,30 @@ pub fn run_durable(
     // stops writing when it dies), so a pending crash always re-fires on
     // restart; filter only guards a plan from an already-survived past.
     let crash = crash.filter(|c| resume.as_ref().is_none_or(|rp| c.at_tick >= rp.tick));
-    if let Some(c) = crash {
-        assert!(
-            world.ranks >= 2,
-            "crash survival needs at least one survivor"
-        );
-        assert!(
-            c.rank < world.ranks,
-            "crash plan names rank {} outside a {}-rank world",
-            c.rank,
-            world.ranks
-        );
-        // Unlike `run_surviving`, a crash at or past `cfg.ticks` is legal
-        // here: a prefix run (a job that dies before the victim does)
-        // simply never reaches the planned tick, and the relaunch re-fires
-        // the still-pending plan.
-    }
-    let recovery = match (recovery, crash.is_some()) {
-        (Some(p), true) => Some(RecoveryPolicy {
-            survive_crashes: true,
-            ..p
-        }),
-        (None, true) => Some(RecoveryPolicy {
-            survive_crashes: true,
-            ..RecoveryPolicy::default()
-        }),
-        (r, false) => r,
-    };
-    let n_ranks = world.ranks;
-    let partition = Partition::uniform(model.total_cores(), n_ranks);
-    let metrics = Arc::new(TransportMetrics::new());
-    let faults = plan.map(|p| Arc::new(FaultInjector::new(p, n_ranks)));
-    let rely_cfg = match &plan {
-        Some(p) => ReliableConfig::against(p),
-        None => ReliableConfig::default(),
-    };
-    let rely = Arc::new(ReliableWorld::new(n_ranks, Arc::clone(&metrics), rely_cfg));
-    let started = Instant::now();
-    let results =
-        World::try_run_with_recovery(world, Arc::clone(&metrics), faults, Some(rely), |ctx| {
-            let me = ctx.rank();
-            let view = SurvivorView::identity(partition.clone());
-            let block = partition.block(me);
-            let configs: Vec<CoreConfig> =
-                model.cores[block.start as usize..block.end as usize].to_vec();
-            // A resumed rank restores its own slice of the generation and
-            // seeds the history the dead process had already recorded.
-            let (resume_ckpt, seed) = match &resume {
-                Some(rp) => {
-                    let p = &rp.payloads[me];
-                    (
-                        Some(p.ckpt.clone()),
-                        Some((p.trace.clone(), p.fires_per_tick.clone())),
-                    )
-                }
-                None => (None, None),
-            };
-            let opts = RunOptions {
-                resume: resume_ckpt,
-                recovery,
-                crash,
-                seed_history: seed,
-                durability: Some(policy.clone()),
-                ..RunOptions::default()
-            };
-            let mut seg1 =
-                run_rank_view(ctx, &view, configs, &model.initial_deliveries, cfg, &opts);
-            let durable_error = seg1.durable_error.take();
-            let Some(int) = seg1.interrupt.take() else {
-                return (seg1.report, durable_error);
-            };
-            let mut rep1 = seg1.report;
-
-            // A peer died: adopt and replay in the degraded world, exactly
-            // as `run_surviving` does — but without durability. Generations
-            // past the victim's death can never commit (committing needs
-            // every rank's file), so a later restart resumes before the
-            // crash and re-fires the plan deterministically.
-            let view2 = view.without(int.dead);
-            let configs2: Vec<CoreConfig> = view2
-                .blocks_of(me)
-                .into_iter()
-                .flat_map(|b| {
-                    model.cores[b.start as usize..b.end as usize]
-                        .iter()
-                        .cloned()
-                })
-                .collect();
-            let mut adopted_cores = 0u64;
-            let mut blob: Vec<u8> = Vec::new();
-            for r in 0..n_ranks {
-                if r == me {
-                    blob.extend_from_slice(&int.resume.blob);
-                } else if r == int.dead {
-                    if let Some(rp) = &int.adopted {
-                        adopted_cores = rp.ckpt.core_count() as u64;
-                        blob.extend_from_slice(&rp.ckpt.blob);
-                        rep1.trace.extend(rp.trace.iter().copied());
-                        for (a, b) in rep1.fires_per_tick.iter_mut().zip(&rp.fires_per_tick) {
-                            *a += b;
-                        }
-                    }
-                }
-            }
-            let merged = RankCheckpoint {
-                rank: me as u32,
-                start_tick: int.resume.start_tick(),
-                blob,
-            };
-            let opts2 = RunOptions {
-                resume: Some(merged),
-                recovery,
-                ..RunOptions::default()
-            };
-            let seg2 = run_rank_view(
-                ctx,
-                &view2,
-                configs2,
-                &model.initial_deliveries,
-                cfg,
-                &opts2,
-            );
-            assert!(
-                seg2.interrupt.is_none(),
-                "one crash per run: the degraded world must finish"
-            );
-            let gap = u64::from(int.at_tick - int.resume.start_tick());
-            let mut out = stitch_segments(rep1, seg2.report, gap);
-            out.adopted_cores = adopted_cores;
-            (out, durable_error)
-        });
-
-    let mut ranks = Vec::with_capacity(n_ranks);
-    let mut write_error: Option<String> = None;
-    for (rank, res) in results.into_iter().enumerate() {
-        match res {
-            Ok((report, derr)) => {
-                if write_error.is_none() {
-                    write_error = derr;
-                }
-                ranks.push(report);
-            }
-            Err(failure) => {
-                let planned = crash.unwrap_or_else(|| {
-                    panic!(
-                        "rank {rank} died with no crash planned: {}",
-                        failure.message()
-                    )
-                });
-                assert_eq!(rank, planned.rank, "only the planned victim may die");
-                let rc = failure
-                    .crash()
-                    .unwrap_or_else(|| panic!("victim died abnormally: {}", failure.message()));
-                assert_eq!((rc.rank, rc.tick), (planned.rank, planned.at_tick));
-                ranks.push(RankReport::default());
-            }
+    // Unlike `run_surviving`, a crash at or past `cfg.ticks` is legal here:
+    // a prefix run (a job that dies before the victim does) simply never
+    // reaches the planned tick, and the relaunch re-fires the still-pending
+    // plan.
+    let recovery = match crash {
+        Some(c) => {
+            assert_crash_fits(&c, world);
+            Some(recovery.unwrap_or_default().surviving_crashes())
         }
+        None => recovery,
+    };
+    let job = Job {
+        faults: plan,
+        reliable: true,
+        recovery,
+        crash,
+        durability: Some(policy),
+        resume,
+        ..Job::default()
+    };
+    match launch(model, world, cfg, &job) {
+        (_, Some(e)) => Err(DurableError::Write(e)),
+        (report, None) => Ok(report),
     }
-    if let Some(e) = write_error {
-        return Err(DurableError::Write(e));
-    }
-    let wall = started.elapsed();
-    Ok(RunReport {
-        ranks,
-        wall,
-        ticks: cfg.ticks,
-        transport: metrics.snapshot(),
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -693,6 +434,8 @@ impl ElasticPlan {
             "initial member outside the world"
         );
         let mut members = self.initial.clone();
+        // The membership over the segment containing the crash tick.
+        let mut at_crash: Option<Vec<Rank>> = None;
         let mut last = 0u32;
         for (i, step) in self.steps.iter().enumerate() {
             assert!(
@@ -709,6 +452,9 @@ impl ElasticPlan {
                     cp.at_tick, step.at_tick,
                     "a crash cannot fall exactly on an elastic boundary"
                 );
+                if step.at_tick > cp.at_tick {
+                    at_crash.get_or_insert_with(|| members.clone());
+                }
             }
             match step.event {
                 ElasticEvent::Join(r) => {
@@ -742,22 +488,8 @@ impl ElasticPlan {
                 cp.at_tick > 0 && cp.at_tick < ticks,
                 "crash outside the run"
             );
-            // The victim must be active with at least one buddy over the
-            // segment containing the crash tick.
-            let mut m = self.initial.clone();
-            for step in &self.steps {
-                if step.at_tick > cp.at_tick {
-                    break;
-                }
-                match step.event {
-                    ElasticEvent::Join(r) => {
-                        m.push(r);
-                        m.sort_unstable();
-                    }
-                    ElasticEvent::Leave(r) => m.retain(|&x| x != r),
-                    ElasticEvent::Rebalance => {}
-                }
-            }
+            // The victim must be active there, with at least one buddy.
+            let m = at_crash.unwrap_or(members);
             assert!(
                 m.contains(&cp.rank),
                 "the crash victim is parked at its crash tick"
@@ -775,254 +507,444 @@ const ELASTIC_COST: u8 = 2;
 const ELASTIC_MIG: u8 = 3;
 const ELASTIC_DONE: u8 = 4;
 
-/// The world-sized [`Partition`] hosting `total` cores on `members` only:
-/// member blocks split by `costs` (measured per-core tick cost; `None`
-/// means uniform), every non-member block empty — the shape
-/// [`SurvivorView::remap`] expects.
-fn member_partition(
-    total: u64,
-    world: usize,
-    members: &[Rank],
-    costs: Option<&[u64]>,
-) -> Partition {
-    let blocks = match costs {
-        Some(c) => Partition::by_cost(c, members.len()),
-        None => Partition::uniform(total, members.len()),
-    };
-    let mut counts = vec![0u64; world];
-    for (i, &m) in members.iter().enumerate() {
-        counts[m] = blocks.count(i);
-    }
-    Partition::from_counts(&counts)
-}
-
-/// Ascending intersections of two ascending block lists — the contiguous
-/// core runs one old owner must ship to one new owner. Each run falls
-/// inside exactly one block of either side, so its snapshot bytes are
-/// contiguous in both hosts' flat checkpoint blobs.
-fn intersect_blocks(
-    a: &[std::ops::Range<u64>],
-    b: &[std::ops::Range<u64>],
-) -> Vec<std::ops::Range<u64>> {
-    let mut out = Vec::new();
-    for ra in a {
-        for rb in b {
-            let start = ra.start.max(rb.start);
-            let end = ra.end.min(rb.end);
-            if start < end {
-                out.push(start..end);
-            }
-        }
-    }
-    out.sort_by_key(|r| r.start);
-    out
-}
-
-/// Slices the snapshot bytes of global core range `run` out of `host`'s
-/// boundary checkpoint under `view`.
-fn slice_run(
+/// The snapshot bytes of global core range `run` inside `host`'s boundary
+/// checkpoint under `view`.
+fn slice_run<'c>(
     view: &SurvivorView,
     host: Rank,
-    ck: &RankCheckpoint,
-    run: &std::ops::Range<u64>,
-) -> Vec<u8> {
+    ck: &'c RankCheckpoint,
+    run: &Range<u64>,
+) -> &'c [u8] {
     let lo = view.local_index(host, run.start) * CORE_SNAPSHOT_BYTES;
     let hi = lo + (run.end - run.start) as usize * CORE_SNAPSHOT_BYTES;
-    ck.blob[lo..hi].to_vec()
+    &ck.blob[lo..hi]
 }
 
-/// What one rank carries out of a segment run (including any in-segment
-/// crash recovery): its stitched report, its boundary checkpoint (when
-/// the segment ended at an elastic boundary), the possibly degraded view,
-/// and the rank that died, if one did.
-struct SegmentOutcome {
-    report: RankReport,
-    checkpoint: Option<RankCheckpoint>,
+/// Control-channel payloads are little-endian `u64` words.
+fn le_bytes(words: &[u64]) -> Vec<u8> {
+    words.iter().flat_map(|w| w.to_le_bytes()).collect()
+}
+
+fn le_words(bytes: &[u8]) -> Vec<u64> {
+    bytes
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+        .collect()
+}
+
+/// A rank's recorded past — its trace and per-tick fire counts — moved into
+/// each segment the rank runs (which extends it) and back out of the
+/// segment's report.
+type History = (Vec<Spike>, Vec<u64>);
+
+/// One rank's walk through the segments of a job: the state that survives
+/// from one segment (and one elastic boundary) to the next.
+struct RankRun<'a> {
+    ctx: &'a RankCtx,
+    model: &'a NetworkModel,
+    cfg: &'a EngineConfig,
+    job: &'a Job<'a>,
+    /// The active ranks and the core layout they host.
     view: SurvivorView,
     dead: Option<Rank>,
-}
-
-/// Runs one elastic segment `[start of resume .. seg_end)` on this rank,
-/// driving the in-segment crash-survival protocol if a peer dies: the
-/// survivors' verdict interrupts the run, the buddy adopts the victim's
-/// cores from its replica, and the degraded segment replays from the
-/// common boundary to the same segment end. `seed` is the rank's recorded
-/// history up to the segment start (so replicas shipped inside the
-/// segment carry the full observable past).
-#[allow(clippy::too_many_arguments)]
-fn run_segment(
-    ctx: &RankCtx,
-    view: &SurvivorView,
-    model: &NetworkModel,
-    cfg: &EngineConfig,
-    policy: RecoveryPolicy,
-    crash: Option<CrashPlan>,
+    history: History,
+    /// The checkpoint the next segment resumes from.
     resume: Option<RankCheckpoint>,
-    seed: (Vec<Spike>, Vec<u64>),
-    seg_end: Option<u32>,
-) -> SegmentOutcome {
-    let me = ctx.rank();
-    let configs: Vec<CoreConfig> = view
-        .blocks_of(me)
-        .into_iter()
-        .flat_map(|b| {
-            model.cores[b.start as usize..b.end as usize]
-                .iter()
-                .cloned()
-        })
-        .collect();
-    let opts = RunOptions {
-        checkpoint_at: seg_end,
-        kill_at: seg_end,
-        resume,
-        recovery: Some(policy),
-        crash,
-        seed_history: Some(seed),
-        durability: None,
-    };
-    let mut out = run_rank_view(ctx, view, configs, &model.initial_deliveries, cfg, &opts);
-    let Some(int) = out.interrupt.take() else {
-        return SegmentOutcome {
-            report: out.report,
-            checkpoint: out.checkpoint,
-            view: view.clone(),
-            dead: None,
-        };
-    };
-
-    // A peer died inside this segment: adopt, merge, and replay the rest
-    // of the segment in the degraded view. The engine already wound the
-    // report back to the common boundary.
-    let mut rep1 = out.report;
-    let view2 = view.without(int.dead);
-    let configs2: Vec<CoreConfig> = view2
-        .blocks_of(me)
-        .into_iter()
-        .flat_map(|b| {
-            model.cores[b.start as usize..b.end as usize]
-                .iter()
-                .cloned()
-        })
-        .collect();
-    // Merge own + adopted cores in ascending global order — the layout
-    // `view2.local_index` expects. Each original-rank block is contiguous
-    // in its old host's checkpoint, so this is a sequence of range copies.
-    let mut adopted_cores = 0u64;
-    let mut pieces: Vec<(std::ops::Range<u64>, bool)> =
-        view.blocks_of(me).into_iter().map(|b| (b, false)).collect();
-    if let Some(rp) = &int.adopted {
-        adopted_cores = rp.ckpt.core_count() as u64;
-        pieces.extend(view.blocks_of(int.dead).into_iter().map(|b| (b, true)));
-        // The victim's recorded history died with its thread; its replica
-        // carries it, and it joins this rank's own pre-boundary history.
-        rep1.trace.extend(rp.trace.iter().copied());
-        if rep1.fires_per_tick.len() < rp.fires_per_tick.len() {
-            rep1.fires_per_tick.resize(rp.fires_per_tick.len(), 0);
-        }
-        for (a, b) in rep1.fires_per_tick.iter_mut().zip(&rp.fires_per_tick) {
-            *a += b;
-        }
-    }
-    pieces.sort_by_key(|(r, _)| r.start);
-    let mut blob = Vec::new();
-    for (run, from_dead) in &pieces {
-        let (host, ck) = if *from_dead {
-            (
-                int.dead,
-                &int.adopted
-                    .as_ref()
-                    .expect("adopted pieces imply a replica")
-                    .ckpt,
-            )
-        } else {
-            (me, &int.resume)
-        };
-        blob.extend_from_slice(&slice_run(view, host, ck, run));
-    }
-    let merged = RankCheckpoint {
-        rank: me as u32,
-        start_tick: int.resume.start_tick(),
-        blob,
-    };
-    let seed2 = (
-        rep1.trace.clone(),
-        if cfg.tick_stats {
-            rep1.fires_per_tick.clone()
-        } else {
-            Vec::new()
-        },
-    );
-    let opts2 = RunOptions {
-        checkpoint_at: seg_end,
-        kill_at: seg_end,
-        resume: Some(merged),
-        recovery: Some(policy),
-        crash: None,
-        seed_history: Some(seed2),
-        durability: None,
-    };
-    let out2 = run_rank_view(
-        ctx,
-        &view2,
-        configs2,
-        &model.initial_deliveries,
-        cfg,
-        &opts2,
-    );
-    assert!(
-        out2.interrupt.is_none(),
-        "one crash per run: the degraded segment must finish"
-    );
-    let gap = u64::from(int.at_tick - int.resume.start_tick());
-    let mut report = fold_segments(rep1, out2.report);
-    report.replayed_ticks += gap;
-    report.adopted_cores += adopted_cores;
-    SegmentOutcome {
-        report,
-        checkpoint: out2.checkpoint,
-        view: view2,
-        dead: Some(int.dead),
-    }
+    /// The checkpoint the last segment exited its boundary with.
+    boundary_ck: Option<RankCheckpoint>,
+    /// This rank's folded report over the segments it ran.
+    acc: Option<RankReport>,
+    durable_error: Option<String>,
+    /// Cores received, envelope bytes sent, and wall-clock spent migrating.
+    migration: (u64, u64, Duration),
 }
 
-/// Folds an earlier segment's report into a later one whose history was
-/// *seeded* with the earlier segment's (so trace and per-tick fires come
-/// from the later report alone — they are already cumulative). Lifetime
-/// core-derived values travel inside the checkpoints and come from the
-/// later segment; reliable-layer counters are cumulative over the shared
-/// world and come from the later segment; everything else is work done,
-/// and sums.
-fn fold_segments(prev: RankReport, next: RankReport) -> RankReport {
-    let mut out = next;
-    out.phases.add(&prev.phases);
-    out.spikes_local += prev.spikes_local;
-    out.spikes_remote += prev.spikes_remote;
-    out.messages_sent += prev.messages_sent;
-    for (a, b) in out.bytes_to.iter_mut().zip(&prev.bytes_to) {
-        *a += b;
+impl<'a> RankRun<'a> {
+    fn new(
+        ctx: &'a RankCtx,
+        model: &'a NetworkModel,
+        cfg: &'a EngineConfig,
+        job: &'a Job<'a>,
+    ) -> Self {
+        let me = ctx.rank();
+        let members = match job.elastic {
+            Some(plan) => plan.initial.clone(),
+            None => (0..ctx.world_size()).collect(),
+        };
+        // With every rank a member this is the identity view of the uniform
+        // partition (`partition.rs::remap_of_the_full_world_is_the_identity`).
+        let part = Partition::among(model.total_cores(), ctx.world_size(), &members, None);
+        // Standbys sit outside the PGAS commit barrier until admitted.
+        if !members.contains(&me) {
+            ctx.pgas().detach(me);
+        }
+        // A resumed rank restores its own slice of the generation and
+        // seeds the history the dead process had already recorded.
+        let mine = job.resume.as_ref().map(|rp| &rp.payloads[me]);
+        Self {
+            ctx,
+            model,
+            cfg,
+            job,
+            view: SurvivorView::remap(part, members),
+            dead: None,
+            history: mine.map_or_else(History::default, |p| {
+                (p.trace.clone(), p.fires_per_tick.clone())
+            }),
+            resume: mine.map(|p| p.ckpt.clone()),
+            boundary_ck: None,
+            acc: None,
+            durable_error: None,
+            migration: (0, 0, Duration::ZERO),
+        }
     }
-    out.critical_wait += prev.critical_wait;
-    out.critical_hold += prev.critical_hold;
-    out.synapse_skips += prev.synapse_skips;
-    out.neuron_skips += prev.neuron_skips;
-    out.checkpoint_bytes += prev.checkpoint_bytes;
-    out.checkpoint_time += prev.checkpoint_time;
-    out.rollbacks += prev.rollbacks;
-    out.replayed_ticks += prev.replayed_ticks;
-    out.recovery_time += prev.recovery_time;
-    out.death_verdicts += prev.death_verdicts;
-    out.replication_bytes += prev.replication_bytes;
-    out.replication_time += prev.replication_time;
-    out.delta_replica_ships += prev.delta_replica_ships;
-    out.full_replica_ships += prev.full_replica_ships;
-    out.adopted_cores += prev.adopted_cores;
-    out.migrated_cores += prev.migrated_cores;
-    out.migration_bytes += prev.migration_bytes;
-    out.migration_time += prev.migration_time;
-    out.durable_bytes += prev.durable_bytes;
-    out.durable_time += prev.durable_time;
-    out.durable_generations += prev.durable_generations;
-    out
+
+    fn run(mut self) -> (RankReport, Option<String>) {
+        let steps = self.job.elastic.map_or(&[][..], |plan| &plan.steps[..]);
+        let mut start = 0;
+        for step in steps {
+            self.segment(start, Some(step.at_tick));
+            self.boundary(step);
+            start = step.at_tick;
+        }
+        self.segment(start, None);
+        let mut out = self.acc.unwrap_or_default();
+        (out.trace, out.fires_per_tick) = self.history;
+        out.migrated_cores += self.migration.0;
+        out.migration_bytes += self.migration.1;
+        out.migration_time += self.migration.2;
+        (out, self.durable_error)
+    }
+
+    /// One engine call over `[resume point .. seg_end)` under the current
+    /// view. `seed` is the rank's recorded history up to the resume point,
+    /// so the report — and every replica shipped inside the segment —
+    /// carries the full observable past.
+    fn engine(
+        &self,
+        resume: Option<RankCheckpoint>,
+        seed: History,
+        crash: Option<CrashPlan>,
+        seg_end: Option<u32>,
+    ) -> RunOutcome {
+        let (me, view, model) = (self.ctx.rank(), &self.view, self.model);
+        let mut configs = Vec::with_capacity(view.count(me) as usize);
+        for b in view.blocks_of(me) {
+            configs.extend_from_slice(&model.cores[b.start as usize..b.end as usize]);
+        }
+        let opts = RunOptions {
+            checkpoint_at: seg_end,
+            kill_at: seg_end,
+            resume,
+            recovery: self.job.recovery,
+            crash,
+            seed_history: Some(seed),
+            // A durable generation commits only once every rank's file is
+            // visible, so durability is armed only while every rank of the
+            // world is a member: degraded and elastic segments run without
+            // it, and a restart resumes from before them (re-firing the
+            // crash plan deterministically).
+            durability: self.job.durability.clone().filter(|_| view.is_identity()),
+        };
+        run_rank_view(
+            self.ctx,
+            view,
+            configs,
+            &model.initial_deliveries,
+            self.cfg,
+            &opts,
+        )
+    }
+
+    /// Runs the segment `[start .. seg_end)` if this rank is a member
+    /// (replaying it degraded if a peer dies inside it); a parked rank only
+    /// tracks deaths from the shared crash plan.
+    fn segment(&mut self, start: u32, seg_end: Option<u32>) {
+        let me = self.ctx.rank();
+        if !self.view.members().contains(&me) {
+            if let Some(cp) = self.job.crash {
+                let in_window = cp.at_tick >= start && seg_end.is_none_or(|e| cp.at_tick < e);
+                if in_window && self.view.members().contains(&cp.rank) {
+                    self.retire(cp.rank);
+                }
+            }
+            return;
+        }
+        let (resume, seed) = (self.resume.take(), take(&mut self.history));
+        let mut out = self.engine(resume, seed, self.job.crash, seg_end);
+        if let Some(int) = out.interrupt.take() {
+            out = self.replay_degraded(out, int, seg_end);
+        }
+        let mut report = out.report;
+        self.history = (take(&mut report.trace), take(&mut report.fires_per_tick));
+        if let Some(earlier) = self.acc.take() {
+            report.fold_earlier(earlier);
+        }
+        self.acc = Some(report);
+        self.boundary_ck = out.checkpoint;
+        self.durable_error = self.durable_error.take().or(out.durable_error);
+    }
+
+    /// `dead` is gone: its ring buddy hosts its cores from here on.
+    fn retire(&mut self, dead: Rank) {
+        let planned = self.job.crash.map(|cp| cp.rank);
+        assert_eq!(Some(dead), planned, "only the planned victim may die");
+        self.dead = Some(dead);
+        self.view = self.view.without(dead);
+    }
+
+    /// A peer died inside this segment and the survivors' verdict
+    /// interrupted it (`first` is already wound back to the common
+    /// boundary): the buddy adopts the victim's cores from its replica, and
+    /// the degraded world replays from there to the same segment end.
+    fn replay_degraded(
+        &mut self,
+        first: RunOutcome,
+        int: DeathInterrupt,
+        seg_end: Option<u32>,
+    ) -> RunOutcome {
+        let me = self.ctx.rank();
+        let mut rep1 = first.report;
+        // Own and adopted cores merge in ascending global order — the
+        // layout the degraded view's `local_index` expects. Each
+        // original-rank block is contiguous in its old host's checkpoint,
+        // so this is a sequence of range copies.
+        let mut pieces: Vec<(Range<u64>, Rank, &RankCheckpoint)> = self
+            .view
+            .blocks_of(me)
+            .into_iter()
+            .map(|b| (b, me, &int.resume))
+            .collect();
+        let mut adopted_cores = 0u64;
+        if let Some(rp) = &int.adopted {
+            adopted_cores = rp.ckpt.core_count() as u64;
+            let theirs = self.view.blocks_of(int.dead);
+            pieces.extend(theirs.into_iter().map(|b| (b, int.dead, &rp.ckpt)));
+            // The victim's recorded history died with its thread; its
+            // replica carries it, and it joins this rank's own pre-boundary
+            // history.
+            rep1.trace.extend(rp.trace.iter().copied());
+            if rep1.fires_per_tick.len() < rp.fires_per_tick.len() {
+                rep1.fires_per_tick.resize(rp.fires_per_tick.len(), 0);
+            }
+            for (a, b) in rep1.fires_per_tick.iter_mut().zip(&rp.fires_per_tick) {
+                *a += b;
+            }
+        }
+        pieces.sort_by_key(|(run, _, _)| run.start);
+        let mut blob = Vec::new();
+        for (run, host, ck) in &pieces {
+            blob.extend_from_slice(slice_run(&self.view, *host, ck, run));
+        }
+        let merged = RankCheckpoint {
+            rank: me as u32,
+            start_tick: int.resume.start_tick(),
+            blob,
+        };
+        let seed = (
+            take(&mut rep1.trace),
+            if self.cfg.tick_stats {
+                take(&mut rep1.fires_per_tick)
+            } else {
+                Vec::new()
+            },
+        );
+        self.retire(int.dead);
+        let mut out = self.engine(Some(merged), seed, None, seg_end);
+        assert!(
+            out.interrupt.is_none(),
+            "one crash per run: the degraded segment must finish"
+        );
+        out.report.fold_earlier(rep1);
+        // The verdict-to-boundary distance is replayed on top of whatever
+        // the two engine calls rolled back themselves.
+        out.report.replayed_ticks += u64::from(int.at_tick - int.resume.start_tick());
+        out.report.adopted_cores += adopted_cores;
+        out.durable_error = first.durable_error;
+        out
+    }
+
+    /// The admission protocol at an elastic boundary (see [`run_elastic`]):
+    /// WELCOME, COST, MIG, DONE over the control channel, after which
+    /// `members`, `view` and `resume` describe the next segment.
+    fn boundary(&mut self, step: &ElasticStep) {
+        let (ctx, me, b) = (self.ctx, self.ctx.rank(), step.at_tick);
+        let n_world = ctx.world_size();
+        let total = self.model.total_cores();
+        let old_members = self.view.members().to_vec();
+        let (joiner, leaver) = match step.event {
+            ElasticEvent::Join(r) => {
+                assert_ne!(Some(r), self.dead, "cannot admit a crashed rank");
+                (Some(r), None)
+            }
+            // A planned leaver that already crashed degenerates the
+            // boundary to a rebalance among the survivors.
+            ElasticEvent::Leave(r) if Some(r) != self.dead => (None, Some(r)),
+            ElasticEvent::Leave(_) | ElasticEvent::Rebalance => (None, None),
+        };
+        let mut participants = old_members.clone();
+        participants.extend(joiner);
+        participants.sort_unstable();
+        let new_members: Vec<Rank> = participants
+            .iter()
+            .copied()
+            .filter(|&m| Some(m) != leaver)
+            .collect();
+        assert!(!new_members.is_empty(), "the world emptied out");
+        let t0 = Instant::now();
+
+        // WELCOME: the incumbents' leader hands the joiner the dynamic
+        // state a parked rank cannot know — the collective sequence
+        // counter and the PGAS epoch.
+        if let Some(j) = joiner {
+            let leader = old_members[0];
+            if me == leader {
+                let words = [ctx.comm().seq(), ctx.pgas().epoch()];
+                ctx.comm()
+                    .ctrl_send(j, ELASTIC_WELCOME, b, le_bytes(&words));
+            }
+            if me == j {
+                let w = ctx
+                    .comm()
+                    .ctrl_recv_until(leader, ELASTIC_WELCOME, b, ctx.membership())
+                    .expect("the welcoming leader died before the join boundary");
+                let words = le_words(&w);
+                ctx.comm().sync_seq(words[0]);
+                ctx.pgas().set_epoch(words[1]);
+                // Collective admission: fresh pair state on the reliable
+                // layer, liveness flag on, and a seat in the PGAS commit
+                // barrier (quiescent here — every incumbent is inside the
+                // boundary protocol).
+                ctx.reliable()
+                    .expect("elastic worlds install a reliable layer")
+                    .admit_rank(me);
+                ctx.membership().admit(me);
+                ctx.pgas().attach(me);
+                // Parked ticks observed no fires.
+                if self.cfg.tick_stats {
+                    self.history.1.resize(b as usize, 0);
+                }
+            }
+        }
+
+        // COST: every member publishes its measured per-core tick cost to
+        // the whole world (parked ranks track the layout too — they need
+        // it to compute intersections when they later join). All ranks
+        // then assemble the identical global cost vector and compute the
+        // identical layout.
+        let costs = matches!(step.event, ElasticEvent::Rebalance).then(|| {
+            let mine: &[u64] = if old_members.contains(&me) {
+                let rep = self.acc.as_ref().expect("active ranks have a report");
+                assert_eq!(
+                    rep.core_tick_ns.len() as u64,
+                    self.view.count(me),
+                    "rank {me}: cost vector does not cover the hosted cores"
+                );
+                let payload = le_bytes(&rep.core_tick_ns);
+                for dst in (0..n_world).filter(|&d| d != me && Some(d) != self.dead) {
+                    ctx.comm().ctrl_send(dst, ELASTIC_COST, b, payload.clone());
+                }
+                &rep.core_tick_ns
+            } else {
+                &[]
+            };
+            let mut global = vec![0u64; total as usize];
+            for &o in &old_members {
+                let theirs = if o == me {
+                    mine.to_vec()
+                } else {
+                    le_words(&ctx.comm().ctrl_recv(o, ELASTIC_COST, b))
+                };
+                let cores = self.view.blocks_of(o).into_iter().flatten();
+                for (core, cost) in cores.zip(theirs) {
+                    global[core as usize] = cost;
+                }
+            }
+            global
+        });
+        let new_part = Partition::among(total, n_world, &new_members, costs.as_deref());
+        let new_view = SurvivorView::remap(new_part, new_members);
+        let new_members = new_view.members();
+
+        // MIG: old owners ship the checkpoint runs that intersect each new
+        // owner's layout; receivers splice them (plus their own kept runs)
+        // into the resumed checkpoint.
+        if participants.contains(&me) {
+            let view = &self.view;
+            let mut my_runs: Vec<MigrationRun> = Vec::new();
+            if old_members.contains(&me) {
+                let ck = self
+                    .boundary_ck
+                    .as_ref()
+                    .expect("an active rank exits a boundary with its checkpoint");
+                assert_eq!(ck.start_tick(), b, "boundary checkpoint tick mismatch");
+                let mine = view.blocks_of(me);
+                for &m in new_members {
+                    let mut runs: Vec<MigrationRun> =
+                        intersect_blocks(&mine, &new_view.blocks_of(m))
+                            .iter()
+                            .map(|run| MigrationRun {
+                                global_start: run.start,
+                                blob: slice_run(view, me, ck, run).to_vec(),
+                            })
+                            .collect();
+                    if m == me {
+                        my_runs.append(&mut runs);
+                    } else if !runs.is_empty() {
+                        let env = MigrationEnvelope { boundary: b, runs };
+                        self.migration.1 += env.total_bytes();
+                        ctx.comm().ctrl_send(m, ELASTIC_MIG, b, env.to_bytes());
+                    }
+                }
+            }
+            self.resume = new_members.contains(&me).then(|| {
+                let mine_new = new_view.blocks_of(me);
+                for &o in old_members.iter().filter(|&&o| o != me) {
+                    if intersect_blocks(&view.blocks_of(o), &mine_new).is_empty() {
+                        continue;
+                    }
+                    let raw = ctx.comm().ctrl_recv(o, ELASTIC_MIG, b);
+                    let env = MigrationEnvelope::from_bytes(&raw)
+                        .expect("migration envelope survived the internal channel");
+                    assert_eq!(env.boundary, b, "migration boundary mismatch");
+                    self.migration.0 += env.core_count() as u64;
+                    my_runs.extend(env.runs);
+                }
+                my_runs.sort_by_key(|r| r.global_start);
+                let blob = my_runs
+                    .iter()
+                    .map(|r| &r.blob[..])
+                    .collect::<Vec<_>>()
+                    .concat();
+                assert_eq!(
+                    blob.len(),
+                    new_view.count(me) as usize * CORE_SNAPSHOT_BYTES,
+                    "rank {me}: spliced checkpoint does not fill the new block"
+                );
+                RankCheckpoint {
+                    rank: me as u32,
+                    start_tick: b,
+                    blob,
+                }
+            });
+
+            // DONE: the collective admission verdict — an all-to-all no
+            // participant passes until every other has finished migrating,
+            // so no rank can leak traffic from the next segment into this
+            // boundary.
+            for &p in participants.iter().filter(|&&p| p != me) {
+                ctx.comm().ctrl_send(p, ELASTIC_DONE, b, Vec::new());
+            }
+            for &p in participants.iter().filter(|&&p| p != me) {
+                let _ = ctx.comm().ctrl_recv(p, ELASTIC_DONE, b);
+            }
+            if leaver == Some(me) {
+                ctx.pgas().detach(me);
+            }
+            self.migration.2 += t0.elapsed();
+        }
+        self.view = new_view;
+    }
 }
 
 /// Simulates `model` under a deterministic schedule of live membership
@@ -1053,7 +975,6 @@ fn fold_segments(prev: RankReport, next: RankReport) -> RankReport {
 /// # Panics
 /// Panics when the plan is unsatisfiable (see [`ElasticPlan`]) or a rank
 /// other than the planned crash victim dies.
-#[allow(clippy::too_many_lines)]
 pub fn run_elastic(
     model: &NetworkModel,
     world: WorldConfig,
@@ -1065,353 +986,15 @@ pub fn run_elastic(
 ) -> Result<RunReport, ModelError> {
     model.validate()?;
     elastic.validate(world.ranks, cfg.ticks, crash.as_ref());
-    let policy = RecoveryPolicy {
-        survive_crashes: true,
-        ..policy
+    let job = Job {
+        faults: plan,
+        reliable: true,
+        recovery: Some(policy.surviving_crashes()),
+        crash,
+        elastic: Some(elastic),
+        ..Job::default()
     };
-    let n_world = world.ranks;
-    let total = model.total_cores();
-    let metrics = Arc::new(TransportMetrics::new());
-    let faults = plan.map(|p| Arc::new(FaultInjector::new(p, n_world)));
-    let rely_cfg = match &plan {
-        Some(p) => ReliableConfig::against(p),
-        None => ReliableConfig::default(),
-    };
-    let rely = Arc::new(ReliableWorld::new(n_world, Arc::clone(&metrics), rely_cfg));
-    let elastic = elastic.clone();
-    let started = Instant::now();
-    let results =
-        World::try_run_with_recovery(world, Arc::clone(&metrics), faults, Some(rely), |ctx| {
-            let me = ctx.rank();
-            let mut members = elastic.initial.clone();
-            let mut part = member_partition(total, n_world, &members, None);
-            let mut view = SurvivorView::remap(part.clone(), members.clone());
-            // Standbys sit outside the PGAS commit barrier until admitted.
-            if !members.contains(&me) {
-                ctx.pgas().detach(me);
-            }
-            let mut acc: Option<RankReport> = None;
-            let mut resume: Option<RankCheckpoint> = None;
-            let mut history: (Vec<Spike>, Vec<u64>) = (Vec::new(), Vec::new());
-            let mut dead: Option<Rank> = None;
-            let mut start = 0u32;
-            let mut adopted_total = 0u64;
-            let mut mig_cores = 0u64;
-            let mut mig_bytes = 0u64;
-            let mut mig_time = Duration::ZERO;
-
-            for i in 0..=elastic.steps.len() {
-                let step = elastic.steps.get(i);
-                let seg_end = step.map(|s| s.at_tick);
-
-                // ---- Run the segment (active ranks only) ----
-                let mut boundary_ck: Option<RankCheckpoint> = None;
-                if members.contains(&me) {
-                    let seg = run_segment(
-                        ctx,
-                        &view,
-                        model,
-                        cfg,
-                        policy,
-                        crash,
-                        resume.take(),
-                        (
-                            if cfg.record_trace {
-                                history.0.clone()
-                            } else {
-                                Vec::new()
-                            },
-                            if cfg.tick_stats {
-                                history.1.clone()
-                            } else {
-                                Vec::new()
-                            },
-                        ),
-                        seg_end,
-                    );
-                    if let Some(d) = seg.dead {
-                        let cp = crash.expect("an unplanned rank death");
-                        assert_eq!(d, cp.rank, "only the planned victim may die");
-                        dead = Some(d);
-                        members.retain(|&m| m != d);
-                        adopted_total += seg.report.adopted_cores;
-                    }
-                    view = seg.view;
-                    history = (seg.report.trace.clone(), seg.report.fires_per_tick.clone());
-                    boundary_ck = seg.checkpoint;
-                    acc = Some(match acc.take() {
-                        None => seg.report,
-                        Some(a) => fold_segments(a, seg.report),
-                    });
-                } else if let Some(cp) = &crash {
-                    // Parked ranks track deaths from the (shared) plan so
-                    // their view of membership stays in lockstep.
-                    let in_window = cp.at_tick >= start && seg_end.is_none_or(|e| cp.at_tick < e);
-                    if in_window && members.contains(&cp.rank) {
-                        dead = Some(cp.rank);
-                        members.retain(|&m| m != cp.rank);
-                        view = view.without(cp.rank);
-                    }
-                }
-
-                let Some(step) = step else { break };
-                let b = step.at_tick;
-
-                // ---- Boundary protocol ----
-                let old_members = members.clone();
-                let mut new_members = members.clone();
-                let mut joiner: Option<Rank> = None;
-                let mut leaver: Option<Rank> = None;
-                match step.event {
-                    ElasticEvent::Join(r) => {
-                        assert_ne!(Some(r), dead, "cannot admit a crashed rank");
-                        joiner = Some(r);
-                        new_members.push(r);
-                        new_members.sort_unstable();
-                    }
-                    ElasticEvent::Leave(r) => {
-                        if Some(r) == dead {
-                            // The planned leaver already crashed; the
-                            // boundary degenerates to a rebalance among
-                            // the survivors.
-                        } else {
-                            leaver = Some(r);
-                            new_members.retain(|&m| m != r);
-                        }
-                    }
-                    ElasticEvent::Rebalance => {}
-                }
-                assert!(!new_members.is_empty(), "the world emptied out");
-                let participants: Vec<Rank> = {
-                    let mut p = old_members.clone();
-                    if let Some(j) = joiner {
-                        p.push(j);
-                        p.sort_unstable();
-                    }
-                    p
-                };
-                let involved = participants.contains(&me);
-                let rebalance = matches!(step.event, ElasticEvent::Rebalance);
-                let t0 = Instant::now();
-
-                // WELCOME: the incumbents' leader hands the joiner the
-                // dynamic state a parked rank cannot know — the collective
-                // sequence counter and the PGAS epoch.
-                if let Some(j) = joiner {
-                    let leader = old_members[0];
-                    if me == leader {
-                        let mut payload = Vec::with_capacity(16);
-                        payload.extend_from_slice(&ctx.comm().seq().to_le_bytes());
-                        payload.extend_from_slice(&ctx.pgas().epoch().to_le_bytes());
-                        ctx.comm().ctrl_send(j, ELASTIC_WELCOME, b, payload);
-                    }
-                    if me == j {
-                        let w = ctx
-                            .comm()
-                            .ctrl_recv_until(leader, ELASTIC_WELCOME, b, ctx.membership())
-                            .expect("the welcoming leader died before the join boundary");
-                        let seq = u64::from_le_bytes(w[0..8].try_into().expect("welcome seq"));
-                        let epoch = u64::from_le_bytes(w[8..16].try_into().expect("welcome epoch"));
-                        ctx.comm().sync_seq(seq);
-                        ctx.pgas().set_epoch(epoch);
-                        // Collective admission: fresh pair state on the
-                        // reliable layer, liveness flag on, and a seat in
-                        // the PGAS commit barrier (quiescent here — every
-                        // incumbent is inside the boundary protocol).
-                        ctx.reliable()
-                            .expect("elastic worlds install a reliable layer")
-                            .admit_rank(me);
-                        ctx.membership().admit(me);
-                        ctx.pgas().attach(me);
-                        // Parked ticks observed no fires.
-                        if cfg.tick_stats {
-                            history.1.resize(b as usize, 0);
-                        }
-                    }
-                }
-
-                // COST: every member publishes its measured per-core tick
-                // cost to the whole world (parked ranks track the layout
-                // too — they need it to compute intersections when they
-                // later join). All ranks then assemble the identical
-                // global cost vector and compute the identical layout.
-                let new_part = if rebalance {
-                    let my_costs: Vec<u64> = if old_members.contains(&me) {
-                        let rep = acc.as_ref().expect("active ranks have a report");
-                        assert_eq!(
-                            rep.core_tick_ns.len() as u64,
-                            view.count(me),
-                            "rank {me}: cost vector does not cover the hosted cores"
-                        );
-                        rep.core_tick_ns.clone()
-                    } else {
-                        Vec::new()
-                    };
-                    if old_members.contains(&me) {
-                        let mut payload = Vec::with_capacity(8 * my_costs.len());
-                        for c in &my_costs {
-                            payload.extend_from_slice(&c.to_le_bytes());
-                        }
-                        for dst in 0..n_world {
-                            if dst != me && Some(dst) != dead {
-                                ctx.comm().ctrl_send(dst, ELASTIC_COST, b, payload.clone());
-                            }
-                        }
-                    }
-                    let mut global = vec![0u64; total as usize];
-                    for &o in &old_members {
-                        let costs: Vec<u64> = if o == me {
-                            my_costs.clone()
-                        } else {
-                            let raw = ctx.comm().ctrl_recv(o, ELASTIC_COST, b);
-                            raw.chunks_exact(8)
-                                .map(|c| u64::from_le_bytes(c.try_into().expect("cost word")))
-                                .collect()
-                        };
-                        let mut at = 0usize;
-                        for block in view.blocks_of(o) {
-                            for core in block {
-                                global[core as usize] = costs[at];
-                                at += 1;
-                            }
-                        }
-                    }
-                    member_partition(total, n_world, &new_members, Some(&global))
-                } else {
-                    member_partition(total, n_world, &new_members, None)
-                };
-                let new_view = SurvivorView::remap(new_part.clone(), new_members.clone());
-
-                // MIG: old owners ship the checkpoint runs that intersect
-                // each new owner's layout; receivers splice them (plus
-                // their own kept runs) into the resumed checkpoint.
-                if involved {
-                    let mut my_runs: Vec<MigrationRun> = Vec::new();
-                    if old_members.contains(&me) {
-                        let ck = boundary_ck
-                            .as_ref()
-                            .expect("an active rank exits a boundary with its checkpoint");
-                        assert_eq!(ck.start_tick(), b, "boundary checkpoint tick mismatch");
-                        let mine = view.blocks_of(me);
-                        for &m in &new_members {
-                            let runs = intersect_blocks(&mine, &new_view.blocks_of(m));
-                            if m == me {
-                                for run in &runs {
-                                    my_runs.push(MigrationRun {
-                                        global_start: run.start,
-                                        blob: slice_run(&view, me, ck, run),
-                                    });
-                                }
-                            } else if !runs.is_empty() {
-                                let env = MigrationEnvelope {
-                                    boundary: b,
-                                    runs: runs
-                                        .iter()
-                                        .map(|run| MigrationRun {
-                                            global_start: run.start,
-                                            blob: slice_run(&view, me, ck, run),
-                                        })
-                                        .collect(),
-                                };
-                                mig_bytes += env.total_bytes();
-                                ctx.comm().ctrl_send(m, ELASTIC_MIG, b, env.to_bytes());
-                            }
-                        }
-                    }
-                    if new_members.contains(&me) {
-                        let mine_new = new_view.blocks_of(me);
-                        for &o in &old_members {
-                            if o == me {
-                                continue;
-                            }
-                            let expected = intersect_blocks(&view.blocks_of(o), &mine_new);
-                            if expected.is_empty() {
-                                continue;
-                            }
-                            let raw = ctx.comm().ctrl_recv(o, ELASTIC_MIG, b);
-                            let env = MigrationEnvelope::from_bytes(&raw)
-                                .expect("migration envelope survived the internal channel");
-                            assert_eq!(env.boundary, b, "migration boundary mismatch");
-                            mig_cores += env.core_count() as u64;
-                            my_runs.extend(env.runs);
-                        }
-                        my_runs.sort_by_key(|r| r.global_start);
-                        let mut blob =
-                            Vec::with_capacity(my_runs.iter().map(|r| r.blob.len()).sum());
-                        for run in &my_runs {
-                            blob.extend_from_slice(&run.blob);
-                        }
-                        assert_eq!(
-                            blob.len(),
-                            new_view.count(me) as usize * CORE_SNAPSHOT_BYTES,
-                            "rank {me}: spliced checkpoint does not fill the new block"
-                        );
-                        resume = Some(RankCheckpoint {
-                            rank: me as u32,
-                            start_tick: b,
-                            blob,
-                        });
-                    } else {
-                        resume = None;
-                    }
-
-                    // DONE: the collective admission verdict — an
-                    // all-to-all no participant passes until every other
-                    // has finished migrating, so no rank can leak traffic
-                    // from the next segment into this boundary.
-                    for &p in &participants {
-                        if p != me {
-                            ctx.comm().ctrl_send(p, ELASTIC_DONE, b, Vec::new());
-                        }
-                    }
-                    for &p in &participants {
-                        if p != me {
-                            let _ = ctx.comm().ctrl_recv(p, ELASTIC_DONE, b);
-                        }
-                    }
-                    if leaver == Some(me) {
-                        ctx.pgas().detach(me);
-                    }
-                    mig_time += t0.elapsed();
-                }
-
-                members = new_members;
-                part = new_part;
-                view = new_view;
-                start = b;
-            }
-            let _ = (start, &part);
-
-            let mut out = acc.unwrap_or_default();
-            out.adopted_cores = adopted_total;
-            out.migrated_cores += mig_cores;
-            out.migration_bytes += mig_bytes;
-            out.migration_time += mig_time;
-            out
-        });
-
-    let mut ranks = Vec::with_capacity(n_world);
-    for (rank, res) in results.into_iter().enumerate() {
-        match res {
-            Ok(report) => ranks.push(report),
-            Err(failure) => {
-                let cp = crash.expect("a rank died with no crash planned");
-                assert_eq!(rank, cp.rank, "only the planned victim may die");
-                let rc = failure
-                    .crash()
-                    .unwrap_or_else(|| panic!("victim died abnormally: {}", failure.message()));
-                assert_eq!((rc.rank, rc.tick), (cp.rank, cp.at_tick));
-                ranks.push(RankReport::default());
-            }
-        }
-    }
-    let wall = started.elapsed();
-    Ok(RunReport {
-        ranks,
-        wall,
-        ticks: cfg.ticks,
-        transport: metrics.snapshot(),
-    })
+    Ok(launch(model, world, cfg, &job).0)
 }
 
 #[cfg(test)]

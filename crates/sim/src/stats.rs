@@ -169,6 +169,95 @@ pub struct RankReport {
     pub trace: Vec<Spike>,
 }
 
+impl RankReport {
+    /// Folds the report of an `earlier` segment of the same rank into this,
+    /// the later one, whose recorded history was *seeded* with the earlier
+    /// segment's. The destructuring is exhaustive on purpose: a field added
+    /// to [`RankReport`] does not compile until it is given a class here.
+    pub(crate) fn fold_earlier(&mut self, earlier: RankReport) {
+        let RankReport {
+            // Work actually done by the earlier segment: sums.
+            phases,
+            spikes_local,
+            spikes_remote,
+            messages_sent,
+            bytes_to,
+            collective_time,
+            inbox_routed,
+            synapse_skips,
+            neuron_skips,
+            checkpoint_bytes,
+            checkpoint_time,
+            rollbacks,
+            replayed_ticks,
+            recovery_time,
+            death_verdicts,
+            adopted_cores,
+            replication_bytes,
+            replication_time,
+            delta_replica_ships,
+            full_replica_ships,
+            migrated_cores,
+            migration_bytes,
+            migration_time,
+            durable_bytes,
+            durable_time,
+            durable_generations,
+            // Cumulative over state the segments share (the reliable world's
+            // counters, the rank's thread team): the later values already
+            // include the earlier ones.
+            retransmits: _,
+            dedup_drops: _,
+            crc_rejects: _,
+            critical_wait: _,
+            critical_hold: _,
+            // Lifetime, core-derived values travel inside the checkpoints,
+            // and the footprint fields describe the rank as the later
+            // segment left it.
+            fires: _,
+            fires_per_core: _,
+            activity: _,
+            kernel: _,
+            cores: _,
+            memory_bytes: _,
+            core_tick_ns: _,
+            spikes_in_flight: _,
+            staging_bytes: _,
+            // Seeded into the later segment, which extended them.
+            trace: _,
+            fires_per_tick: _,
+        } = earlier;
+        self.phases.add(&phases);
+        self.spikes_local += spikes_local;
+        self.spikes_remote += spikes_remote;
+        self.messages_sent += messages_sent;
+        for (a, b) in self.bytes_to.iter_mut().zip(&bytes_to) {
+            *a += b;
+        }
+        self.collective_time += collective_time;
+        self.inbox_routed += inbox_routed;
+        self.synapse_skips += synapse_skips;
+        self.neuron_skips += neuron_skips;
+        self.checkpoint_bytes += checkpoint_bytes;
+        self.checkpoint_time += checkpoint_time;
+        self.rollbacks += rollbacks;
+        self.replayed_ticks += replayed_ticks;
+        self.recovery_time += recovery_time;
+        self.death_verdicts += death_verdicts;
+        self.adopted_cores += adopted_cores;
+        self.replication_bytes += replication_bytes;
+        self.replication_time += replication_time;
+        self.delta_replica_ships += delta_replica_ships;
+        self.full_replica_ships += full_replica_ships;
+        self.migrated_cores += migrated_cores;
+        self.migration_bytes += migration_bytes;
+        self.migration_time += migration_time;
+        self.durable_bytes += durable_bytes;
+        self.durable_time += durable_time;
+        self.durable_generations += durable_generations;
+    }
+}
+
 /// Whole-run summary across all ranks.
 #[derive(Debug, Clone, Default)]
 pub struct RunReport {
@@ -609,6 +698,86 @@ mod tests {
         assert_eq!(r.total_durable_bytes(), 5000);
         assert_eq!(r.total_durable_generations(), 5);
         assert_eq!(r.durable_time(), ms(8));
+    }
+
+    #[test]
+    fn fold_earlier_sums_work_and_keeps_cumulative_and_checkpointed_values() {
+        let s = |t: u32| Spike {
+            fired_at: t,
+            target: SpikeTarget::new(0, 0, 1),
+        };
+        let earlier = RankReport {
+            // work done
+            spikes_local: 3,
+            bytes_to: vec![5, 7],
+            inbox_routed: 2,
+            checkpoint_bytes: 100,
+            replayed_ticks: 4,
+            recovery_time: ms(6),
+            adopted_cores: 1,
+            migrated_cores: 9,
+            durable_generations: 2,
+            phases: PhaseTimes {
+                synapse: ms(1),
+                neuron: ms(2),
+                network: ms(3),
+            },
+            // cumulative
+            retransmits: 11,
+            critical_wait: ms(13),
+            // checkpointed / end state
+            fires: 17,
+            cores: 19,
+            staging_bytes: 23,
+            core_tick_ns: vec![29],
+            // seeded history
+            trace: vec![s(1)],
+            fires_per_tick: vec![1],
+            ..Default::default()
+        };
+        let mut later = RankReport {
+            spikes_local: 30,
+            bytes_to: vec![50, 70],
+            inbox_routed: 20,
+            checkpoint_bytes: 1000,
+            replayed_ticks: 40,
+            recovery_time: ms(60),
+            adopted_cores: 10,
+            migrated_cores: 90,
+            durable_generations: 20,
+            phases: PhaseTimes {
+                synapse: ms(10),
+                neuron: ms(20),
+                network: ms(30),
+            },
+            retransmits: 110,
+            critical_wait: ms(130),
+            fires: 170,
+            cores: 190,
+            staging_bytes: 230,
+            core_tick_ns: vec![290],
+            trace: vec![s(1), s(2)],
+            fires_per_tick: vec![1, 1],
+            ..Default::default()
+        };
+        later.fold_earlier(earlier);
+        assert_eq!(later.spikes_local, 33);
+        assert_eq!(later.bytes_to, vec![55, 77]);
+        assert_eq!(later.inbox_routed, 22);
+        assert_eq!(later.checkpoint_bytes, 1100);
+        assert_eq!(later.replayed_ticks, 44);
+        assert_eq!(later.recovery_time, ms(66));
+        assert_eq!(later.adopted_cores, 11);
+        assert_eq!(later.migrated_cores, 99);
+        assert_eq!(later.durable_generations, 22);
+        assert_eq!(later.phases.total(), ms(66));
+        assert_eq!(later.retransmits, 110, "cumulative: the later value stands");
+        assert_eq!(later.critical_wait, ms(130), "cumulative over the team");
+        assert_eq!(later.fires, 170, "lifetime value carried by the checkpoint");
+        assert_eq!((later.cores, later.staging_bytes), (190, 230));
+        assert_eq!(later.core_tick_ns, vec![290]);
+        assert_eq!(later.trace, vec![s(1), s(2)], "seeded, not re-prepended");
+        assert_eq!(later.fires_per_tick, vec![1, 1]);
     }
 
     #[test]

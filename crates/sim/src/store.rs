@@ -39,12 +39,13 @@
 //! generation first and every [`DURABLE_FULL_EVERY`]-th boundary after
 //! that, bounding every rebuild chain.
 
-use crate::checkpoint::{CheckpointError, DeltaReplica, ReplicaPayload};
+use crate::checkpoint::{CheckpointError, DeltaBase, DeltaReplica, ReplicaPayload};
 use compass_comm::crc32;
 use std::collections::BTreeMap;
 use std::fs::{self, File};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use tn_core::{Spike, CORE_SNAPSHOT_BYTES};
 
 /// Leading magic of a generation manifest.
 pub const MANIFEST_MAGIC: [u8; 4] = *b"CMF1";
@@ -643,6 +644,128 @@ fn parse_gen(name: &str) -> Option<u64> {
     let rest = name.strip_prefix('g')?;
     let digits = rest.get(..12)?;
     digits.parse().ok()
+}
+
+/// Durable persistence for one rank of a running job: a background writer
+/// thread owns all store I/O, fed staged boundary snapshots over a channel
+/// so the tick loop never blocks on disk. The writer commits each
+/// generation's manifest once every rank's file is visible (racing
+/// committers are idempotent — identical bytes through distinct temps) and
+/// garbage-collects per policy after its own successful commits.
+pub(crate) struct DurableWriter {
+    tx: std::sync::mpsc::Sender<(Manifest, Vec<u8>)>,
+    handle: std::thread::JoinHandle<(u64, u64, Option<StoreError>)>,
+    me: u32,
+    ranks: u32,
+    /// The policy's cadence in ticks.
+    pub(crate) every: u32,
+    /// The previous staged generation — the next delta's base.
+    base: DeltaBase,
+}
+
+impl DurableWriter {
+    /// Opens the store under `pol` and starts the writer thread of rank
+    /// `me` of a `ranks`-rank world.
+    pub(crate) fn spawn(pol: &DurabilityPolicy, me: u32, ranks: u32) -> Result<Self, String> {
+        let store =
+            CheckpointStore::open(&pol.dir, pol.sync).map_err(|e| format!("rank {me}: {e}"))?;
+        let (tx, rx) = std::sync::mpsc::channel::<(Manifest, Vec<u8>)>();
+        let retain = pol.retain;
+        let handle = std::thread::Builder::new()
+            .name(format!("durable-writer-{me}"))
+            .spawn(move || {
+                let (mut bytes, mut gens) = (0u64, 0u64);
+                let mut persist = |manifest: Manifest, payload: &[u8]| {
+                    bytes += store.write_rank(manifest.gen, me, payload)?;
+                    gens += 1;
+                    if store.try_commit(manifest)? && retain != 0 {
+                        // Best-effort GC: a failed sweep never loses data,
+                        // it only leaves extra files behind.
+                        let _ = store.gc(retain);
+                    }
+                    Ok(())
+                };
+                let mut err: Option<StoreError> = None;
+                for (manifest, payload) in rx {
+                    // Keep draining after a failure; the first error wins.
+                    if err.is_none() {
+                        err = persist(manifest, &payload).err();
+                    }
+                }
+                (bytes, gens, err)
+            })
+            .map_err(|e| format!("rank {me}: spawn durable writer: {e}"))?;
+        Ok(Self {
+            tx,
+            handle,
+            me,
+            ranks,
+            every: pol.every,
+            base: DeltaBase::default(),
+        })
+    }
+
+    /// Stages `snap`, the rank's boundary snapshot at tick `t`, as the
+    /// next generation (`trace`/`fires` are the rank's recorded history up
+    /// to `t`). The first generation of
+    /// this writer and every [`DURABLE_FULL_EVERY`]-th after it is a
+    /// self-contained full payload; the rest ship only the 64-byte chunks
+    /// that changed since the previous generation. A rollback replay
+    /// re-stages boundaries it already passed (`t <= base.tick`), which
+    /// forces a full payload — the store just overwrites those generations
+    /// with re-anchored state. The writer keeps the blob as its next diff
+    /// base and leaves its old base behind in `snap` as a buffer to reuse.
+    pub(crate) fn stage(&mut self, t: u32, snap: &mut Vec<u8>, trace: &[Spike], fires: &[u64]) {
+        let (base, cur) = (&self.base, &snap[..]);
+        let full = base.ships % DURABLE_FULL_EVERY == 0 || t <= base.tick;
+        // Exact bytewise dirty classification against the previous
+        // generation (independent of the buddy path's shared dirty bits):
+        // a slot is clean iff its bytes match except for a tick counter
+        // that advanced by exactly the boundary gap — precisely the
+        // arithmetic the delta's apply replays on clean mirror slots.
+        let dirty = || {
+            let elapsed = u64::from(t - base.tick);
+            let word =
+                |b: &[u8]| u64::from_le_bytes(b[16..24].try_into().expect("snapshot header"));
+            let slots = cur
+                .chunks_exact(CORE_SNAPSHOT_BYTES)
+                .zip(base.blob.chunks_exact(CORE_SNAPSHOT_BYTES))
+                .enumerate();
+            slots
+                .filter(|(_, (cur, prev))| {
+                    !(cur[..16] == prev[..16]
+                        && cur[24..] == prev[24..]
+                        && word(cur) == word(prev) + elapsed)
+                })
+                .map(|(k, _)| k as u32)
+                .collect()
+        };
+        let payload = base.payload(full, self.me, t, cur, dirty, trace, fires);
+        let manifest = Manifest {
+            gen: u64::from(t),
+            kind: if full { GenKind::Full } else { GenKind::Delta },
+            base: u64::from(if full { t } else { base.tick }),
+            ranks: self.ranks,
+        };
+        // A closed channel means the writer already died on an I/O error;
+        // the error surfaces at join time either way.
+        let _ = self.tx.send((manifest, payload));
+        self.base.advance(t, trace, fires);
+        std::mem::swap(&mut self.base.blob, snap);
+    }
+
+    /// Closes the channel so the writer finishes the queued generations,
+    /// and waits for it — the only durable I/O ever charged to a run's
+    /// critical path. Returns bytes written, generations persisted, and
+    /// the first failure, rendered.
+    pub(crate) fn join(self) -> (u64, u64, Option<String>) {
+        let me = self.me;
+        drop(self.tx);
+        match self.handle.join() {
+            Ok((bytes, gens, err)) => (bytes, gens, err.map(|e| format!("rank {me}: {e}"))),
+            Err(_) => (0, 0, Some(format!("rank {me}: durable writer panicked"))),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -8,8 +8,8 @@
 
 use compass::comm::{CrashPlan, FaultPlan, WorldConfig};
 use compass::sim::{
-    run_elastic, Backend, ElasticPlan, ElasticStep, EngineConfig, NetworkModel, RecoveryPolicy,
-    RunReport, SoloSimulation,
+    run, run_durable, run_elastic, run_recovering, Backend, DurabilityPolicy, ElasticPlan,
+    ElasticStep, EngineConfig, NetworkModel, RecoveryPolicy, RunReport, SoloSimulation,
 };
 use compass::tn::Spike;
 use proptest::prelude::*;
@@ -142,6 +142,81 @@ fn single_transition_matrix_matches_the_solo_oracle() {
                     report.total_replication_bytes() > 0,
                     "{ctx}: buddy replication must stay live across the transition"
                 );
+            }
+        }
+    }
+}
+
+/// The driver ladder: every front with nothing beyond its own layer armed —
+/// `run_elastic` with an empty schedule and full membership (the identity
+/// the one driver rests on), `run_recovering` with a policy and no faults,
+/// `run_durable` on a fresh store — must equal plain `run`, and the solo
+/// oracle, on the trace, the per-tick fires and the spike totals.
+#[test]
+fn every_front_with_an_idle_layer_equals_run() {
+    let model = NetworkModel::relay_ring(8, 8, 1);
+    let ticks = 30u32;
+    let (oracle, oracle_fires) = solo_oracle(&model, ticks);
+
+    for backend in [Backend::Mpi, Backend::Pgas] {
+        for (world, threads) in [(2, 1), (2, 3), (3, 2), (3, 4), (4, 1), (4, 2)] {
+            let cfg = engine(ticks, backend);
+            let shape = || WorldConfig::new(world, threads);
+            let ctx = format!("{backend:?} world {world} threads {threads}");
+            let base = run(&model, shape(), &cfg).expect("test model must be valid");
+            check_against_oracle(&model, ticks, &oracle, &oracle_fires, &base, &ctx);
+            assert_eq!(
+                base.total_fires(),
+                oracle_fires.iter().sum::<u64>(),
+                "{ctx}"
+            );
+            assert_eq!(
+                base.total_local_spikes() + base.total_remote_spikes(),
+                oracle.len() as u64,
+                "{ctx}: every oracle spike is routed exactly once"
+            );
+
+            let dir = std::env::temp_dir().join(format!(
+                "compass-ladder-{backend:?}-{world}-{threads}-{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let durability = DurabilityPolicy {
+                sync: false,
+                ..DurabilityPolicy::new(&dir)
+            };
+            let policy = RecoveryPolicy::every(4);
+            let idle = ElasticPlan::new((0..world).collect(), Vec::new());
+            let ladder = [
+                (
+                    "run_elastic",
+                    run_elastic(&model, shape(), &cfg, None, None, &idle, policy)
+                        .expect("test model must be valid"),
+                ),
+                (
+                    "run_recovering",
+                    run_recovering(&model, shape(), &cfg, None, Some(policy))
+                        .expect("test model must be valid"),
+                ),
+                (
+                    "run_durable",
+                    run_durable(&model, shape(), &cfg, durability, None, None, None)
+                        .expect("a fresh store must persist cleanly"),
+                ),
+            ];
+            let _ = std::fs::remove_dir_all(&dir);
+            for (front, report) in &ladder {
+                let ctx = format!("{ctx} {front}");
+                check_against_oracle(&model, ticks, &oracle, &oracle_fires, report, &ctx);
+                assert_eq!(report.trace_digest(), base.trace_digest(), "{ctx}");
+                assert_eq!(report.total_fires(), base.total_fires(), "{ctx}");
+                assert_eq!(
+                    (report.total_local_spikes(), report.total_remote_spikes()),
+                    (base.total_local_spikes(), base.total_remote_spikes()),
+                    "{ctx}: local/remote split"
+                );
+                assert_eq!(report.total_rollbacks(), 0, "{ctx}: nothing to heal");
+                assert_eq!(report.total_migrated_cores(), 0, "{ctx}: nothing to move");
             }
         }
     }
