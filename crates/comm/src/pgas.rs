@@ -304,11 +304,13 @@ impl PgasEndpoint {
 
     /// Drains every source's window for the committed epoch, invoking
     /// `f(src, bytes)` for each non-empty window in ascending source order,
-    /// then advances to the next epoch's write phase.
+    /// then advances to the next epoch's write phase. A drained window is
+    /// emptied but keeps its buffer, so an epoch no larger than an earlier
+    /// one allocates nothing.
     ///
     /// # Panics
     /// Panics if called before `commit`.
-    pub fn drain(&self, mut f: impl FnMut(Rank, Vec<u8>)) {
+    pub fn drain(&self, mut f: impl FnMut(Rank, &[u8])) {
         assert_eq!(
             self.phase.load(Ordering::Relaxed),
             PHASE_DRAINING,
@@ -319,9 +321,10 @@ impl PgasEndpoint {
             let w = self.world.window(parity, src, self.me);
             // SAFETY: module-level protocol — the epoch barrier happened,
             // and only `self.me` drains its own incoming windows.
-            let bytes = unsafe { std::mem::take(&mut *w.buf.get()) };
-            if !bytes.is_empty() {
-                f(src, bytes);
+            let buf = unsafe { &mut *w.buf.get() };
+            if !buf.is_empty() {
+                f(src, buf);
+                buf.clear();
             }
         }
         self.phase.store(PHASE_WRITING, Ordering::Relaxed);
@@ -361,7 +364,7 @@ mod tests {
             }
             ep.commit();
             let mut seen = Vec::new();
-            ep.drain(|src, bytes| seen.push((src, bytes)));
+            ep.drain(|src, bytes| seen.push((src, bytes.to_vec())));
             seen
         });
         for (dst, seen) in got.iter().enumerate() {
@@ -386,7 +389,7 @@ mod tests {
                 msg.push(ep.rank() as u8);
                 ep.put(dst, &msg);
                 ep.commit();
-                ep.drain(|src, bytes| received.push((e, src, bytes)));
+                ep.drain(|src, bytes| received.push((e, src, bytes.to_vec())));
             }
             received
         });
@@ -413,11 +416,31 @@ mod tests {
             }
             ep.commit();
             let mut all = Vec::new();
-            ep.drain(|_, bytes| all.extend(bytes));
+            ep.drain(|_, bytes| all.extend_from_slice(bytes));
             all
         });
         assert_eq!(got[1], vec![1, 2, 3, 4]);
         assert!(got[0].is_empty());
+    }
+
+    /// A drained window is empty but keeps its buffer: a steady-state
+    /// epoch takes nothing from the allocator.
+    #[test]
+    fn drained_windows_keep_their_buffers() {
+        let w = world(1);
+        let ep = w.endpoint(0);
+        let capacity = |parity| unsafe { (*w.window(parity, 0, 0).buf.get()).capacity() };
+        for epoch in 0..6 {
+            ep.put(0, &[7; 4096]);
+            ep.commit();
+            let mut seen = 0;
+            ep.drain(|_, bytes| seen += bytes.len());
+            assert_eq!(
+                seen, 4096,
+                "epoch {epoch}: nothing left over from earlier epochs"
+            );
+        }
+        assert!(capacity(0) >= 4096 && capacity(1) >= 4096);
     }
 
     #[test]
@@ -439,7 +462,7 @@ mod tests {
             ep.put(0, &[9, 9]);
             ep.commit();
             let mut all = Vec::new();
-            ep.drain(|src, bytes| all.push((src, bytes)));
+            ep.drain(|src, bytes| all.push((src, bytes.to_vec())));
             all
         });
         assert_eq!(got[0], vec![(0, vec![9, 9])]);
@@ -514,7 +537,7 @@ mod tests {
                     ep.put(1 - r, &[r as u8]);
                     ep.commit(); // completes without rank 2 ever arriving
                     let mut got = Vec::new();
-                    ep.drain(|src, bytes| got.push((src, bytes)));
+                    ep.drain(|src, bytes| got.push((src, bytes.to_vec())));
                     got
                 })
             })
@@ -558,7 +581,7 @@ mod tests {
                     }
                     ep.commit();
                     let mut got = Vec::new();
-                    ep.drain(|src, bytes| got.push((src, bytes)));
+                    ep.drain(|src, bytes| got.push((src, bytes.to_vec())));
                     got
                 })
             })

@@ -628,10 +628,8 @@ impl<'a> RankRun<'a> {
         seg_end: Option<u32>,
     ) -> RunOutcome {
         let (me, view, model) = (self.ctx.rank(), &self.view, self.model);
-        let mut configs = Vec::with_capacity(view.count(me) as usize);
-        for b in view.blocks_of(me) {
-            configs.extend_from_slice(&model.cores[b.start as usize..b.end as usize]);
-        }
+        let blocks = view.blocks_of(me).into_iter();
+        let configs = blocks.flat_map(|b| &model.cores[b.start as usize..b.end as usize]);
         let opts = RunOptions {
             checkpoint_at: seg_end,
             kill_at: seg_end,

@@ -668,7 +668,7 @@ pub(crate) fn neuron_dense(
 /// `i` → bit `i`): the multiplier's eight set bits place every selected
 /// bit at a distinct position of the top byte, carry-free.
 #[inline]
-fn pack_low_bits(x: u64) -> u64 {
+pub(crate) fn pack_low_bits(x: u64) -> u64 {
     (x & 0x0101_0101_0101_0101).wrapping_mul(0x0102_0408_1020_4080) >> 56
 }
 
