@@ -48,7 +48,7 @@ pub use fault::{CrashPlan, FaultInjector, FaultKind, FaultPlan, RankCrash};
 pub use mailbox::{Envelope, Mailbox, MailboxSet, RecvRequest, Tag};
 pub use metrics::{MetricsSnapshot, TransportMetrics};
 pub use pgas::PgasWorld;
-pub use reliable::{crc32, AuditOutcome, ReliableConfig, ReliableWorld, RelyCounts};
+pub use reliable::{crc32, AuditOutcome, Crc32, ReliableConfig, ReliableWorld, RelyCounts};
 pub use team::ThreadTeam;
 pub use torus::{LinkLoads, Torus};
 pub use world::{Membership, RankCtx, RankFailure, World, WorldConfig};

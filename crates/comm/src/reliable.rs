@@ -73,33 +73,192 @@ pub const RELY_MAGIC: [u8; 4] = *b"RELY";
 /// Size of the frame header preceding each payload.
 pub const RELY_HEADER_BYTES: usize = 24;
 
-/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB8_8320`) — the checksum
-/// carried by every frame. Table-driven, table built at compile time.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
+/// Slicing-by-8 tables for the reflected IEEE polynomial `0xEDB8_8320`,
+/// built at compile time. `CRC_TABLES[0]` is the classic bytewise table;
+/// `CRC_TABLES[k][b]` is the CRC state after byte `b` followed by `k`
+/// zero bytes, so eight lookups — one per table — advance eight bytes.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
         let mut i = 0;
         while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            table[i] = c;
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
             i += 1;
         }
-        table
-    };
-    let mut c = !0u32;
-    for &b in bytes {
-        c = TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        k += 1;
     }
-    !c
+    t
+};
+
+/// The portable kernel: advances the raw CRC register `c` over `bytes`,
+/// eight table lookups per eight bytes instead of a serial lookup per
+/// byte, over unaligned little-endian loads.
+fn crc_sliced(mut c: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c
+}
+
+/// Inputs shorter than this stay on the portable kernel: the folding
+/// kernel's fixed reduction costs about what slicing this many bytes does.
+#[cfg(target_arch = "x86_64")]
+const FOLD_MIN_BYTES: usize = 128;
+
+/// The folding kernel (Gopal et al., "Fast CRC Computation for Generic
+/// Polynomials Using PCLMULQDQ", reflected form): advances the raw CRC
+/// register `c` over the whole 64-byte blocks of `bytes` and returns it
+/// with the unconsumed tail. Four 128-bit lanes each carry-less-multiply
+/// their content forward by 512 bits per block and absorb the next 16
+/// bytes; the lanes then fold into one, which is reduced 128 → 64 → 32
+/// bits (Barrett). The constants are `x^n mod P` for the fold distances.
+///
+/// Needs at least one block; the caller passes `FOLD_MIN_BYTES` or more.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "pclmulqdq", enable = "sse4.1")]
+fn crc_fold_pclmulqdq(c: u32, bytes: &[u8]) -> (u32, &[u8]) {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
+        _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+    const FOLD_512: (i64, i64) = (0x0001_5444_2bd4, 0x0001_c6e4_1596);
+    const FOLD_128: (i64, i64) = (0x0001_7519_97d0, 0x0000_ccaa_009e);
+    const FOLD_64: i64 = 0x0001_63cd_6124;
+    const POLY: i64 = 0x0001_db71_0641;
+    const MU: i64 = 0x0001_f701_1641;
+
+    #[target_feature(enable = "sse4.1")]
+    fn lane(b: &[u8]) -> __m128i {
+        let lo = u64::from_le_bytes(b[..8].try_into().expect("16-byte lane"));
+        let hi = u64::from_le_bytes(b[8..16].try_into().expect("16-byte lane"));
+        _mm_set_epi64x(hi as i64, lo as i64)
+    }
+    /// `acc` multiplied forward by the distance `keys` encode, plus `next`.
+    #[target_feature(enable = "pclmulqdq", enable = "sse4.1")]
+    fn fold(acc: __m128i, next: __m128i, keys: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128(acc, keys, 0x00);
+        let hi = _mm_clmulepi64_si128(acc, keys, 0x11);
+        _mm_xor_si128(_mm_xor_si128(next, lo), hi)
+    }
+
+    let mut blocks = bytes.chunks_exact(64);
+    let first = blocks.next().expect("caller passes at least one block");
+    let mut x = [
+        _mm_xor_si128(lane(&first[..16]), _mm_cvtsi32_si128(c as i32)),
+        lane(&first[16..32]),
+        lane(&first[32..48]),
+        lane(&first[48..]),
+    ];
+    let keys = _mm_set_epi64x(FOLD_512.1, FOLD_512.0);
+    for block in &mut blocks {
+        for (i, x) in x.iter_mut().enumerate() {
+            *x = fold(*x, lane(&block[16 * i..16 * i + 16]), keys);
+        }
+    }
+    let keys = _mm_set_epi64x(FOLD_128.1, FOLD_128.0);
+    let x = fold(fold(fold(x[0], x[1], keys), x[2], keys), x[3], keys);
+
+    let low32 = _mm_set_epi32(0, 0, 0, !0);
+    let x = _mm_xor_si128(_mm_clmulepi64_si128(x, keys, 0x10), _mm_srli_si128(x, 8));
+    let x = _mm_xor_si128(
+        _mm_clmulepi64_si128(_mm_and_si128(x, low32), _mm_set_epi64x(0, FOLD_64), 0x00),
+        _mm_srli_si128(x, 4),
+    );
+    let poly_mu = _mm_set_epi64x(MU, POLY);
+    let t1 = _mm_clmulepi64_si128(_mm_and_si128(x, low32), poly_mu, 0x10);
+    let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), poly_mu, 0x00);
+    let c = _mm_extract_epi32(_mm_xor_si128(x, t2), 1) as u32;
+    (c, blocks.remainder())
+}
+
+/// Streaming CRC-32 (IEEE 802.3): feed the input in any number of
+/// [`Crc32::update`] calls, cut anywhere, then [`Crc32::finish`]. The
+/// result does not depend on where the slices start or end.
+///
+/// Two kernels, one value. The portable one is slicing-by-8; on an
+/// x86-64 CPU seen to have `pclmulqdq`, inputs of 128 bytes or more go
+/// through a carry-less-multiply folding kernel first and leave only
+/// their sub-block tail to the sliced one. The choice is made from the
+/// CPU and the input length alone.
+#[derive(Debug, Clone, Copy)]
+pub struct Crc32 {
+    state: u32,
+}
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Crc32 {
+    /// A checksum over no bytes yet.
+    pub const fn new() -> Self {
+        Crc32 { state: !0 }
+    }
+
+    /// Folds `bytes` into the checksum.
+    pub fn update(&mut self, bytes: &[u8]) {
+        #[cfg(target_arch = "x86_64")]
+        let bytes = if bytes.len() >= FOLD_MIN_BYTES
+            && std::arch::is_x86_feature_detected!("pclmulqdq")
+            && std::arch::is_x86_feature_detected!("sse4.1")
+        {
+            // SAFETY: the CPU was just seen to support `pclmulqdq` and
+            // `sse4.1`, the two features the kernel is compiled for.
+            let (state, tail) = unsafe { crc_fold_pclmulqdq(self.state, bytes) };
+            self.state = state;
+            tail
+        } else {
+            bytes
+        };
+        self.state = crc_sliced(self.state, bytes);
+    }
+
+    /// The checksum of everything fed so far.
+    pub fn finish(self) -> u32 {
+        !self.state
+    }
+}
+
+/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB8_8320`) of `bytes` in
+/// one shot — the checksum carried by every `RELY` frame and every
+/// durable store file. See [`Crc32`] for the kernel.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let mut crc = Crc32::new();
+    crc.update(bytes);
+    crc.finish()
 }
 
 /// Encodes one payload into its `RELY` frame.
@@ -546,6 +705,83 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_ne!(crc32(b"a"), crc32(b"b"));
+        // Long enough for the folding kernel where there is one; the
+        // value is zlib's.
+        let long: Vec<u8> = (0..1000u32).map(|i| (i * 7 + 3) as u8).collect();
+        assert_eq!(crc32(&long), 0x17BC_2A46);
+    }
+
+    /// The definition, one bit at a time and with no table at all: what
+    /// the sliced kernel is pinned to.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in bytes {
+            c ^= u32::from(b);
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        !c
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Any input, at every offset 0..8 from an 8-aligned address, fed
+        /// whole or cut at up to four arbitrary points: one checksum from
+        /// the dispatching kernel and from the portable one, and it is the
+        /// bitwise reference's. Swapping two slice tables, dropping the
+        /// tail loop or touching a fold constant fails this.
+        #[test]
+        fn crc32_is_split_and_alignment_invariant(
+            data in proptest::collection::vec(proptest::num::u8::ANY, 0..=4096usize),
+            cuts in proptest::collection::vec(0usize..=4096, 0..=4usize),
+        ) {
+            let want = crc32_bitwise(&data);
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (data.len() + 1)).collect();
+            cuts.sort_unstable();
+            let mut arena = vec![0u8; data.len() + 16];
+            let aligned = arena.as_ptr().align_offset(8);
+            for off in 0..8 {
+                let span = aligned + off..aligned + off + data.len();
+                arena[span.clone()].copy_from_slice(&data);
+                let bytes = &arena[span];
+                proptest::prop_assert_eq!(crc32(bytes), want, "one-shot at offset {}", off);
+                // Whichever kernel the dispatch picked above, the portable
+                // one agrees with it.
+                proptest::prop_assert_eq!(!crc_sliced(!0, bytes), want, "sliced at offset {}", off);
+                let mut crc = Crc32::new();
+                let mut from = 0;
+                for &cut in &cuts {
+                    crc.update(&bytes[from..cut]);
+                    from = cut;
+                }
+                crc.update(&bytes[from..]);
+                proptest::prop_assert_eq!(crc.finish(), want, "cuts {:?} at offset {}", cuts, off);
+            }
+        }
+    }
+
+    /// The frame layout and its checksum are wire format: the expected
+    /// bytes were produced outside this crate (header by hand, CRC by
+    /// zlib) and must never move.
+    #[test]
+    fn golden_rely_frame_bytes_are_unchanged() {
+        let payload: Vec<u8> = (0..37u32).map(|i| (i * 7 + 3) as u8).collect();
+        let frame = encode_frame(0x01_0203_0405, 77, &payload);
+        let mut want = vec![
+            b'R', b'E', b'L', b'Y', // magic
+            0x05, 0x04, 0x03, 0x02, 0x01, 0x00, 0x00, 0x00, // seq
+            0x4d, 0x00, 0x00, 0x00, // tick 77
+            0x25, 0x00, 0x00, 0x00, // len 37
+            0xb4, 0x97, 0xa3, 0x39, // crc 0x39a397b4
+        ];
+        want.extend_from_slice(&payload);
+        assert_eq!(frame, want);
     }
 
     #[test]

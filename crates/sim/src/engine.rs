@@ -86,7 +86,7 @@
 //! sequentially).
 
 use crate::checkpoint::{
-    is_replica_frame, DeltaBase, DeltaReplica, RankCheckpoint, ReplicaPayload,
+    is_replica_frame, DeltaBase, DeltaReplica, DeltaSlots, RankCheckpoint, ReplicaPayload,
 };
 use crate::partition::{Partition, SurvivorView};
 use crate::recovery::{CheckpointRing, RecoveryPolicy};
@@ -886,6 +886,8 @@ struct TickLoop<'a> {
     /// EWMA of one tick's Synapse+Neuron wall-clock on this rank — the
     /// measured signal behind the elastic rebalancer's per-core costs.
     tick_ns_ewma: u64,
+    /// The last clock read of the phase chain (see [`TickLoop::lap`]).
+    stamp: Instant,
     report: RankReport,
 
     /// The boundary snapshot: the pool's state at the top of the current
@@ -1021,6 +1023,7 @@ impl<'a> TickLoop<'a> {
             send_flags: vec![0; world],
             replica_flag: None,
             tick_ns_ewma: 0,
+            stamp: Instant::now(),
             report,
             snap: Vec::new(),
             snap_fresh: false,
@@ -1214,14 +1217,22 @@ impl<'a> TickLoop<'a> {
         // took the skip path every tick.
         let (ship_buddy, base) = &mut self.ship;
         let full = !pol.delta_replicas || *ship_buddy != buddy || base.ships % FULL_EVERY == 0;
-        let cores = &mut self.cores;
-        let dirty = || {
-            let all = cores.all();
-            let dirty = (0..all.len()).filter(|&k| all.dirty(k));
-            dirty.map(|k| k as u32).collect()
-        };
+        let all = self.cores.all();
+        let dirty = |k: usize| all.dirty(k);
         let (trace, fires) = (&self.report.trace, &self.report.fires_per_tick);
-        let payload = base.payload(full, me as u32, t, &ck.blob, dirty, trace, fires);
+        // The mailbox takes the payload by value, so this buffer is new
+        // every ship (the durable path's come back; see `DurableWriter`).
+        let mut payload = Vec::new();
+        base.payload_into(
+            &mut payload,
+            full,
+            me as u32,
+            t,
+            &ck.blob,
+            DeltaSlots::Flagged(&dirty),
+            trace,
+            fires,
+        );
         base.advance(t, trace, fires);
         base.blob.clone_from(&ck.blob);
         *ship_buddy = buddy;
@@ -1344,10 +1355,22 @@ impl<'a> TickLoop<'a> {
         });
     }
 
+    /// One clock read per phase boundary: the interval since the previous
+    /// stamp, which becomes this one. Synapse stamps the top of the tick's
+    /// phases (the boundary before it keeps its own accounts) and each
+    /// phase ends on a lap, so three phases cost four reads, not six, and
+    /// the tick-cost EWMA is fed from the same stamps.
+    fn lap(&mut self) -> Duration {
+        let now = Instant::now();
+        let lap = now - self.stamp;
+        self.stamp = now;
+        lap
+    }
+
     /// Synapse phase: every thread lands its inbox, then drains the delay
     /// buffers of its cores through the crossbars. Returns its wall-clock.
     fn synapse(&mut self) -> Duration {
-        let t0 = Instant::now();
+        self.stamp = Instant::now();
         let t = self.t;
         let quiescence = self.cfg.quiescence;
         let (cores, bufs, inboxes) = (&self.cores, &self.bufs, &self.wire.inboxes);
@@ -1373,7 +1396,7 @@ impl<'a> TickLoop<'a> {
             // delay buffer delivers zero events.
             bufs.synapse_skips += my.tick_synapses(0..my.len(), t, quiescence);
         });
-        let elapsed = t0.elapsed();
+        let elapsed = self.lap();
         self.report.phases.synapse += elapsed;
         elapsed
     }
@@ -1383,7 +1406,6 @@ impl<'a> TickLoop<'a> {
     /// destination — still the Neuron phase in the paper's listing: the
     /// send happens before the Network marker.
     fn neuron(&mut self, synapse_elapsed: Duration) {
-        let t1 = Instant::now();
         let t = self.t;
         let me = self.wire.me;
         let view = self.wire.view;
@@ -1473,8 +1495,8 @@ impl<'a> TickLoop<'a> {
         if let Some(b) = self.replica_flag.take() {
             self.send_flags[b] += 1;
         }
-        let neuron_elapsed = t1.elapsed();
-        report.phases.neuron += neuron_elapsed;
+        let neuron_elapsed = self.lap();
+        self.report.phases.neuron += neuron_elapsed;
         // One EWMA step per tick (~1/8 weight on the new sample): smooth
         // enough to damp scheduler noise, responsive enough that a shift
         // in activity shows up within a few checkpoint boundaries.
@@ -1490,12 +1512,12 @@ impl<'a> TickLoop<'a> {
     /// the death verdict the MPI flags round reached, if any — it parks
     /// here and is handled after the audit.
     fn network(&mut self) -> Option<Rank> {
-        let t2 = Instant::now();
         let verdict = match self.cfg.backend {
             Backend::Mpi => self.network_mpi(),
             Backend::Pgas => self.network_pgas(),
         };
-        self.report.phases.network += t2.elapsed();
+        let elapsed = self.lap();
+        self.report.phases.network += elapsed;
         verdict
     }
 

@@ -13,6 +13,11 @@ use tn_core::Spike;
 
 /// Wall-clock time spent in each phase of the main simulation loop,
 /// accumulated over all ticks (measured on each rank's master thread).
+///
+/// The three phases of a tick are timed as one chain of clock reads — one
+/// at the top of Synapse, one as each phase ends — so the few nanoseconds
+/// between one phase's end and the next one's first instruction belong to
+/// the later phase. The tick boundary before Synapse is not in the chain.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
     /// Synapse phase: delay-buffer drain + crossbar propagation.

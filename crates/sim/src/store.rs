@@ -39,13 +39,14 @@
 //! generation first and every [`DURABLE_FULL_EVERY`]-th boundary after
 //! that, bounding every rebuild chain.
 
-use crate::checkpoint::{CheckpointError, DeltaBase, DeltaReplica, ReplicaPayload};
+use crate::checkpoint::{CheckpointError, DeltaBase, DeltaReplica, DeltaSlots, ReplicaPayload};
 use compass_comm::crc32;
 use std::collections::BTreeMap;
 use std::fs::{self, File};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use tn_core::{Spike, CORE_SNAPSHOT_BYTES};
+use std::sync::mpsc;
+use tn_core::Spike;
 
 /// Leading magic of a generation manifest.
 pub const MANIFEST_MAGIC: [u8; 4] = *b"CMF1";
@@ -116,6 +117,15 @@ pub enum StoreError {
         /// Ranks the newest committed generation holds.
         got: u32,
     },
+    /// A payload is too long for the footer's 32-bit length field. Nothing
+    /// was written: the generation is skipped and earlier ones stay valid
+    /// — a truncated length would seal a file no reader ever accepts.
+    PayloadTooLarge {
+        /// File the payload was meant for.
+        name: String,
+        /// Its length in bytes.
+        len: usize,
+    },
 }
 
 impl std::fmt::Display for StoreError {
@@ -132,6 +142,10 @@ impl std::fmt::Display for StoreError {
                 f,
                 "checkpoint store was written by a {got}-rank world, cannot resume {expected} ranks"
             ),
+            StoreError::PayloadTooLarge { name, len } => write!(
+                f,
+                "payload of {len} bytes for {name} exceeds the store's 32-bit length field"
+            ),
         }
     }
 }
@@ -140,7 +154,7 @@ impl std::error::Error for StoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             StoreError::Io { source, .. } => Some(source),
-            StoreError::RankMismatch { .. } => None,
+            StoreError::RankMismatch { .. } | StoreError::PayloadTooLarge { .. } => None,
         }
     }
 }
@@ -295,7 +309,23 @@ fn manifest_file_name(gen: u64) -> String {
     format!("g{gen:012}.mft")
 }
 
-/// Appends the `[u32 len][u32 crc]` footer to a payload.
+/// The `[u32 len][u32 crc]` footer of a `len`-byte payload for file
+/// `name`, or [`StoreError::PayloadTooLarge`] when `len` does not fit.
+fn footer(name: &str, len: usize, crc: u32) -> Result<[u8; FOOTER_BYTES], StoreError> {
+    let len32 = u32::try_from(len).map_err(|_| StoreError::PayloadTooLarge {
+        name: name.to_owned(),
+        len,
+    })?;
+    let mut out = [0u8; FOOTER_BYTES];
+    out[..4].copy_from_slice(&len32.to_le_bytes());
+    out[4..].copy_from_slice(&crc.to_le_bytes());
+    Ok(out)
+}
+
+/// A payload with its footer appended, as one buffer: how files were
+/// sealed before [`CheckpointStore::write_atomic`] stopped copying, kept
+/// as the reference the tests hold its files to.
+#[cfg(test)]
 fn seal(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + FOOTER_BYTES);
     out.extend_from_slice(payload);
@@ -342,10 +372,12 @@ impl CheckpointStore {
         &self.dir
     }
 
-    /// Writes `body` (footer appended here) to `name` with the crash-safe
+    /// Writes `body`, then its footer, to `name` with the crash-safe
     /// discipline: temp sibling, fsync, atomic rename, directory fsync.
-    /// Returns the bytes that reached disk.
+    /// `body` goes to the file as it lies — checksummed in place, never
+    /// copied. Returns the bytes that reached disk.
     fn write_atomic(&self, name: &str, body: &[u8]) -> Result<u64, StoreError> {
+        let footer = footer(name, body.len(), crc32(body))?;
         // The temp name must be unique per writer: every rank's background
         // thread commits the same manifest bytes, and racing renames of a
         // *shared* temp would leave the losers with ENOENT. The `.tmp-`
@@ -353,13 +385,13 @@ impl CheckpointStore {
         // out of each other's way.
         static TMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let seq = TMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let sealed = seal(body);
         let tmp = self
             .dir
             .join(format!(".tmp-{name}-{}-{seq}", std::process::id()));
         {
             let mut f = File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
-            f.write_all(&sealed).map_err(|e| io_err(&tmp, e))?;
+            f.write_all(body).map_err(|e| io_err(&tmp, e))?;
+            f.write_all(&footer).map_err(|e| io_err(&tmp, e))?;
             if self.sync {
                 f.sync_all().map_err(|e| io_err(&tmp, e))?;
             }
@@ -371,11 +403,15 @@ impl CheckpointStore {
             let d = File::open(&self.dir).map_err(|e| io_err(&self.dir, e))?;
             d.sync_all().map_err(|e| io_err(&self.dir, e))?;
         }
-        Ok(sealed.len() as u64)
+        Ok((body.len() + FOOTER_BYTES) as u64)
     }
 
     /// Persists one rank's payload for generation `gen`. Returns the bytes
     /// written (payload + footer).
+    ///
+    /// # Errors
+    /// [`StoreError::PayloadTooLarge`] for a payload of 4 GiB or more,
+    /// before anything is written; [`StoreError::Io`] otherwise.
     pub fn write_rank(&self, gen: u64, rank: u32, payload: &[u8]) -> Result<u64, StoreError> {
         self.write_atomic(&rank_file_name(gen, rank), payload)
     }
@@ -646,14 +682,28 @@ fn parse_gen(name: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
+/// Payload buffers a [`DurableWriter`] circulates between the tick loop
+/// and its writer thread: one being written while the next is staged.
+const WRITER_BUFFERS: usize = 2;
+
 /// Durable persistence for one rank of a running job: a background writer
-/// thread owns all store I/O, fed staged boundary snapshots over a channel
-/// so the tick loop never blocks on disk. The writer commits each
+/// thread owns all store I/O, fed staged boundary payloads over a channel
+/// so the tick loop does not wait on the disk — unless the disk falls
+/// [`WRITER_BUFFERS`] generations behind. The writer commits each
 /// generation's manifest once every rank's file is visible (racing
 /// committers are idempotent — identical bytes through distinct temps) and
 /// garbage-collects per policy after its own successful commits.
+///
+/// Payloads travel in [`WRITER_BUFFERS`] buffers that go round: `stage`
+/// takes a free one, fills it and sends it; the writer hands it back on a
+/// second channel once the file is renamed into place. In steady state
+/// nothing is allocated, and resident payload memory is bounded by the
+/// buffers rather than by how far the disk lags the tick loop.
 pub(crate) struct DurableWriter {
-    tx: std::sync::mpsc::Sender<(Manifest, Vec<u8>)>,
+    tx: mpsc::Sender<(Manifest, Vec<u8>)>,
+    /// Buffers the writer has finished with (all of them, at first).
+    free: mpsc::Receiver<Vec<u8>>,
+    /// Ends with bytes written, generations persisted, the first failure.
     handle: std::thread::JoinHandle<(u64, u64, Option<StoreError>)>,
     me: u32,
     ranks: u32,
@@ -669,94 +719,105 @@ impl DurableWriter {
     pub(crate) fn spawn(pol: &DurabilityPolicy, me: u32, ranks: u32) -> Result<Self, String> {
         let store =
             CheckpointStore::open(&pol.dir, pol.sync).map_err(|e| format!("rank {me}: {e}"))?;
-        let (tx, rx) = std::sync::mpsc::channel::<(Manifest, Vec<u8>)>();
         let retain = pol.retain;
+        let persist = move |manifest: Manifest, payload: &[u8]| {
+            let bytes = store.write_rank(manifest.gen, me, payload)?;
+            if store.try_commit(manifest)? && retain != 0 {
+                // Best-effort GC: a failed sweep never loses data,
+                // it only leaves extra files behind.
+                let _ = store.gc(retain);
+            }
+            Ok(bytes)
+        };
+        Self::spawn_with(persist, pol.every, me, ranks)
+    }
+
+    /// [`DurableWriter::spawn`] over any `persist` step (returns the bytes
+    /// it wrote): the seam the tests gate or kill the writer through.
+    fn spawn_with(
+        mut persist: impl FnMut(Manifest, &[u8]) -> Result<u64, StoreError> + Send + 'static,
+        every: u32,
+        me: u32,
+        ranks: u32,
+    ) -> Result<Self, String> {
+        let (tx, rx) = mpsc::channel::<(Manifest, Vec<u8>)>();
+        let (free_tx, free) = mpsc::channel();
+        for _ in 0..WRITER_BUFFERS {
+            free_tx.send(Vec::new()).expect("receiver is in scope");
+        }
         let handle = std::thread::Builder::new()
             .name(format!("durable-writer-{me}"))
             .spawn(move || {
                 let (mut bytes, mut gens) = (0u64, 0u64);
-                let mut persist = |manifest: Manifest, payload: &[u8]| {
-                    bytes += store.write_rank(manifest.gen, me, payload)?;
-                    gens += 1;
-                    if store.try_commit(manifest)? && retain != 0 {
-                        // Best-effort GC: a failed sweep never loses data,
-                        // it only leaves extra files behind.
-                        let _ = store.gc(retain);
-                    }
-                    Ok(())
-                };
                 let mut err: Option<StoreError> = None;
                 for (manifest, payload) in rx {
                     // Keep draining after a failure; the first error wins.
                     if err.is_none() {
-                        err = persist(manifest, &payload).err();
+                        match persist(manifest, &payload) {
+                            Ok(n) => (bytes, gens) = (bytes + n, gens + 1),
+                            Err(e) => err = Some(e),
+                        }
                     }
+                    // The tick loop may already be gone; nobody needs it then.
+                    let _ = free_tx.send(payload);
                 }
                 (bytes, gens, err)
             })
             .map_err(|e| format!("rank {me}: spawn durable writer: {e}"))?;
         Ok(Self {
             tx,
+            free,
             handle,
             me,
             ranks,
-            every: pol.every,
+            every,
             base: DeltaBase::default(),
         })
     }
 
     /// Stages `snap`, the rank's boundary snapshot at tick `t`, as the
     /// next generation (`trace`/`fires` are the rank's recorded history up
-    /// to `t`). The first generation of
-    /// this writer and every [`DURABLE_FULL_EVERY`]-th after it is a
-    /// self-contained full payload; the rest ship only the 64-byte chunks
-    /// that changed since the previous generation. A rollback replay
-    /// re-stages boundaries it already passed (`t <= base.tick`), which
-    /// forces a full payload — the store just overwrites those generations
-    /// with re-anchored state. The writer keeps the blob as its next diff
-    /// base and leaves its old base behind in `snap` as a buffer to reuse.
+    /// to `t`). The first generation of this writer and every
+    /// [`DURABLE_FULL_EVERY`]-th after it is a self-contained full payload;
+    /// the rest ship only the 64-byte chunks that changed since the
+    /// previous generation, classified bytewise against it (independent of
+    /// the buddy path's shared dirty bits). A rollback replay re-stages
+    /// boundaries it already passed (`t <= base.tick`), which forces a full
+    /// payload — the store just overwrites those generations with
+    /// re-anchored state. The writer keeps the blob as its next diff base
+    /// and leaves its old base behind in `snap` as a buffer to reuse.
+    ///
+    /// Blocks while every payload buffer is still with the writer thread:
+    /// a disk slower than the tick loop slows the run, it does not grow it.
     pub(crate) fn stage(&mut self, t: u32, snap: &mut Vec<u8>, trace: &[Spike], fires: &[u64]) {
-        let (base, cur) = (&self.base, &snap[..]);
-        let full = base.ships % DURABLE_FULL_EVERY == 0 || t <= base.tick;
-        // Exact bytewise dirty classification against the previous
-        // generation (independent of the buddy path's shared dirty bits):
-        // a slot is clean iff its bytes match except for a tick counter
-        // that advanced by exactly the boundary gap — precisely the
-        // arithmetic the delta's apply replays on clean mirror slots.
-        let dirty = || {
-            let elapsed = u64::from(t - base.tick);
-            let word =
-                |b: &[u8]| u64::from_le_bytes(b[16..24].try_into().expect("snapshot header"));
-            let slots = cur
-                .chunks_exact(CORE_SNAPSHOT_BYTES)
-                .zip(base.blob.chunks_exact(CORE_SNAPSHOT_BYTES))
-                .enumerate();
-            slots
-                .filter(|(_, (cur, prev))| {
-                    !(cur[..16] == prev[..16]
-                        && cur[24..] == prev[24..]
-                        && word(cur) == word(prev) + elapsed)
-                })
-                .map(|(k, _)| k as u32)
-                .collect()
-        };
-        let payload = base.payload(full, self.me, t, cur, dirty, trace, fires);
+        let full = self.base.ships.is_multiple_of(DURABLE_FULL_EVERY) || t <= self.base.tick;
+        // A closed channel means the writer thread died; its failure
+        // surfaces at join time, and until then a fresh buffer keeps the
+        // tick loop moving.
+        let mut payload = self.free.recv().unwrap_or_default();
+        self.base.payload_into(
+            &mut payload,
+            full,
+            self.me,
+            t,
+            snap,
+            DeltaSlots::Compared,
+            trace,
+            fires,
+        );
         let manifest = Manifest {
             gen: u64::from(t),
             kind: if full { GenKind::Full } else { GenKind::Delta },
-            base: u64::from(if full { t } else { base.tick }),
+            base: u64::from(if full { t } else { self.base.tick }),
             ranks: self.ranks,
         };
-        // A closed channel means the writer already died on an I/O error;
-        // the error surfaces at join time either way.
         let _ = self.tx.send((manifest, payload));
         self.base.advance(t, trace, fires);
         std::mem::swap(&mut self.base.blob, snap);
     }
 
     /// Closes the channel so the writer finishes the queued generations,
-    /// and waits for it — the only durable I/O ever charged to a run's
-    /// critical path. Returns bytes written, generations persisted, and
+    /// and waits for it. Returns bytes written, generations persisted, and
     /// the first failure, rendered.
     pub(crate) fn join(self) -> (u64, u64, Option<String>) {
         let me = self.me;
@@ -1048,6 +1109,205 @@ mod tests {
         bad[n - 1] ^= 1;
         assert!(unseal(&bad).is_err(), "footer bit flip");
         assert!(unseal(b"abc").is_err(), "shorter than a footer");
+    }
+
+    #[test]
+    fn write_atomic_files_are_the_sealed_payload_byte_for_byte() {
+        let dir = scratch("seal-identity");
+        let store = CheckpointStore::open(&dir, false).unwrap();
+        // Empty, shorter than a slice word, ragged, and snapshot-sized.
+        for (gen, len) in [0usize, 5, 1027, 3 * CORE_SNAPSHOT_BYTES]
+            .iter()
+            .enumerate()
+        {
+            let body: Vec<u8> = (0..*len).map(|i| (i * 31 + gen) as u8).collect();
+            let written = store.write_rank(gen as u64, 0, &body).unwrap();
+            let file = fs::read(dir.join(rank_file_name(gen as u64, 0))).unwrap();
+            assert_eq!(file, seal(&body), "{len}-byte payload");
+            assert_eq!(written, file.len() as u64);
+            assert_eq!(unseal(&file).unwrap(), &body[..]);
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_payload_past_the_length_field_is_refused_not_truncated() {
+        // The length is faked: the check sits on the number, so no 4 GiB
+        // buffer is needed to reach it.
+        assert!(footer("f", u32::MAX as usize, 7).is_ok());
+        let Ok(len) = usize::try_from(1u64 << 32) else {
+            return; // a 32-bit usize cannot even name such a payload
+        };
+        match footer("g000000000008-r0001.ckpt", len, 7) {
+            Err(StoreError::PayloadTooLarge { name, len: got }) => {
+                assert_eq!(name, "g000000000008-r0001.ckpt");
+                assert_eq!(got, len);
+            }
+            other => panic!("expected PayloadTooLarge, got {other:?}"),
+        }
+    }
+
+    /// Stages a one-core boundary at tick `t` without a recorded history.
+    fn stage_tick(writer: &mut DurableWriter, t: u32) {
+        let mut snap = payload(0, t, 9).ckpt.blob[..CORE_SNAPSHOT_BYTES].to_vec();
+        writer.stage(t, &mut snap, &[], &[]);
+    }
+
+    #[test]
+    fn stage_blocks_while_both_buffers_are_with_the_writer() {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        use std::sync::Arc;
+        // The writer announces each generation it picks up, then waits at
+        // the gate; nothing here sleeps to order the two threads.
+        let (picked_tx, picked) = mpsc::channel::<u64>();
+        let (gate, gate_rx) = mpsc::channel::<()>();
+        let persist = move |m: Manifest, body: &[u8]| {
+            picked_tx.send(m.gen).expect("test is listening");
+            gate_rx.recv().expect("test opens the gate");
+            Ok(body.len() as u64)
+        };
+        let mut writer = DurableWriter::spawn_with(persist, 4, 0, 1).unwrap();
+        let staged = Arc::new(AtomicU32::new(0));
+        let tick_loop = std::thread::spawn({
+            let staged = Arc::clone(&staged);
+            move || {
+                for t in [0, 4, 8] {
+                    stage_tick(&mut writer, t);
+                    staged.fetch_add(1, Ordering::SeqCst);
+                }
+                writer.join()
+            }
+        });
+        // Generation 0 is with the writer and held there; generation 4
+        // fits the second buffer; generation 8 has no buffer to go into.
+        assert_eq!(picked.recv().unwrap(), 0);
+        while staged.load(Ordering::SeqCst) < 2 {
+            std::thread::yield_now();
+        }
+        for _ in 0..1000 {
+            std::thread::yield_now();
+            assert_eq!(staged.load(Ordering::SeqCst), 2, "third stage must wait");
+        }
+        // Releasing generation 0 returns its buffer: the third stage lands.
+        gate.send(()).unwrap();
+        assert_eq!(picked.recv().unwrap(), 4);
+        while staged.load(Ordering::SeqCst) < 3 {
+            std::thread::yield_now();
+        }
+        gate.send(()).unwrap();
+        assert_eq!(picked.recv().unwrap(), 8);
+        gate.send(()).unwrap();
+        let (bytes, gens, err) = tick_loop.join().unwrap();
+        assert_eq!((gens, err), (3, None));
+        assert!(
+            bytes > CORE_SNAPSHOT_BYTES as u64,
+            "one full payload and two deltas"
+        );
+    }
+
+    #[test]
+    fn stage_outlives_a_dead_writer_and_join_reports_it() {
+        let (died_tx, died) = mpsc::channel::<()>();
+        let persist = move |_: Manifest, _: &[u8]| -> Result<u64, StoreError> {
+            // Dropped by the unwind: the test's proof the thread is gone.
+            let _died_tx = &died_tx;
+            panic!("writer dies on its first generation");
+        };
+        let mut writer = DurableWriter::spawn_with(persist, 4, 0, 1).unwrap();
+        stage_tick(&mut writer, 0);
+        assert!(died.recv().is_err(), "only the unwind closes the channel");
+        // One buffer is still queued on the return channel; every stage
+        // after it finds the channel closed. None may hang.
+        for t in [4, 8, 12, 16] {
+            stage_tick(&mut writer, t);
+        }
+        let (bytes, gens, err) = writer.join();
+        assert_eq!((bytes, gens), (0, 0));
+        assert!(err.unwrap().contains("durable writer panicked"));
+    }
+
+    #[test]
+    fn staged_payloads_are_the_reference_bytes_and_rollback_forces_full() {
+        use std::sync::{Arc, Mutex};
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let persist = {
+            let seen = Arc::clone(&seen);
+            move |m: Manifest, body: &[u8]| {
+                seen.lock().unwrap().push((m, body.to_vec()));
+                Ok(body.len() as u64)
+            }
+        };
+        let mut writer = DurableWriter::spawn_with(persist, 4, 2, 3).unwrap();
+        let blob = |t: u32, body: u8| {
+            let mut b = payload(2, t, 1).ckpt.blob;
+            b[300] = body;
+            b
+        };
+        let fires: Vec<u64> = (0..12).collect();
+        // Tick 8 follows tick 4 as a delta; tick 4 again is a rollback
+        // replay and must re-anchor; tick 8 after it is a delta once more.
+        let steps = [(0u32, 0u8), (4, 0), (8, 1), (4, 0), (8, 2)];
+        let mut want = Vec::new();
+        let mut prev: Option<(u32, Vec<u8>)> = None;
+        for &(t, body) in &steps {
+            let cur = blob(t, body);
+            let history = &fires[..t as usize];
+            let reference = match &prev {
+                Some((base_tick, base)) if t > *base_tick => {
+                    let had = *base_tick as usize;
+                    let dirty = if base[300] == cur[300] {
+                        vec![]
+                    } else {
+                        vec![0]
+                    };
+                    let delta = DeltaReplica::diff(
+                        *base_tick,
+                        t,
+                        dirty,
+                        base,
+                        &cur,
+                        Vec::new(),
+                        history[had..].to_vec(),
+                    );
+                    let m = Manifest {
+                        gen: u64::from(t),
+                        kind: GenKind::Delta,
+                        base: u64::from(*base_tick),
+                        ranks: 3,
+                    };
+                    (m, delta.to_bytes())
+                }
+                _ => {
+                    let full = ReplicaPayload {
+                        ckpt: RankCheckpoint {
+                            rank: 2,
+                            start_tick: t,
+                            blob: cur.clone(),
+                        },
+                        trace: Vec::new(),
+                        fires_per_tick: history.to_vec(),
+                    };
+                    let m = Manifest {
+                        gen: u64::from(t),
+                        kind: GenKind::Full,
+                        base: u64::from(t),
+                        ranks: 3,
+                    };
+                    (m, full.to_bytes())
+                }
+            };
+            want.push(reference);
+            let mut snap = cur.clone();
+            writer.stage(t, &mut snap, &[], history);
+            prev = Some((t, cur));
+        }
+        assert_eq!(writer.join().2, None);
+        let seen = seen.lock().unwrap();
+        assert_eq!(seen.len(), want.len());
+        for (k, (got, want)) in seen.iter().zip(&want).enumerate() {
+            assert_eq!(got.0, want.0, "manifest of step {k}");
+            assert_eq!(got.1, want.1, "payload of step {k}");
+        }
     }
 
     #[test]

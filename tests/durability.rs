@@ -407,6 +407,53 @@ fn completed_job_relaunch_is_idempotent() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// Bytes are the contract: the store a fixed run leaves behind — every
+/// file's name and every byte of `RPL1` / `RPLD` payload, manifest and
+/// CRC footer — is pinned by digest. The constant was recorded from the
+/// commit before the payload builder, the sliced CRC and the copy-free
+/// seal landed (PR 14, 921c5c0); a store written by either side must be
+/// indistinguishable from the other's.
+#[test]
+fn store_bytes_match_the_golden_digest() {
+    const GOLDEN: u64 = 0x74ea_6857_0152_786b;
+    let model = NetworkModel::relay_ring(20, 8, 1);
+    let dir = scratch("golden");
+    let pol = DurabilityPolicy {
+        retain: 0, // keep every generation: all of them are digested
+        ..policy(&dir)
+    };
+    let report = run_durable(
+        &model,
+        WorldConfig::new(2, 1),
+        &engine(24, Backend::Mpi),
+        pol,
+        None,
+        None,
+        None,
+    )
+    .expect("clean run");
+    assert_durable_evidence(&report, &dir, "golden");
+    let mut files: Vec<PathBuf> = fs::read_dir(&dir)
+        .expect("store dir")
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    files.sort();
+    // 6 generations (ticks 0, 4, .., 20) of 2 rank files and a manifest.
+    assert_eq!(files.len(), 18, "{files:?}");
+    let mut digest = 0xcbf2_9ce4_8422_2325u64; // FNV-1a
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            digest = (digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for path in &files {
+        eat(path.file_name().expect("name").as_encoded_bytes());
+        eat(&fs::read(path).expect("read store file"));
+    }
+    assert_eq!(digest, GOLDEN, "store bytes moved: {digest:#018x}");
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// The boundary every snapshot consumer shares: the explicit checkpoint,
 /// the recovery ring (and the buddy replica cut from it) and the durable
 /// generation all fall on tick 10 of a 2x2 world, while the relay ring's
