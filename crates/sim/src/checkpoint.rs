@@ -29,7 +29,8 @@
 //! checkpoint written by one build is rejected — never misread — by an
 //! incompatible one.
 
-use tn_core::{Spike, CORE_SNAPSHOT_BYTES, SPIKE_WIRE_BYTES};
+use tn_core::wire::{self, Reader, WireError};
+use tn_core::{snapshot, Spike, CORE_SNAPSHOT_BYTES, SPIKE_WIRE_BYTES};
 
 /// Leading magic of a serialized rank checkpoint.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"CKPT";
@@ -47,7 +48,10 @@ pub const MIGRATION_MAGIC: [u8; 4] = *b"MIG1";
 /// and delta `RPLD`) — the data-channel dispatch test between replica
 /// frames and raw spike batches.
 pub fn is_replica_frame(bytes: &[u8]) -> bool {
-    bytes.len() >= 4 && (bytes[..4] == REPLICA_MAGIC || bytes[..4] == DELTA_REPLICA_MAGIC)
+    matches!(
+        wire::magic(bytes),
+        Some(REPLICA_MAGIC | DELTA_REPLICA_MAGIC)
+    )
 }
 
 /// Current rank-checkpoint format version.
@@ -114,42 +118,24 @@ impl std::fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// Reads a little-endian `u16` at `off`, degrading an out-of-bounds read
-/// to [`CheckpointError::Truncated`]: decoders call these on wire bytes
-/// whose every length field is attacker-controlled, so no read may panic.
-fn read_u16(bytes: &[u8], off: usize) -> Result<u16, CheckpointError> {
-    let w = bytes
-        .get(off..off + 2)
-        .and_then(|w| w.try_into().ok())
-        .ok_or(CheckpointError::Truncated {
-            expected: off + 2,
-            got: bytes.len(),
-        })?;
-    Ok(u16::from_le_bytes(w))
-}
-
-/// Reads a little-endian `u32` at `off`; see [`read_u16`].
-fn read_u32(bytes: &[u8], off: usize) -> Result<u32, CheckpointError> {
-    let w = bytes
-        .get(off..off + 4)
-        .and_then(|w| w.try_into().ok())
-        .ok_or(CheckpointError::Truncated {
-            expected: off + 4,
-            got: bytes.len(),
-        })?;
-    Ok(u32::from_le_bytes(w))
-}
-
-/// Reads a little-endian `u64` at `off`; see [`read_u16`].
-fn read_u64(bytes: &[u8], off: usize) -> Result<u64, CheckpointError> {
-    let w = bytes
-        .get(off..off + 8)
-        .and_then(|w| w.try_into().ok())
-        .ok_or(CheckpointError::Truncated {
-            expected: off + 8,
-            got: bytes.len(),
-        })?;
-    Ok(u64::from_le_bytes(w))
+/// Decoders run on wire bytes whose every length field is
+/// attacker-controlled: a walk that runs short, or stops short of the
+/// buffer's end, is a length the header lied about.
+impl From<WireError> for CheckpointError {
+    fn from(e: WireError) -> Self {
+        match e {
+            WireError::BadMagic => CheckpointError::BadMagic,
+            WireError::Version(v) => CheckpointError::UnsupportedVersion(v),
+            WireError::Short { wanted_end, have } => CheckpointError::Truncated {
+                expected: wanted_end,
+                got: have,
+            },
+            WireError::Trailing { at, have } => CheckpointError::Truncated {
+                expected: at,
+                got: have,
+            },
+        }
+    }
 }
 
 /// `n` as a 32-bit wire length field. Every section length and count in
@@ -172,6 +158,8 @@ fn put_checkpoint_header(out: &mut Vec<u8>, rank: u32, start_tick: u32, cores: u
     out.extend_from_slice(&wire_len(cores).to_le_bytes());
 }
 
+const REPLICA_HEADER_BYTES: usize = 16;
+
 /// Appends the 16-byte `RPL1` header: the three section lengths.
 fn put_replica_header(out: &mut Vec<u8>, ck_len: usize, n_trace: usize, n_fires: usize) {
     out.extend_from_slice(&REPLICA_MAGIC);
@@ -189,6 +177,22 @@ fn put_history(out: &mut Vec<u8>, trace: &[Spike], fires: &[u64]) {
     for &f in fires {
         out.extend_from_slice(&f.to_le_bytes());
     }
+}
+
+/// Reads the tail [`put_history`] writes. Both vectors are sized from
+/// slices the reader has already bounded, never from the raw counts.
+fn history(
+    r: &mut Reader<'_>,
+    n_trace: usize,
+    n_fires: usize,
+) -> Result<(Vec<Spike>, Vec<u64>), CheckpointError> {
+    let records = r.array(n_trace, SPIKE_WIRE_BYTES)?;
+    let mut trace = Vec::with_capacity(n_trace);
+    for record in records.chunks_exact(SPIKE_WIRE_BYTES) {
+        trace.push(Spike::decode(record).ok_or(CheckpointError::CorruptSpike)?);
+    }
+    let fires = wire::u64s(r.array(n_fires, 8)?).collect();
+    Ok((trace, fires))
 }
 
 /// One rank's complete simulation state at a tick boundary: the snapshot
@@ -251,41 +255,16 @@ impl RankCheckpoint {
     /// input. Per-core payloads are validated later, by
     /// [`tn_core::NeurosynapticCore::restore_bytes`] at resume time.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        if bytes.len() >= 4 && bytes[..4] != CHECKPOINT_MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        if bytes.len() < HEADER_BYTES {
-            return Err(CheckpointError::Truncated {
-                expected: HEADER_BYTES,
-                got: bytes.len(),
-            });
-        }
-        let version = read_u16(bytes, 4)?;
-        if version != CHECKPOINT_VERSION {
-            return Err(CheckpointError::UnsupportedVersion(version));
-        }
-        let rank = read_u32(bytes, 8)?;
-        let start_tick = read_u32(bytes, 12)?;
-        let n_cores = read_u32(bytes, 16)? as usize;
-        // Checked: a hostile core count must degrade to `Truncated`, not
-        // overflow into a bogus (possibly passing) length check.
-        let expected = n_cores
-            .checked_mul(CORE_SNAPSHOT_BYTES)
-            .and_then(|b| b.checked_add(HEADER_BYTES))
-            .ok_or(CheckpointError::Truncated {
-                expected: usize::MAX,
-                got: bytes.len(),
-            })?;
-        if bytes.len() != expected {
-            return Err(CheckpointError::Truncated {
-                expected,
-                got: bytes.len(),
-            });
-        }
+        let mut r = Reader::frame(bytes, CHECKPOINT_MAGIC, HEADER_BYTES)?;
+        r.version_u16(CHECKPOINT_VERSION)?;
+        r.u16()?; // reserved
+        let (rank, start_tick, n_cores) = (r.u32()?, r.u32()?, r.u32()? as usize);
+        let blob = r.array(n_cores, CORE_SNAPSHOT_BYTES)?.to_vec();
+        r.finish()?;
         Ok(Self {
             rank,
             start_tick,
-            blob: bytes[HEADER_BYTES..].to_vec(),
+            blob,
         })
     }
 }
@@ -320,7 +299,7 @@ impl ReplicaPayload {
     /// first 8 bytes are a little-endian core id, and core ids stay far
     /// below `0x314C_5052`).
     pub fn looks_like(bytes: &[u8]) -> bool {
-        bytes.len() >= 4 && bytes[..4] == REPLICA_MAGIC
+        wire::magic(bytes) == Some(REPLICA_MAGIC)
     }
 
     /// Serializes: magic, section lengths, checkpoint blob, 20-byte spike
@@ -328,7 +307,10 @@ impl ReplicaPayload {
     pub fn to_bytes(&self) -> Vec<u8> {
         let ck = self.ckpt.to_bytes();
         let mut out = Vec::with_capacity(
-            16 + ck.len() + self.trace.len() * SPIKE_WIRE_BYTES + self.fires_per_tick.len() * 8,
+            REPLICA_HEADER_BYTES
+                + ck.len()
+                + self.trace.len() * SPIKE_WIRE_BYTES
+                + self.fires_per_tick.len() * 8,
         );
         put_replica_header(
             &mut out,
@@ -344,58 +326,11 @@ impl ReplicaPayload {
     /// Decodes [`ReplicaPayload::to_bytes`], validating sizes before
     /// touching any payload.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        if !Self::looks_like(bytes) {
-            return Err(CheckpointError::BadMagic);
-        }
-        if bytes.len() < 16 {
-            return Err(CheckpointError::Truncated {
-                expected: 16,
-                got: bytes.len(),
-            });
-        }
-        let ck_len = read_u32(bytes, 4)? as usize;
-        let n_trace = read_u32(bytes, 8)? as usize;
-        let n_fires = read_u32(bytes, 12)? as usize;
-        // Checked: each length field is attacker-controlled on the wire;
-        // an overflowing sum must degrade to `Truncated`, and the
-        // checkpoint slice below is only taken once `len == expected`
-        // proves `16 + ck_len` is in bounds.
-        let expected = n_trace
-            .checked_mul(SPIKE_WIRE_BYTES)
-            .and_then(|t| n_fires.checked_mul(8).and_then(|f| t.checked_add(f)))
-            .and_then(|tail| tail.checked_add(ck_len))
-            .and_then(|body| body.checked_add(16))
-            .ok_or(CheckpointError::Truncated {
-                expected: usize::MAX,
-                got: bytes.len(),
-            })?;
-        if bytes.len() != expected {
-            return Err(CheckpointError::Truncated {
-                expected,
-                got: bytes.len(),
-            });
-        }
-        let ckpt = RankCheckpoint::from_bytes(bytes.get(16..16 + ck_len).ok_or(
-            CheckpointError::Truncated {
-                expected: 16 + ck_len,
-                got: bytes.len(),
-            },
-        )?)?;
-        let mut at = 16 + ck_len;
-        let mut trace = Vec::with_capacity(n_trace);
-        for _ in 0..n_trace {
-            let s = bytes
-                .get(at..at + SPIKE_WIRE_BYTES)
-                .and_then(Spike::decode)
-                .ok_or(CheckpointError::CorruptSpike)?;
-            trace.push(s);
-            at += SPIKE_WIRE_BYTES;
-        }
-        let mut fires_per_tick = Vec::with_capacity(n_fires);
-        for _ in 0..n_fires {
-            fires_per_tick.push(read_u64(bytes, at)?);
-            at += 8;
-        }
+        let mut r = Reader::frame(bytes, REPLICA_MAGIC, REPLICA_HEADER_BYTES)?;
+        let (ck_len, n_trace, n_fires) = (r.u32()? as usize, r.u32()? as usize, r.u32()? as usize);
+        let ckpt = RankCheckpoint::from_bytes(r.take(ck_len)?)?;
+        let (trace, fires_per_tick) = history(&mut r, n_trace, n_fires)?;
+        r.finish()?;
         Ok(Self {
             ckpt,
             trace,
@@ -405,6 +340,9 @@ impl ReplicaPayload {
 }
 
 const DELTA_HEADER_BYTES: usize = 32;
+
+/// One `(slot: u32, chunk bitmap: u64)` pair of a delta's dirty list.
+const DELTA_PAIR_BYTES: usize = 12;
 
 /// Chunk granularity for delta payloads: a dirty core's snapshot is
 /// diffed against the sender's image of the buddy's mirror in fixed
@@ -482,8 +420,9 @@ fn mask_bytes(mask: u64) -> usize {
 ///   absent from the bitmap are bytewise unchanged on the sender, so the
 ///   mirror's copy is already exact;
 /// * clean slots advance arithmetically — the only bytes a skip-path
-///   tick changes in a snapshot are the tick counter at `[16..24)`, so
-///   the mirror adds `boundary - base_tick` to each clean slot's counter
+///   tick changes in a snapshot are its tick counter, so the mirror
+///   advances each clean slot's by `boundary - base_tick`
+///   ([`tn_core::snapshot::advance_ticks`])
 ///   (the *dirty-epoch invariant*; a rollback inside the epoch restores
 ///   and therefore dirties every slot, so clean slots provably took the
 ///   skip path on every tick of the epoch exactly once).
@@ -516,7 +455,7 @@ pub struct DeltaReplica {
 impl DeltaReplica {
     /// Cheap prefix test for the delta wire format.
     pub fn looks_like(bytes: &[u8]) -> bool {
-        bytes.len() >= 4 && bytes[..4] == DELTA_REPLICA_MAGIC
+        wire::magic(bytes) == Some(DELTA_REPLICA_MAGIC)
     }
 
     /// Builds a delta by diffing the boundary blob `cur` against `base`
@@ -568,7 +507,7 @@ impl DeltaReplica {
     /// Serialized size of this delta — what it costs on the wire.
     pub fn total_bytes(&self) -> u64 {
         (DELTA_HEADER_BYTES
-            + self.dirty.len() * 12
+            + self.dirty.len() * DELTA_PAIR_BYTES
             + self.chunks.len()
             + self.trace_delta.len() * SPIKE_WIRE_BYTES
             + self.fires_delta.len() * 8) as u64
@@ -605,89 +544,30 @@ impl DeltaReplica {
     /// Decodes [`DeltaReplica::to_bytes`], validating sizes before
     /// touching any payload.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        if !Self::looks_like(bytes) {
-            return Err(CheckpointError::BadMagic);
-        }
-        if bytes.len() < DELTA_HEADER_BYTES {
-            return Err(CheckpointError::Truncated {
-                expected: DELTA_HEADER_BYTES,
-                got: bytes.len(),
-            });
-        }
-        let version = read_u16(bytes, 4)?;
-        if version != CHECKPOINT_VERSION {
-            return Err(CheckpointError::UnsupportedVersion(version));
-        }
-        let base_tick = read_u32(bytes, 8)?;
-        let boundary = read_u32(bytes, 12)?;
-        let core_count = read_u32(bytes, 16)?;
-        let n_dirty = read_u32(bytes, 20)? as usize;
-        let n_trace = read_u32(bytes, 24)? as usize;
-        let n_fires = read_u32(bytes, 28)? as usize;
-        // The chunk payload length depends on the bitmaps, so the pairs
-        // must be readable before the full length can be checked. Checked
-        // arithmetic throughout: every count is attacker-controlled.
-        let meta_end = n_dirty
-            .checked_mul(12)
-            .and_then(|p| p.checked_add(DELTA_HEADER_BYTES))
-            .ok_or(CheckpointError::Truncated {
-                expected: usize::MAX,
-                got: bytes.len(),
-            })?;
-        if bytes.len() < meta_end {
-            return Err(CheckpointError::Truncated {
-                expected: meta_end,
-                got: bytes.len(),
-            });
-        }
-        let mut at = DELTA_HEADER_BYTES;
+        let mut r = Reader::frame(bytes, DELTA_REPLICA_MAGIC, DELTA_HEADER_BYTES)?;
+        r.version_u16(CHECKPOINT_VERSION)?;
+        r.u16()?; // reserved
+        let (base_tick, boundary, core_count) = (r.u32()?, r.u32()?, r.u32()?);
+        let (n_dirty, n_trace, n_fires) = (r.u32()? as usize, r.u32()? as usize, r.u32()? as usize);
+        // The chunk payload's length depends on the bitmaps, so the pairs
+        // are read first.
+        let mut pairs = Reader::new(r.array(n_dirty, DELTA_PAIR_BYTES)?);
         let mut dirty = Vec::with_capacity(n_dirty);
         let mut masks = Vec::with_capacity(n_dirty);
         for _ in 0..n_dirty {
-            dirty.push(read_u32(bytes, at)?);
-            let mask = read_u64(bytes, at + 4)?;
+            dirty.push(pairs.u32()?);
+            let mask = pairs.u64()?;
             if mask >> DELTA_CHUNKS_PER_CORE != 0 {
                 return Err(CheckpointError::DeltaMismatch);
             }
             masks.push(mask);
-            at += 12;
         }
-        let truncated = CheckpointError::Truncated {
-            expected: usize::MAX,
-            got: bytes.len(),
-        };
-        let chunk_total: usize = masks
+        let chunk_total = masks
             .iter()
-            .try_fold(0usize, |acc, &m| acc.checked_add(mask_bytes(m)))
-            .ok_or(truncated)?;
-        let expected = n_trace
-            .checked_mul(SPIKE_WIRE_BYTES)
-            .and_then(|t| n_fires.checked_mul(8).and_then(|f| t.checked_add(f)))
-            .and_then(|tail| tail.checked_add(chunk_total))
-            .and_then(|body| body.checked_add(meta_end))
-            .ok_or(truncated)?;
-        if bytes.len() != expected {
-            return Err(CheckpointError::Truncated {
-                expected,
-                got: bytes.len(),
-            });
-        }
-        let chunks = bytes.get(at..at + chunk_total).ok_or(truncated)?.to_vec();
-        at += chunk_total;
-        let mut trace_delta = Vec::with_capacity(n_trace);
-        for _ in 0..n_trace {
-            let s = bytes
-                .get(at..at + SPIKE_WIRE_BYTES)
-                .and_then(Spike::decode)
-                .ok_or(CheckpointError::CorruptSpike)?;
-            trace_delta.push(s);
-            at += SPIKE_WIRE_BYTES;
-        }
-        let mut fires_delta = Vec::with_capacity(n_fires);
-        for _ in 0..n_fires {
-            fires_delta.push(read_u64(bytes, at)?);
-            at += 8;
-        }
+            .fold(0usize, |n, &m| n.saturating_add(mask_bytes(m)));
+        let chunks = r.take(chunk_total)?.to_vec();
+        let (trace_delta, fires_delta) = history(&mut r, n_trace, n_fires)?;
+        r.finish()?;
         Ok(Self {
             base_tick,
             boundary,
@@ -706,8 +586,8 @@ impl DeltaReplica {
     ///
     /// # Errors
     /// [`CheckpointError::DeltaMismatch`] when the mirror is not at
-    /// `base_tick`, the core counts disagree, or a dirty index is out of
-    /// range or out of order.
+    /// `base_tick`, the delta's boundary lies before its base, the core
+    /// counts disagree, or a dirty index is out of range or out of order.
     pub fn apply(&self, mirror: &mut ReplicaPayload) -> Result<(), CheckpointError> {
         if mirror.ckpt.start_tick != self.base_tick
             || mirror.ckpt.core_count() != self.core_count as usize
@@ -725,7 +605,12 @@ impl DeltaReplica {
         {
             return Err(CheckpointError::DeltaMismatch);
         }
-        let elapsed = u64::from(self.boundary - self.base_tick);
+        // No sender produces a delta that goes backwards (`payload_into`
+        // re-stages a boundary at or before the base's as a full payload),
+        // but a store directory can hold one.
+        let Some(elapsed) = self.boundary.checked_sub(self.base_tick) else {
+            return Err(CheckpointError::DeltaMismatch);
+        };
         let mut next_dirty = 0usize;
         let mut chunk_at = 0usize;
         for (slot, image) in mirror
@@ -750,8 +635,7 @@ impl DeltaReplica {
                 next_dirty += 1;
             } else {
                 // Clean slot: only the tick counter moved (see type doc).
-                let ticks = read_u64(image, 16)?;
-                image[16..24].copy_from_slice(&(ticks + elapsed).to_le_bytes());
+                snapshot::advance_ticks(image, u64::from(elapsed));
             }
         }
         mirror.ckpt.start_tick = self.boundary;
@@ -762,6 +646,9 @@ impl DeltaReplica {
 }
 
 const MIGRATION_HEADER_BYTES: usize = 16;
+
+/// Per-run header inside a `MIG1` envelope: `[u64 global_start][u32 cores]`.
+const RUN_HEADER_BYTES: usize = 12;
 
 /// Which slots of a delta payload travel: the one thing the two
 /// consumers of [`DeltaBase::payload_into`] decide differently.
@@ -827,7 +714,9 @@ impl DeltaBase {
         out.clear();
         if full {
             let ck_len = HEADER_BYTES + cur.len();
-            out.reserve(16 + ck_len + trace.len() * SPIKE_WIRE_BYTES + fires.len() * 8);
+            out.reserve(
+                REPLICA_HEADER_BYTES + ck_len + trace.len() * SPIKE_WIRE_BYTES + fires.len() * 8,
+            );
             put_replica_header(out, ck_len, trace.len(), fires.len());
             put_checkpoint_header(out, me, t, cores);
             out.extend_from_slice(cur);
@@ -853,19 +742,17 @@ impl DeltaBase {
                 }
                 DeltaSlots::Compared => {
                     let mask = chunk_mask(new, old);
-                    // Only chunk 0 may differ, and in it only the tick
-                    // counter, by exactly the boundary gap: precisely the
-                    // arithmetic `DeltaReplica::apply` replays on a slot
-                    // that did not travel.
-                    let word =
-                        |b: &[u8]| u64::from_le_bytes(b[16..24].try_into().expect("8 bytes"));
-                    let head = DELTA_CHUNK_BYTES;
-                    if mask & !1 == 0
-                        && new[..16] == old[..16]
-                        && new[24..head] == old[24..head]
-                        && word(new) == word(old).wrapping_add(u64::from(t - self.tick))
-                    {
-                        continue;
+                    // Only chunk 0 may differ, and only as
+                    // `DeltaReplica::apply` would change it on a slot that
+                    // did not travel: the tick counter advanced by exactly
+                    // the boundary gap.
+                    if mask & !1 == 0 {
+                        let mut replayed = [0u8; DELTA_CHUNK_BYTES];
+                        replayed.copy_from_slice(&old[..DELTA_CHUNK_BYTES]);
+                        snapshot::advance_ticks(&mut replayed, u64::from(t - self.tick));
+                        if new[..DELTA_CHUNK_BYTES] == replayed {
+                            continue;
+                        }
                     }
                     mask
                 }
@@ -874,9 +761,9 @@ impl DeltaBase {
             out.extend_from_slice(&mask.to_le_bytes());
         }
         let pairs_end = out.len();
-        let n_dirty = wire_len((pairs_end - DELTA_HEADER_BYTES) / 12);
+        let n_dirty = wire_len((pairs_end - DELTA_HEADER_BYTES) / DELTA_PAIR_BYTES);
         out[DELTA_DIRTY_COUNT_AT..DELTA_DIRTY_COUNT_AT + 4].copy_from_slice(&n_dirty.to_le_bytes());
-        for at in (DELTA_HEADER_BYTES..pairs_end).step_by(12) {
+        for at in (DELTA_HEADER_BYTES..pairs_end).step_by(DELTA_PAIR_BYTES) {
             let slot = u32::from_le_bytes(out[at..at + 4].try_into().expect("4 bytes")) as usize;
             let mut mask = u64::from_le_bytes(out[at + 4..at + 12].try_into().expect("8 bytes"));
             let new = &cur[slot * CORE_SNAPSHOT_BYTES..][..CORE_SNAPSHOT_BYTES];
@@ -942,7 +829,12 @@ impl MigrationEnvelope {
 
     /// Serialized size — the migration's wire cost.
     pub fn total_bytes(&self) -> u64 {
-        (MIGRATION_HEADER_BYTES + self.runs.iter().map(|r| 12 + r.blob.len()).sum::<usize>()) as u64
+        (MIGRATION_HEADER_BYTES
+            + self
+                .runs
+                .iter()
+                .map(|r| RUN_HEADER_BYTES + r.blob.len())
+                .sum::<usize>()) as u64
     }
 
     /// Serializes: magic, version, boundary, run count, then per run its
@@ -966,70 +858,21 @@ impl MigrationEnvelope {
     /// Decodes [`MigrationEnvelope::to_bytes`], validating structure
     /// before touching any payload.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        if bytes.len() >= 4 && bytes[..4] != MIGRATION_MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        if bytes.len() < MIGRATION_HEADER_BYTES {
-            return Err(CheckpointError::Truncated {
-                expected: MIGRATION_HEADER_BYTES,
-                got: bytes.len(),
-            });
-        }
-        let version = read_u16(bytes, 4)?;
-        if version != CHECKPOINT_VERSION {
-            return Err(CheckpointError::UnsupportedVersion(version));
-        }
-        let boundary = read_u32(bytes, 8)?;
-        let n_runs = read_u32(bytes, 12)? as usize;
-        let mut at = MIGRATION_HEADER_BYTES;
-        // Bound the count before allocating for it: every run costs at
-        // least its 12-byte header, so a count the remaining bytes cannot
-        // hold is a truncation (or a flipped bit), not a reservation.
-        if n_runs > (bytes.len() - MIGRATION_HEADER_BYTES) / 12 {
-            return Err(CheckpointError::Truncated {
-                expected: MIGRATION_HEADER_BYTES.saturating_add(n_runs.saturating_mul(12)),
-                got: bytes.len(),
-            });
-        }
+        let mut r = Reader::frame(bytes, MIGRATION_MAGIC, MIGRATION_HEADER_BYTES)?;
+        r.version_u16(CHECKPOINT_VERSION)?;
+        r.u16()?; // reserved
+        let (boundary, n_runs) = (r.u32()?, r.u32()? as usize);
+        // Bound the count before reserving for it: every run costs at
+        // least its header, so a count the remaining bytes cannot hold is
+        // a truncation (or a flipped bit), not a reservation.
+        r.clone().array(n_runs, RUN_HEADER_BYTES)?;
         let mut runs = Vec::with_capacity(n_runs);
         for _ in 0..n_runs {
-            if bytes.len() < at + 12 {
-                return Err(CheckpointError::Truncated {
-                    expected: at + 12,
-                    got: bytes.len(),
-                });
-            }
-            let global_start = read_u64(bytes, at)?;
-            let count = read_u32(bytes, at + 8)? as usize;
-            at += 12;
-            // Checked: a hostile run count must not overflow past the
-            // length check into the unchecked slice below.
-            let run_end = count
-                .checked_mul(CORE_SNAPSHOT_BYTES)
-                .and_then(|b| b.checked_add(at))
-                .ok_or(CheckpointError::Truncated {
-                    expected: usize::MAX,
-                    got: bytes.len(),
-                })?;
-            let blob_len = run_end - at;
-            if bytes.len() < run_end {
-                return Err(CheckpointError::Truncated {
-                    expected: run_end,
-                    got: bytes.len(),
-                });
-            }
-            runs.push(MigrationRun {
-                global_start,
-                blob: bytes[at..at + blob_len].to_vec(),
-            });
-            at += blob_len;
+            let (global_start, cores) = (r.u64()?, r.u32()? as usize);
+            let blob = r.array(cores, CORE_SNAPSHOT_BYTES)?.to_vec();
+            runs.push(MigrationRun { global_start, blob });
         }
-        if at != bytes.len() {
-            return Err(CheckpointError::Truncated {
-                expected: at,
-                got: bytes.len(),
-            });
-        }
+        r.finish()?;
         Ok(Self { boundary, runs })
     }
 }
@@ -1172,45 +1015,24 @@ impl BatchCheckpoint {
     /// # Errors
     /// See [`CheckpointError`]; never panics on malformed input.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        if bytes.len() >= 4 && bytes[..4] != BATCH_CHECKPOINT_MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        if bytes.len() < BATCH_HEADER_BYTES {
-            return Err(CheckpointError::Truncated {
-                expected: BATCH_HEADER_BYTES,
-                got: bytes.len(),
-            });
-        }
-        let version = read_u16(bytes, 4)?;
-        if version != CHECKPOINT_VERSION {
-            return Err(CheckpointError::UnsupportedVersion(version));
-        }
-        let lanes = read_u16(bytes, 6)?;
-        let start_tick = read_u32(bytes, 8)?;
-        let cores = read_u32(bytes, 12)?;
+        let mut r = Reader::frame(bytes, BATCH_CHECKPOINT_MAGIC, BATCH_HEADER_BYTES)?;
+        r.version_u16(CHECKPOINT_VERSION)?;
+        let (lanes, start_tick, cores) = (r.u16()?, r.u32()?, r.u32()?);
+        r.u32()?; // reserved
         if lanes == 0 || lanes > 64 {
             return Err(CheckpointError::LaneMismatch);
         }
-        // Checked: `lanes` is capped at 64 but `cores` is wire-controlled.
-        let expected = (lanes as usize)
-            .checked_mul(cores as usize)
-            .and_then(|n| n.checked_mul(CORE_SNAPSHOT_BYTES))
-            .and_then(|b| b.checked_add(BATCH_HEADER_BYTES))
-            .ok_or(CheckpointError::Truncated {
-                expected: usize::MAX,
-                got: bytes.len(),
-            })?;
-        if bytes.len() != expected {
-            return Err(CheckpointError::Truncated {
-                expected,
-                got: bytes.len(),
-            });
-        }
+        // `lanes` is capped, so one core across every lane is a stride
+        // that cannot overflow; `cores` is the wire-controlled count.
+        let blob = r
+            .array(cores as usize, usize::from(lanes) * CORE_SNAPSHOT_BYTES)?
+            .to_vec();
+        r.finish()?;
         Ok(BatchCheckpoint {
             lanes,
             start_tick,
             cores,
-            blob: bytes[BATCH_HEADER_BYTES..].to_vec(),
+            blob,
         })
     }
 }
@@ -1695,19 +1517,7 @@ mod tests {
 
     #[test]
     fn migration_envelope_roundtrips_through_bytes() {
-        let env = MigrationEnvelope {
-            boundary: 40,
-            runs: vec![
-                MigrationRun {
-                    global_start: 3,
-                    blob: vec![1u8; 2 * CORE_SNAPSHOT_BYTES],
-                },
-                MigrationRun {
-                    global_start: 11,
-                    blob: vec![2u8; CORE_SNAPSHOT_BYTES],
-                },
-            ],
-        };
+        let env = sample_migration();
         let bytes = env.to_bytes();
         assert_eq!(bytes.len() as u64, env.total_bytes());
         assert_eq!(env.core_count(), 3);
@@ -1808,15 +1618,65 @@ mod tests {
         );
     }
 
-    /// Systematic adversarial sweep over *every* wire format in the crate
-    /// plus the `TNCS` core snapshot beneath them: every proper prefix of
-    /// a valid frame must decode to an error (truncated buffers), a frame
-    /// with one trailing byte must too (oversized buffers), and flipping
-    /// any single bit anywhere must never panic — decoders may accept a
-    /// flip inside raw payload bytes, but must keep every length field
-    /// honest on the way there.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    fn sample_migration() -> MigrationEnvelope {
+        MigrationEnvelope {
+            boundary: 40,
+            runs: vec![
+                MigrationRun {
+                    global_start: 3,
+                    blob: vec![1u8; 2 * CORE_SNAPSHOT_BYTES],
+                },
+                MigrationRun {
+                    global_start: 11,
+                    blob: vec![2u8; CORE_SNAPSHOT_BYTES],
+                },
+            ],
+        }
+    }
+
+    /// Bytes are the contract for the two `sim` formats no store file or
+    /// wire golden covers. The digests were recorded at 2a48056, before
+    /// any decoder or `to_bytes` moved onto `tn_core::wire`.
+    #[test]
+    fn migration_and_batch_bytes_match_the_golden_digests() {
+        let mig = sample_migration().to_bytes();
+        assert_eq!(mig.len(), 16 + 2 * 12 + 3 * CORE_SNAPSHOT_BYTES);
+        assert_eq!(
+            fnv1a(&mig),
+            0xe5e4_12c5_046a_0e87,
+            "MIG1 bytes moved: {:#018x}",
+            fnv1a(&mig)
+        );
+        let lane1 = RankCheckpoint {
+            blob: vec![7u8; 2 * CORE_SNAPSHOT_BYTES],
+            ..sample()
+        };
+        let bck = BatchCheckpoint::from_solo(&[sample(), lane1])
+            .unwrap()
+            .to_bytes();
+        assert_eq!(bck.len(), 20 + 4 * CORE_SNAPSHOT_BYTES);
+        assert_eq!(
+            fnv1a(&bck),
+            0x605d_77b4_a58d_577e,
+            "BCK1 bytes moved: {:#018x}",
+            fnv1a(&bck)
+        );
+    }
+
+    /// The adversarial sweep ([`wire::fuzz_decoder`]: every truncation
+    /// point, one trailing byte, every single-bit flip) over *every* byte
+    /// layout this crate decodes, the `TNCS` core snapshot beneath them
+    /// and a sealed store file. A delta is not just decoded but applied
+    /// to a mirror it matches: `apply` consumes wire fields too.
     #[test]
     fn every_wire_format_survives_truncation_and_bit_flips() {
+        use crate::store::{seal, unseal, GenKind, Manifest};
         use tn_core::{CoreConfig, CorePool};
 
         // A real `TNCS` snapshot (the blank-core fill used by `sample()`
@@ -1825,13 +1685,20 @@ mod tests {
         pool.push(CoreConfig::blank(0, 7)).expect("blank is valid");
         let mut tncs = Vec::new();
         pool.snapshot_all_into(&mut tncs);
+        let batch = BatchCheckpoint {
+            lanes: 2,
+            start_tick: 3,
+            cores: 1,
+            blob: [&tncs[..], &tncs[..]].concat(),
+        };
+        let manifest = Manifest {
+            gen: 40,
+            kind: GenKind::Delta,
+            base: 32,
+            ranks: 4,
+        };
 
-        type Decode = Box<dyn Fn(&[u8]) -> bool>;
-        let mut restore_pool = CorePool::with_capacity(1);
-        restore_pool
-            .push(CoreConfig::blank(0, 7))
-            .expect("blank is valid");
-        let restore_pool = std::cell::RefCell::new(restore_pool);
+        type Decode<'a> = Box<dyn FnMut(&[u8]) -> bool + 'a>;
         let frames: Vec<(&str, Vec<u8>, Decode)> = vec![
             (
                 "CKPT",
@@ -1846,64 +1713,64 @@ mod tests {
             (
                 "RPLD",
                 sample_delta().to_bytes(),
-                Box::new(|b| DeltaReplica::from_bytes(b).is_ok()),
+                Box::new(|b| {
+                    let applied = DeltaReplica::from_bytes(b)
+                        .and_then(|delta| delta.apply(&mut sample_replica()));
+                    applied.is_ok()
+                }),
             ),
             (
                 "MIG1",
-                MigrationEnvelope {
-                    boundary: 9,
-                    runs: vec![MigrationRun {
-                        global_start: 2,
-                        blob: vec![5u8; CORE_SNAPSHOT_BYTES],
-                    }],
-                }
-                .to_bytes(),
+                sample_migration().to_bytes(),
                 Box::new(|b| MigrationEnvelope::from_bytes(b).is_ok()),
             ),
             (
                 "BCK1",
-                BatchCheckpoint {
-                    lanes: 2,
-                    start_tick: 3,
-                    cores: 1,
-                    blob: {
-                        let mut blob = tncs.clone();
-                        blob.extend_from_slice(&tncs);
-                        blob
-                    },
-                }
-                .to_bytes(),
+                batch.to_bytes(),
                 Box::new(|b| BatchCheckpoint::from_bytes(b).is_ok()),
+            ),
+            (
+                "CMF1",
+                manifest.to_bytes(),
+                Box::new(|b| Manifest::from_bytes(b).is_ok()),
+            ),
+            (
+                "sealed file",
+                seal(&sample_delta().to_bytes()),
+                Box::new(|b| unseal(b).is_ok()),
             ),
             (
                 "TNCS",
                 tncs,
-                Box::new(move |b| restore_pool.borrow_mut().full().restore(0, b).is_ok()),
+                Box::new(|b| pool.full().restore(0, b).is_ok()),
             ),
         ];
-
-        for (name, good, decode) in &frames {
-            assert!(decode(good), "{name}: the reference frame must decode");
-            // Every truncation point, plus one byte of trailing garbage.
-            for cut in 0..good.len() {
-                assert!(
-                    !decode(&good[..cut]),
-                    "{name}: accepted a {cut}-byte prefix of {} bytes",
-                    good.len()
-                );
-            }
-            let mut long = good.clone();
-            long.push(0);
-            assert!(!decode(&long), "{name}: accepted a trailing extra byte");
-            // Every single-bit flip: decoding may succeed or fail, but it
-            // must return — a panic fails the test by unwinding.
-            for at in 0..good.len() {
-                for bit in 0..8 {
-                    let mut bad = good.clone();
-                    bad[at] ^= 1 << bit;
-                    let _ = decode(&bad);
-                }
-            }
+        for (name, good, mut decode) in frames {
+            wire::fuzz_decoder(name, &good, 0..good.len(), &mut decode);
         }
+    }
+
+    /// `apply` trusts neither tick word of a decoded delta: one that goes
+    /// backwards is a mismatch before the first write, and a clean slot's
+    /// counter advances wrapping, as the sender's compare assumes.
+    #[test]
+    fn delta_apply_survives_hostile_tick_fields() {
+        let mut backwards = sample_delta();
+        backwards.base_tick = 17;
+        backwards.boundary = 16;
+        let backwards = DeltaReplica::from_bytes(&backwards.to_bytes()).unwrap();
+        let mut mirror = sample_replica();
+        assert_eq!(
+            backwards.apply(&mut mirror),
+            Err(CheckpointError::DeltaMismatch)
+        );
+        assert_eq!(mirror, sample_replica(), "mirror unchanged on error");
+
+        // Clean slot 0 holds a counter four ticks short of wrapping.
+        let mut mirror = sample_replica();
+        mirror.ckpt.blob[16..24].copy_from_slice(&(u64::MAX - 1).to_le_bytes());
+        sample_delta().apply(&mut mirror).unwrap();
+        let wrapped = u64::from_le_bytes(mirror.ckpt.blob[16..24].try_into().unwrap());
+        assert_eq!(wrapped, 2, "u64::MAX - 1 advanced by 4, wrapping");
     }
 }

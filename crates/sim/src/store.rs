@@ -46,6 +46,7 @@ use std::fs::{self, File};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
+use tn_core::wire::Reader;
 use tn_core::Spike;
 
 /// Leading magic of a generation manifest.
@@ -184,7 +185,7 @@ pub struct Manifest {
 }
 
 impl Manifest {
-    fn to_bytes(self) -> Vec<u8> {
+    pub(crate) fn to_bytes(self) -> Vec<u8> {
         let mut out = Vec::with_capacity(MANIFEST_BYTES);
         out.extend_from_slice(&MANIFEST_MAGIC);
         out.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
@@ -201,35 +202,23 @@ impl Manifest {
         out
     }
 
-    fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        if bytes.len() != MANIFEST_BYTES {
-            return Err(CheckpointError::Truncated {
-                expected: MANIFEST_BYTES,
-                got: bytes.len(),
-            });
-        }
-        if bytes[..4] != MANIFEST_MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-        if version != MANIFEST_VERSION {
-            return Err(CheckpointError::UnsupportedVersion(version));
-        }
-        let kind = match bytes[6] {
+    pub(crate) fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
+        let mut r = Reader::frame(bytes, MANIFEST_MAGIC, MANIFEST_BYTES)?;
+        r.version_u16(MANIFEST_VERSION)?;
+        let kind = match r.u8()? {
             0 => GenKind::Full,
             1 => GenKind::Delta,
             _ => return Err(CheckpointError::BadMagic),
         };
-        let word64 = |off: usize| {
-            let mut w = [0u8; 8];
-            w.copy_from_slice(&bytes[off..off + 8]);
-            u64::from_le_bytes(w)
-        };
+        r.u8()?; // reserved
+        let (gen, base, ranks) = (r.u64()?, r.u64()?, r.u32()?);
+        r.u32()?; // reserved
+        r.finish()?;
         Ok(Manifest {
-            gen: word64(8),
+            gen,
             kind,
-            base: word64(16),
-            ranks: u32::from_le_bytes([bytes[24], bytes[25], bytes[26], bytes[27]]),
+            base,
+            ranks,
         })
     }
 }
@@ -326,7 +315,7 @@ fn footer(name: &str, len: usize, crc: u32) -> Result<[u8; FOOTER_BYTES], StoreE
 /// sealed before [`CheckpointStore::write_atomic`] stopped copying, kept
 /// as the reference the tests hold its files to.
 #[cfg(test)]
-fn seal(payload: &[u8]) -> Vec<u8> {
+pub(crate) fn seal(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + FOOTER_BYTES);
     out.extend_from_slice(payload);
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -336,14 +325,14 @@ fn seal(payload: &[u8]) -> Vec<u8> {
 
 /// Validates the footer and returns the payload slice, or a reason the
 /// file is not a complete, uncorrupted store file.
-fn unseal(bytes: &[u8]) -> Result<&[u8], String> {
-    if bytes.len() < FOOTER_BYTES {
+pub(crate) fn unseal(bytes: &[u8]) -> Result<&[u8], String> {
+    let mut r = Reader::new(bytes);
+    let footed = r
+        .take(bytes.len().saturating_sub(FOOTER_BYTES))
+        .and_then(|body| Ok((body, r.u32()? as usize, r.u32()?)));
+    let Ok((body, len, crc)) = footed else {
         return Err(format!("{} bytes is too short for a footer", bytes.len()));
-    }
-    let body = &bytes[..bytes.len() - FOOTER_BYTES];
-    let foot = &bytes[bytes.len() - FOOTER_BYTES..];
-    let len = u32::from_le_bytes([foot[0], foot[1], foot[2], foot[3]]) as usize;
-    let crc = u32::from_le_bytes([foot[4], foot[5], foot[6], foot[7]]);
+    };
     if len != body.len() {
         return Err(format!(
             "footer names a {len}-byte payload, file holds {}",

@@ -37,7 +37,6 @@ pub mod batch;
 pub mod config;
 pub mod core;
 pub mod crossbar;
-pub mod delay;
 pub mod energy;
 pub mod kernel;
 pub mod neuron;
@@ -45,12 +44,12 @@ pub mod pool;
 pub mod prng;
 pub mod snapshot;
 pub mod spike;
+pub mod wire;
 
 pub use batch::{BatchError, ReplicaBatch};
 pub use config::{CoreConfig, CoreConfigError};
 pub use core::{KernelStats, NeurosynapticCore};
 pub use crossbar::Crossbar;
-pub use delay::DelayBuffer;
 pub use energy::{ActivityCounts, EnergyEstimate, EnergyModel};
 pub use kernel::{
     step_lanes_deterministic, BitPlanes, LanePlanes, NeuronMask, SynapseRows,
