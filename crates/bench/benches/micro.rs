@@ -96,13 +96,6 @@ fn bench_spike_codec(c: &mut Criterion) {
     c.bench_function("spike_decode", |b| {
         b.iter(|| black_box(Spike::decode(black_box(&bytes))))
     });
-    let mut buf = Vec::new();
-    for _ in 0..1000 {
-        spike.encode_into(&mut buf);
-    }
-    c.bench_function("spike_decode_buffer_1000", |b| {
-        b.iter(|| black_box(Spike::decode_buffer(black_box(&buf)).count()))
-    });
 }
 
 fn bench_core_tick(c: &mut Criterion) {

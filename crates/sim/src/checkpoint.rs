@@ -1671,9 +1671,10 @@ mod tests {
 
     /// The adversarial sweep ([`wire::fuzz_decoder`]: every truncation
     /// point, one trailing byte, every single-bit flip) over *every* byte
-    /// layout this crate decodes, the `TNCS` core snapshot beneath them
-    /// and a sealed store file. A delta is not just decoded but applied
-    /// to a mirror it matches: `apply` consumes wire fields too.
+    /// layout this crate decodes, the `TNCS` core snapshot beneath them,
+    /// a sealed store file and the transport's tick block. A delta is not
+    /// just decoded but applied to a mirror it matches: `apply` consumes
+    /// wire fields too.
     #[test]
     fn every_wire_format_survives_truncation_and_bit_flips() {
         use crate::store::{seal, unseal, GenKind, Manifest};
@@ -1743,6 +1744,15 @@ mod tests {
                 "TNCS",
                 tncs,
                 Box::new(|b| pool.full().restore(0, b).is_ok()),
+            ),
+            (
+                "TKB1",
+                crate::route::golden_block(),
+                Box::new(|b| {
+                    use crate::route::{decode_block, GOLDEN_CORES, GOLDEN_RANK};
+                    let rest = decode_block(b, GOLDEN_RANK, GOLDEN_CORES, &mut |_| {});
+                    rest.is_ok_and(<[u8]>::is_empty)
+                }),
             ),
         ];
         for (name, good, mut decode) in frames {

@@ -66,6 +66,7 @@ pub mod engine;
 pub mod model;
 pub mod partition;
 pub mod recovery;
+pub mod route;
 pub mod runner;
 pub mod solo;
 pub mod stats;
