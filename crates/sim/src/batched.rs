@@ -173,6 +173,10 @@ impl BatchedSimulation {
     }
 
     /// Lane `k`'s lifetime fires across all cores.
+    ///
+    /// # Panics
+    ///
+    /// If `lane` is not a lane of this simulation.
     #[must_use]
     pub fn total_fires(&self, lane: usize) -> u64 {
         (0..self.batch.len())
@@ -182,6 +186,10 @@ impl BatchedSimulation {
 
     /// Membrane potential probe for one lane (observability parity with
     /// [`crate::SoloSimulation::potential`]).
+    ///
+    /// # Panics
+    ///
+    /// If `lane` is not a lane of this simulation.
     #[must_use]
     pub fn potential(&self, lane: usize, core: u64, neuron: usize) -> i32 {
         self.batch.potential(core as usize, lane, neuron)
@@ -272,6 +280,10 @@ impl BatchedSimulation {
     /// The standard solo `TNCS` snapshot of one lane of one core —
     /// byte-identical to the snapshot a `SoloSimulation` of that session
     /// would take at the same tick boundary.
+    ///
+    /// # Panics
+    ///
+    /// If `lane` is not a lane of this simulation.
     #[must_use]
     pub fn lane_core_snapshot(&self, core: u64, lane: usize) -> Vec<u8> {
         self.batch.lane_snapshot_bytes(core as usize, lane)
@@ -304,6 +316,11 @@ impl BatchedSimulation {
     /// [`CheckpointError::Truncated`] if the blob count differs from the
     /// model's core count; a snapshot-level error (mapped to
     /// [`CheckpointError::BadMagic`]) if any core blob fails validation.
+    ///
+    /// # Panics
+    ///
+    /// If `lane` is not a lane of this simulation: the batch's state is
+    /// lane-striped, so it refuses the index before writing anything.
     pub fn restore_lane<'a>(
         &mut self,
         lane: usize,

@@ -44,6 +44,7 @@ pub mod pool;
 pub mod prng;
 pub mod snapshot;
 pub mod spike;
+mod table;
 pub mod wire;
 
 pub use batch::{BatchError, ReplicaBatch};
@@ -52,14 +53,15 @@ pub use core::{KernelStats, NeurosynapticCore};
 pub use crossbar::Crossbar;
 pub use energy::{ActivityCounts, EnergyEstimate, EnergyModel};
 pub use kernel::{
-    step_lanes_deterministic, BitPlanes, LanePlanes, NeuronMask, SynapseRows,
+    step_lanes_deterministic, BitPlanes, LanePlanes, NeuronMask, Planes, SynapseRows,
     NEURON_DENSE_MIN_VISITS, SYNAPSE_KERNEL_MIN_DUE, SYNAPSE_KERNEL_MIN_EVENTS,
 };
 pub use neuron::{NeuronConfig, ResetMode};
-pub use pool::{CorePool, PoolShards, PoolSlice, Targets};
+pub use pool::{CorePool, PoolShards, PoolSlice};
 pub use prng::CorePrng;
 pub use snapshot::{SnapshotError, CORE_SNAPSHOT_BYTES};
 pub use spike::{Spike, SpikeTarget, SPIKE_WIRE_BYTES};
+pub use table::Targets;
 
 /// Axons per core (paper §II: "256 axons").
 pub const CORE_AXONS: usize = 256;
