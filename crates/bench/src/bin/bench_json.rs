@@ -103,15 +103,31 @@ fn time_engine(model: &NetworkModel, kernels: bool) -> f64 {
 }
 
 /// Per-session drive for the replica-batching bench: lane `k` injects a
-/// full-width burst into core `k % n` at a lane-specific phase, so each
-/// lane carries its own extra wavefront and the lanes genuinely diverge.
-fn batched_sessions(model: &NetworkModel, lanes: usize) -> Vec<Vec<(u64, u16, u32)>> {
+/// burst at tick `1 + k % 16`.
+///
+/// *Coincident* (the gated `batched_64` drive): a full-width burst into
+/// core `k % n` — exactly where `dense_ring`'s own wave is at that tick,
+/// so the delivery is idempotent, all lanes stay bit-identical and every
+/// due mask is the full mask. *Divergent*: a two-thirds-width burst into a
+/// core one to three hops off the wave (four groups of sixteen lanes), so
+/// each lane carries a second wavefront of its own and due masks name
+/// lane subsets — the scatter branch of the grouped Synapse fold.
+fn batched_sessions(
+    model: &NetworkModel,
+    lanes: usize,
+    divergent: bool,
+) -> Vec<Vec<(u64, u16, u32)>> {
     let n = model.cores.len() as u64;
     (0..lanes)
         .map(|lane| {
-            let core = lane as u64 % n;
             let phase = 1 + (lane as u32 % 16);
-            (0..CORE_AXONS as u16).map(|a| (core, a, phase)).collect()
+            let (shift, width) = if divergent {
+                (1 + (lane as u64 / 16) % 3, CORE_AXONS as u16 * 2 / 3)
+            } else {
+                (0, CORE_AXONS as u16)
+            };
+            let core = (lane as u64 + shift) % n;
+            (0..width).map(|a| (core, a, phase)).collect()
         })
         .collect()
 }
@@ -429,16 +445,17 @@ fn main() {
 
     // Replica batching: N sessions of the dense reference model advanced
     // through one lane-parallel sweep, against the honest baseline of N
-    // sequential solo runs of the same sessions. Sessions carry
-    // phase-shifted drive so the lanes genuinely diverge; lane-exact
-    // equivalence is enforced by the oracle suite, so this section only
-    // prices it.
+    // sequential solo runs of the same sessions, under the coincident
+    // drive and (at 64 lanes) the divergent one (`batched_sessions`).
+    // Lane-exact equivalence is enforced by the oracle suite, so this
+    // section only prices it.
     out.push_str("  \"batched\": [\n");
     let mut rows = Vec::new();
     let batch_model = NetworkModel::dense_ring(4, 5);
     let batch_ticks = 256u32;
-    for lanes in [32usize, 64] {
-        let sessions = batched_sessions(&batch_model, lanes);
+    for (lanes, divergent) in [(32usize, false), (64, false), (64, true)] {
+        let drive = if divergent { "divergent" } else { "coincident" };
+        let sessions = batched_sessions(&batch_model, lanes, divergent);
         let mut batched_ns = f64::INFINITY;
         for _ in 0..5 {
             let t = Instant::now();
@@ -470,13 +487,14 @@ fn main() {
         let speedup = solo_ns / batched_ns;
         let sessions_per_s = lanes as f64 / (batched_ns * 1e-9);
         rows.push(format!(
-            "    {{\"model\": \"dense_ring(4)\", \"ticks\": {batch_ticks}, \"lanes\": {lanes}, \
+            "    {{\"model\": \"dense_ring(4)\", \"drive\": \"{drive}\", \
+             \"ticks\": {batch_ticks}, \"lanes\": {lanes}, \
              \"batched_ns_per_core_tick_replica\": {per_replica:.1}, \
              \"solo_ns_per_core_tick_run\": {solo_per_run:.1}, \
              \"sessions_per_s\": {sessions_per_s:.1}, \"speedup\": {speedup:.2}}}"
         ));
         println!(
-            "batched dense_ring(4) lanes={lanes:<3} batched={per_replica:>7.1}ns/(core·tick·replica) \
+            "batched dense_ring(4) {drive:<10} lanes={lanes:<3} batched={per_replica:>7.1}ns/(core·tick·replica) \
              solo={solo_per_run:>7.1}ns/(core·tick·run) sessions/s={sessions_per_s:>8.1} \
              speedup={speedup:.2}x"
         );
