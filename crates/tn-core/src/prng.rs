@@ -44,12 +44,8 @@ impl CorePrng {
     /// Advances the generator one step and returns a 64-bit draw.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        let mut x = self.state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        self.state = advance(self.state);
+        scramble(self.state)
     }
 
     /// An 8-bit draw, as consumed by the stochastic weight/leak comparators
@@ -57,7 +53,8 @@ impl CorePrng {
     /// magnitude).
     #[inline]
     pub fn next_u8(&mut self) -> u8 {
-        (self.next_u64() >> 32) as u8
+        self.state = advance(self.state);
+        draw_u8(self.state)
     }
 
     /// A uniformly distributed value in `0..n` via rejection-free Lemire
@@ -96,6 +93,31 @@ impl CorePrng {
         assert!(state != 0, "zero is not a reachable xorshift64* state");
         self.state = state;
     }
+}
+
+/// One xorshift64 step: the state after `state`. On bare states, so a
+/// kernel that keeps several chains in registers
+/// ([`crate::kernel::draw_ahead`]) steps them with the generator's own
+/// arithmetic.
+#[inline(always)]
+pub(crate) fn advance(mut state: u64) -> u64 {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    state
+}
+
+/// The xorshift64* output of a state that has just been stepped.
+#[inline(always)]
+fn scramble(state: u64) -> u64 {
+    state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+}
+
+/// The 8-bit draw of a state that has just been stepped: bits 32..39 of
+/// its output.
+#[inline(always)]
+pub(crate) fn draw_u8(state: u64) -> u8 {
+    (scramble(state) >> 32) as u8
 }
 
 /// SplitMix64 scrambler (Steele et al.) used only for seeding.
