@@ -16,7 +16,7 @@
 //! counters, PRNG stream, snapshot bytes — to a `SoloSimulation` of the
 //! same model whose extra deliveries are session `k`'s.
 
-use crate::checkpoint::{BatchCheckpoint, CheckpointError};
+use crate::checkpoint::{check_core_blobs, BatchCheckpoint, CheckpointError};
 use crate::model::{ModelError, NetworkModel};
 use tn_core::{BatchError, ReplicaBatch, Spike, CORE_AXONS, MAX_LANES};
 
@@ -314,8 +314,9 @@ impl BatchedSimulation {
     /// # Errors
     ///
     /// [`CheckpointError::Truncated`] if the blob count differs from the
-    /// model's core count; a snapshot-level error (mapped to
-    /// [`CheckpointError::BadMagic`]) if any core blob fails validation.
+    /// model's core count; [`CheckpointError::Core`] naming the first core
+    /// blob that fails validation. Every blob is checked before any is
+    /// written, so on error the lane is unchanged.
     ///
     /// # Panics
     ///
@@ -326,18 +327,26 @@ impl BatchedSimulation {
         lane: usize,
         blobs: impl ExactSizeIterator<Item = &'a [u8]>,
     ) -> Result<(), CheckpointError> {
+        assert!(lane < self.lanes, "lane {lane} outside batch");
         if blobs.len() != self.batch.len() {
             return Err(CheckpointError::Truncated {
                 expected: self.batch.len(),
                 got: blobs.len(),
             });
         }
+        let blobs: Vec<&[u8]> = blobs.collect();
+        check_core_blobs(blobs.iter().copied(), |k| self.batch.id(k), 0)?;
+        self.write_lane(lane, blobs.into_iter());
+        Ok(())
+    }
+
+    /// Writes checked core blobs into `lane`.
+    fn write_lane<'a>(&mut self, lane: usize, blobs: impl Iterator<Item = &'a [u8]>) {
         for (k, blob) in blobs.enumerate() {
             self.batch
                 .lane_restore(k, lane, blob)
-                .map_err(|_| CheckpointError::BadMagic)?;
+                .expect("checked before writing");
         }
-        Ok(())
     }
 
     /// Restores every lane from a batch checkpoint and moves the clock to
@@ -346,17 +355,25 @@ impl BatchedSimulation {
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Truncated`] on lane/core shape mismatch; see
-    /// [`Self::restore_lane`] for per-blob validation.
+    /// [`CheckpointError::Truncated`] on lane/core shape mismatch;
+    /// [`CheckpointError::Core`] naming the first core blob, counted
+    /// across lanes in checkpoint order, that fails validation. Every
+    /// lane is checked before any is written, so on error the simulation
+    /// is unchanged.
     pub fn restore(&mut self, ckpt: &BatchCheckpoint) -> Result<(), CheckpointError> {
-        if ckpt.lanes() as usize != self.lanes || ckpt.core_count() as usize != self.batch.len() {
+        let cores = self.batch.len();
+        if ckpt.lanes() as usize != self.lanes || ckpt.core_count() as usize != cores {
             return Err(CheckpointError::Truncated {
-                expected: self.lanes * self.batch.len(),
+                expected: self.lanes * cores,
                 got: ckpt.lanes() as usize * ckpt.core_count() as usize,
             });
         }
         for lane in 0..self.lanes {
-            self.restore_lane(lane, ckpt.lane_blobs(lane as u16))?;
+            let blobs = ckpt.lane_blobs(lane as u16);
+            check_core_blobs(blobs, |k| self.batch.id(k), lane * cores)?;
+        }
+        for lane in 0..self.lanes {
+            self.write_lane(lane, ckpt.lane_blobs(lane as u16));
         }
         self.seek(ckpt.start_tick());
         Ok(())
@@ -574,6 +591,42 @@ mod tests {
                 "lane {lane} end state"
             );
         }
+    }
+
+    /// A lane restore whose second core blob is corrupt names that blob
+    /// and writes none of them — nor, through `restore`, any other lane.
+    #[test]
+    fn restore_names_the_failing_blob_and_changes_nothing() {
+        let model = NetworkModel::relay_ring(3, 5, 2);
+        let sessions = session_schedules(&model, 4);
+        let mut batched = BatchedSimulation::new(&model, &sessions).unwrap();
+        batched.run(4);
+        let ckpt = batched.checkpoint();
+        batched.run(7);
+        let before = batched.checkpoint();
+        let corrupt_prng = |index| CheckpointError::Core {
+            index,
+            error: tn_core::SnapshotError::CorruptPrngState,
+        };
+
+        let mut lane: Vec<Vec<u8>> = ckpt.lane_blobs(2).map(<[u8]>::to_vec).collect();
+        lane[1][40..48].fill(0);
+        let blobs = lane.iter().map(Vec::as_slice);
+        assert_eq!(batched.restore_lane(2, blobs), Err(corrupt_prng(1)));
+        assert_eq!(batched.checkpoint(), before);
+
+        // The same blob in the whole checkpoint is number 2 × 3 + 1; lanes
+        // 0 and 1 are good and must not be written either.
+        let blob: Vec<u8> = (0..4)
+            .flat_map(|l| match l {
+                2 => lane.concat(),
+                _ => ckpt.lane_blobs(l).flatten().copied().collect(),
+            })
+            .collect();
+        let corrupt = BatchCheckpoint::assemble(4, ckpt.start_tick(), 3, blob);
+        assert_eq!(batched.restore(&corrupt), Err(corrupt_prng(7)));
+        assert_eq!(batched.checkpoint(), before);
+        assert_eq!(batched.tick(), 11);
     }
 
     #[test]

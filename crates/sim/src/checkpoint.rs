@@ -30,7 +30,7 @@
 //! incompatible one.
 
 use tn_core::wire::{self, Reader, WireError};
-use tn_core::{snapshot, Spike, CORE_SNAPSHOT_BYTES, SPIKE_WIRE_BYTES};
+use tn_core::{snapshot, CoreId, SnapshotError, Spike, CORE_SNAPSHOT_BYTES, SPIKE_WIRE_BYTES};
 
 /// Leading magic of a serialized rank checkpoint.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"CKPT";
@@ -83,6 +83,13 @@ pub enum CheckpointError {
     /// mirror's boundary is not the delta's base tick, the core counts
     /// disagree, or a dirty index is out of range.
     DeltaMismatch,
+    /// A per-core `TNCS` blob failed snapshot validation.
+    Core {
+        /// The blob's position in the checkpoint.
+        index: usize,
+        /// Why it was rejected.
+        error: SnapshotError,
+    },
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -112,11 +119,32 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::DeltaMismatch => {
                 write!(f, "delta replica does not apply to the receiver's mirror")
             }
+            CheckpointError::Core { index, error } => {
+                write!(f, "core snapshot {index} rejected: {error}")
+            }
         }
     }
 }
 
 impl std::error::Error for CheckpointError {}
+
+/// Validates per-core `TNCS` blobs against the ids of the cores they are
+/// to restore (`id(k)` for the `k`-th), all of them before a caller
+/// writes any: the first that fails is reported as
+/// [`CheckpointError::Core`], its index counted from `first`.
+pub(crate) fn check_core_blobs<'a>(
+    blobs: impl Iterator<Item = &'a [u8]>,
+    id: impl Fn(usize) -> CoreId,
+    first: usize,
+) -> Result<(), CheckpointError> {
+    for (k, blob) in blobs.enumerate() {
+        snapshot::parse(blob, id(k)).map_err(|error| CheckpointError::Core {
+            index: first + k,
+            error,
+        })?;
+    }
+    Ok(())
+}
 
 /// Decoders run on wire bytes whose every length field is
 /// attacker-controlled: a walk that runs short, or stops short of the
@@ -253,7 +281,7 @@ impl RankCheckpoint {
     /// Decodes the versioned on-disk format, validating magic, version,
     /// and length before touching any payload — never panics on malformed
     /// input. Per-core payloads are validated later, by
-    /// [`tn_core::NeurosynapticCore::restore_bytes`] at resume time.
+    /// [`tn_core::snapshot::parse`] at resume time.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
         let mut r = Reader::frame(bytes, CHECKPOINT_MAGIC, HEADER_BYTES)?;
         r.version_u16(CHECKPOINT_VERSION)?;

@@ -35,7 +35,6 @@
 
 pub mod batch;
 pub mod config;
-pub mod core;
 pub mod crossbar;
 pub mod energy;
 pub mod kernel;
@@ -49,7 +48,6 @@ pub mod wire;
 
 pub use batch::{BatchError, ReplicaBatch};
 pub use config::{CoreConfig, CoreConfigError};
-pub use core::{KernelStats, NeurosynapticCore};
 pub use crossbar::Crossbar;
 pub use energy::{ActivityCounts, EnergyEstimate, EnergyModel};
 pub use kernel::{
@@ -57,7 +55,7 @@ pub use kernel::{
     NEURON_DENSE_MIN_VISITS, SYNAPSE_KERNEL_MIN_DUE, SYNAPSE_KERNEL_MIN_EVENTS,
 };
 pub use neuron::{NeuronConfig, ResetMode};
-pub use pool::{CorePool, PoolShards, PoolSlice};
+pub use pool::{CorePool, KernelStats, PoolShards, PoolSlice};
 pub use prng::CorePrng;
 pub use snapshot::{SnapshotError, CORE_SNAPSHOT_BYTES};
 pub use spike::{Spike, SpikeTarget, SPIKE_WIRE_BYTES};
@@ -95,3 +93,10 @@ pub const CORE_SYNAPSES: usize = CORE_AXONS * CORE_NEURONS;
 /// Maximum replica lanes in a [`ReplicaBatch`]: one session per bit of
 /// the `u64` lane masks that thread the batched Synapse/Neuron sweep.
 pub const MAX_LANES: usize = 64;
+
+/// One core's behaviour — delivery, integration, leak, fire, PRNG,
+/// snapshot — on a one-slot [`CorePool`] stepped per slot.
+#[cfg(test)]
+mod core {
+    mod tests;
+}

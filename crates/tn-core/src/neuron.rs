@@ -161,8 +161,8 @@ impl NeuronConfig {
     /// zero-input tick). Such a neuron must run every tick even when the
     /// masked Neuron sweep would otherwise skip it — skipping would desync
     /// the core's PRNG stream from a run that executed every phase. This
-    /// is the per-neuron refinement of the core-level
-    /// [`crate::NeurosynapticCore::autonomous_dynamics`] flag.
+    /// is the per-neuron refinement of a core's autonomy: a core with one
+    /// such neuron is never skipped by the engine's quiescence test.
     #[inline]
     pub fn draws_prng_at_rest(&self) -> bool {
         self.stochastic_leak && self.leak != 0
