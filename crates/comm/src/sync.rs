@@ -1,9 +1,10 @@
 //! Thin synchronization wrappers over `std::sync` with the `parking_lot`
 //! calling convention the rest of the crate uses: `lock()` returns a guard
-//! directly (poison is ignored — a poisoned lock here means a worker thread
-//! already panicked, and the panic is re-raised at join time by the team or
-//! world runtime), and `Condvar::wait` takes `&mut guard` instead of
-//! consuming it.
+//! directly (poison is ignored — a poisoned lock here means a thread already
+//! panicked, and that panic is re-raised on the caller when its region or
+//! world joins: [`crate::ThreadTeam::parallel`] once every member has left
+//! the region, `World::run` once every rank has returned), and
+//! `Condvar::wait` takes `&mut guard` instead of consuming it.
 //!
 //! This exists because the build environment has no crates.io access, so
 //! the workspace cannot depend on `parking_lot` itself.

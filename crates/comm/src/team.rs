@@ -10,11 +10,20 @@
 //!
 //! The master thread participates in every region as member `0`, exactly as
 //! an OpenMP master does, so a team of size `t` uses `t - 1` extra OS
-//! threads.
+//! threads. [`ThreadTeam::parallel_mut`] hands each member its own element
+//! of a slice: listing 1's disjoint per-thread state, checked by the
+//! borrow checker.
+//!
+//! A region ends once every member has left it, also when one panics; the
+//! panic — the master's, else the first worker's — is then re-raised on
+//! the caller. (A member waiting at [`TeamCtx::barrier`] for one that
+//! panicked before arriving is not released.)
 
 use crate::barrier::{CentralizedBarrier, GlobalBarrier};
 use crate::sync::{Condvar, Mutex};
+use std::any::Any;
 use std::ops::Range;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// A persistent team of threads executing fork–join parallel regions.
@@ -37,8 +46,8 @@ pub struct TeamCtx<'a> {
 }
 
 /// Type-erased job pointer. The pointee is guaranteed (by the `parallel`
-/// protocol) to outlive every worker's use of it: `parallel` does not return
-/// until all members have finished running the job.
+/// protocol) to outlive every worker's use of it: `parallel` neither
+/// returns nor unwinds until all members have finished running the job.
 #[derive(Clone, Copy)]
 struct JobPtr(*const (dyn Fn(TeamCtx<'_>) + Sync));
 
@@ -64,6 +73,8 @@ struct State {
     epoch: u64,
     job: Option<JobPtr>,
     running: usize,
+    /// The first panic a worker raised in the current region.
+    panic: Option<Box<dyn Any + Send>>,
     shutdown: bool,
 }
 
@@ -80,6 +91,7 @@ impl ThreadTeam {
                 epoch: 0,
                 job: None,
                 running: 0,
+                panic: None,
                 shutdown: false,
             }),
             go: Condvar::new(),
@@ -126,26 +138,23 @@ impl ThreadTeam {
     /// `#pragma omp parallel { f() }`.
     ///
     /// `f` may freely borrow from the caller's stack: the region is strictly
-    /// nested inside this call.
+    /// nested inside this call, also when a member panics (see the module
+    /// docs).
     pub fn parallel<F>(&self, f: F)
     where
         F: Fn(TeamCtx<'_>) + Sync,
     {
         if self.size == 1 {
             // Fast path: no workers to coordinate.
-            f(TeamCtx {
-                tid: 0,
-                size: 1,
-                shared: &self.shared,
-            });
-            return;
+            return f(self.member(0));
         }
 
         let wide: &(dyn Fn(TeamCtx<'_>) + Sync) = &f;
         // SAFETY: we erase the lifetime of `f`. The protocol below guarantees
         // that every worker finishes calling the job before `parallel`
-        // returns (we wait for `running == 0` with the job installed by this
-        // epoch), so the pointer never dangles while dereferenced.
+        // returns or unwinds (we wait for `running == 0` with the job
+        // installed by this epoch, the master's own panic caught until
+        // then), so the pointer never dangles while dereferenced.
         let job = JobPtr(unsafe {
             std::mem::transmute::<
                 *const (dyn Fn(TeamCtx<'_>) + Sync),
@@ -163,17 +172,61 @@ impl ThreadTeam {
         }
 
         // Master participates as member 0.
-        f(TeamCtx {
-            tid: 0,
-            size: self.size,
-            shared: &self.shared,
-        });
-
+        let mine = panic::catch_unwind(AssertUnwindSafe(|| f(self.member(0))));
         let mut st = self.shared.state.lock();
         while st.running != 0 {
             self.shared.done.wait(&mut st);
         }
         st.job = None;
+        let theirs = st.panic.take();
+        drop(st);
+        if let Some(payload) = mine.err().or(theirs) {
+            panic::resume_unwind(payload);
+        }
+    }
+
+    /// [`ThreadTeam::parallel`] with one element of `items` per member:
+    /// member `tid` runs `f` on `&mut items[tid]`. Each member owns its
+    /// element for the region, so `f` needs no lock and no `unsafe` to
+    /// mutate it.
+    ///
+    /// A team of one runs `f` inline on `items[0]`. A larger team lends each
+    /// element through a slot of its own, taken once by its own member (an
+    /// uncontended lock, and one small allocation per region).
+    ///
+    /// # Panics
+    /// Panics if `items.len() != self.size()`, and re-raises a panic of `f`
+    /// as [`ThreadTeam::parallel`] does.
+    pub fn parallel_mut<T, F>(&self, items: &mut [T], f: F)
+    where
+        T: Send,
+        F: Fn(TeamCtx<'_>, &mut T) + Sync,
+    {
+        assert_eq!(
+            items.len(),
+            self.size,
+            "parallel_mut takes one item per team member"
+        );
+        if let [item] = items {
+            return f(self.member(0), item);
+        }
+        let slots: Vec<Mutex<Option<&mut T>>> = items
+            .iter_mut()
+            .map(|item| Mutex::new(Some(item)))
+            .collect();
+        self.parallel(|ctx| {
+            let item = slots[ctx.tid].lock().take();
+            f(ctx, item.expect("a member takes its item once per region"));
+        });
+    }
+
+    /// Member `tid`'s context for a region.
+    fn member(&self, tid: usize) -> TeamCtx<'_> {
+        TeamCtx {
+            tid,
+            size: self.size,
+            shared: &self.shared,
+        }
     }
 }
 
@@ -209,8 +262,13 @@ fn worker_loop(tid: usize, size: usize, shared: &Shared) {
         // SAFETY: see `JobPtr` — the master keeps the closure alive until
         // `running` drops to zero, which happens strictly after this call.
         let f = unsafe { &*job.0 };
-        f(TeamCtx { tid, size, shared });
+        // A panic ends this member's share like a return: `running` still
+        // drops, and the master re-raises the payload once it is zero.
+        let ran = panic::catch_unwind(AssertUnwindSafe(|| f(TeamCtx { tid, size, shared })));
         let mut st = shared.state.lock();
+        if let Err(payload) = ran {
+            st.panic.get_or_insert(payload);
+        }
         st.running -= 1;
         if st.running == 0 {
             shared.done.notify_one();
@@ -316,7 +374,7 @@ pub fn chunk_owner(total: usize, parts: usize, i: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
     #[test]
     fn parallel_runs_every_member_once() {
@@ -374,11 +432,10 @@ mod tests {
     #[test]
     fn critical_section_is_mutually_exclusive() {
         let team = ThreadTeam::new(4);
-        // Non-atomic counter protected only by the critical section; a data
-        // race would be UB, so we use a Cell-in-Mutex-free pattern via
-        // unsafe-free atomics check: emulate with unsynchronized-looking
-        // read-modify-write through an atomic using separate load/store,
-        // which loses updates unless mutual exclusion holds.
+        // A read-modify-write split into a separate load and store: without
+        // mutual exclusion, two members interleaving between the load and
+        // the store lose an update. Atomics keep the race free of undefined
+        // behaviour; only the critical section keeps the count exact.
         let counter = AtomicUsize::new(0);
         team.parallel(|ctx| {
             for _ in 0..500 {
@@ -475,5 +532,123 @@ mod tests {
             team.parallel(|_| {});
             drop(team);
         }
+    }
+
+    #[test]
+    fn parallel_mut_hands_each_member_its_own_element_once() {
+        for size in 1..=4 {
+            let team = ThreadTeam::new(size);
+            let mut items: Vec<(usize, u32)> = vec![(usize::MAX, 0); size];
+            for _ in 0..10 {
+                team.parallel_mut(&mut items, |ctx, item| {
+                    assert_eq!(ctx.size(), size);
+                    item.0 = ctx.tid();
+                    item.1 += 1;
+                });
+            }
+            let want: Vec<(usize, u32)> = (0..size).map(|tid| (tid, 10)).collect();
+            assert_eq!(items, want, "team of {size}");
+        }
+    }
+
+    #[test]
+    fn parallel_mut_on_a_team_of_one_runs_inline() {
+        let team = ThreadTeam::new(1);
+        let mut ran_on = [None];
+        team.parallel_mut(&mut ran_on, |ctx, slot| {
+            assert!(ctx.is_master());
+            *slot = Some(std::thread::current().id());
+        });
+        assert_eq!(ran_on, [Some(std::thread::current().id())]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one item per team member")]
+    fn parallel_mut_rejects_a_length_mismatch() {
+        let team = ThreadTeam::new(3);
+        team.parallel_mut(&mut [0u8; 2], |_, _| {});
+    }
+
+    /// Runs `f` on a thread of its own and returns its result, failing the
+    /// test instead of hanging it when `f` has not returned within 10 s (the
+    /// hung thread is then left behind: it cannot be joined).
+    fn within_deadline<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> R {
+        use std::sync::mpsc::RecvTimeoutError;
+        let (tx, rx) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(10)) {
+            Ok(out) => {
+                runner.join().expect("the runner returned a result");
+                out
+            }
+            Err(RecvTimeoutError::Disconnected) => {
+                panic::resume_unwind(runner.join().expect_err("the runner panicked"))
+            }
+            Err(RecvTimeoutError::Timeout) => panic!("the team hung (no return within 10 s)"),
+        }
+    }
+
+    /// Whether a region counts every member once.
+    fn runs_a_region(team: &ThreadTeam) -> bool {
+        let hits = AtomicUsize::new(0);
+        team.parallel(|_| {
+            hits.fetch_add(1, Ordering::SeqCst);
+        });
+        hits.into_inner() == team.size()
+    }
+
+    #[test]
+    fn a_worker_panic_is_raised_on_the_caller() {
+        let (caught, still_runs) = within_deadline(|| {
+            let team = ThreadTeam::new(2);
+            let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+                team.parallel(|ctx| {
+                    if !ctx.is_master() {
+                        panic!("worker failed");
+                    }
+                });
+            }));
+            let message = caught
+                .err()
+                .and_then(|payload| payload.downcast_ref::<&str>().map(|s| s.to_string()));
+            (message, runs_a_region(&team))
+        });
+        assert_eq!(caught.as_deref(), Some("worker failed"));
+        assert!(still_runs, "the team must run the next region");
+    }
+
+    #[test]
+    fn a_master_panic_unwinds_only_after_the_workers_leave() {
+        /// Raises its flag when dropped: on the master, once it unwinds.
+        struct RaiseOnDrop<'a>(&'a AtomicBool);
+        impl Drop for RaiseOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+        let (counted, still_runs) = within_deadline(|| {
+            let team = ThreadTeam::new(2);
+            let (unwinding, counter) = (AtomicBool::new(false), AtomicUsize::new(0));
+            let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+                team.parallel(|ctx| {
+                    if ctx.is_master() {
+                        let _unwinding = RaiseOnDrop(&unwinding);
+                        panic!("master failed");
+                    }
+                    // The worker is still in the region after the master
+                    // has started unwinding.
+                    while !unwinding.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    counter.fetch_add(1, Ordering::SeqCst);
+                });
+            }));
+            assert!(caught.is_err(), "the master's panic must reach the caller");
+            (counter.load(Ordering::SeqCst), runs_a_region(&team))
+        });
+        assert_eq!(counted, 1, "the worker finished before the region unwound");
+        assert!(still_runs, "the team must run the next region");
     }
 }

@@ -60,6 +60,10 @@
 //! and replay to completion — the final trace is bit-identical to a run
 //! that never crashed ([`runner::run_surviving`]).
 
+// Team threads own their cores by construction (`engine`'s `Shard`s, cut
+// by `tn_core::CorePool::split`), so nothing here needs `unsafe`.
+#![forbid(unsafe_code)]
+
 pub mod batched;
 pub mod checkpoint;
 pub mod engine;

@@ -55,7 +55,7 @@ pub use kernel::{
     NEURON_DENSE_MIN_VISITS, SYNAPSE_KERNEL_MIN_DUE, SYNAPSE_KERNEL_MIN_EVENTS,
 };
 pub use neuron::{NeuronConfig, ResetMode};
-pub use pool::{CorePool, KernelStats, PoolShards, PoolSlice};
+pub use pool::{CorePool, KernelStats, PoolSlice};
 pub use prng::CorePrng;
 pub use snapshot::{SnapshotError, CORE_SNAPSHOT_BYTES};
 pub use spike::{Spike, SpikeTarget, SPIKE_WIRE_BYTES};

@@ -16,8 +16,8 @@
 //! absent target means.
 //!
 //! A tick only reads the table, so a [`TableView`] over any slot range is
-//! plain sub-slicing of shared references: handing one to every thread of
-//! a team takes no `unsafe`, whatever ranges the threads hold.
+//! plain sub-slicing of shared references: every piece of a
+//! `CorePool::split` holds one, and any number of them may overlap.
 
 use crate::config::{CoreConfig, CoreConfigError};
 use crate::kernel::{DenseLanes, NeuronMask, SynapseRows, TypeSet, EMPTY_MASK};

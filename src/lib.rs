@@ -14,13 +14,9 @@
 //!   §VII synthetic real-time workload.
 //! * [`primitives`] — the functional-primitive circuit library §IV
 //!   envisions for application building.
-//! * [`c2`] — a C2-style baseline simulator (per-synapse records,
-//!   Izhikevich neurons, flat parallelism) for the paper's §I
-//!   Compass-vs-C2 comparison.
 //!
 //! See `examples/quickstart.rs` for a five-minute tour.
 
-pub use compass_c2_baseline as c2;
 pub use compass_cocomac as cocomac;
 pub use compass_comm as comm;
 pub use compass_pcc as pcc;

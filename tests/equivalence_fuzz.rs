@@ -132,11 +132,8 @@ proptest! {
 
     /// Random models must match a reference that shares *no* engine code
     /// paths with the parallel simulator. `SoloSimulation` serves as that
-    /// oracle (the `c2-baseline` crate cannot: it simulates Izhikevich
-    /// floating-point neurons, a deliberately different neuron model, so
-    /// its traces are not comparable to TrueNorth's integer ILF dynamics).
-    /// On failure, proptest shrinks the recipe vectors toward the minimal
-    /// failing model.
+    /// oracle. On failure, proptest shrinks the recipe vectors toward the
+    /// minimal failing model.
     #[test]
     fn random_models_match_the_solo_reference(
         n_cores in 2u64..5,
