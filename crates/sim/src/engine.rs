@@ -25,6 +25,14 @@
 //! global barrier commits the epoch, and the incoming windows are drained —
 //! no Reduce-scatter, no tag matching.
 //!
+//! A rank alone in its world — the view's one member, with crash survival
+//! off — runs neither: no other rank can send it a message or owe it a
+//! verdict, so the flags round's answer is its own contribution (zero: a
+//! rank's spikes to itself never leave it), the commit and the drain have
+//! nothing to order or read, and the audit's rollback vote is its own
+//! vote. The one-rank tick is collective-free, and the transport metrics
+//! record no collective and no barrier for it.
+//!
 //! # Thread ownership
 //!
 //! The paper assigns disjoint core sets to OpenMP threads precisely so the
@@ -107,7 +115,7 @@ use std::borrow::Borrow;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-use tn_core::{CoreConfig, CorePool, PoolSlice, Spike, CORE_AXONS, CORE_SNAPSHOT_BYTES};
+use tn_core::{snapshot, CoreConfig, CorePool, PoolSlice, Spike, CORE_AXONS, CORE_SNAPSHOT_BYTES};
 
 /// Which communication model drives the Network phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -509,6 +517,26 @@ impl<'p> Shards<'p> {
     }
 }
 
+/// `ck`'s core blobs in slot order, each checked to count the
+/// checkpoint's boundary as its ticks. A pool keeps one tick clock, which
+/// every restore sets (see `tn_core`'s pool docs): blobs that disagreed
+/// would leave every core reporting the last one's count, so a restore
+/// takes its blobs from here.
+///
+/// # Panics
+/// On the first blob whose tick count is not `ck.start_tick()`.
+fn boundary_blobs(ck: &RankCheckpoint) -> impl Iterator<Item = &[u8]> {
+    let boundary = u64::from(ck.start_tick());
+    ck.core_blobs().enumerate().map(move |(k, blob)| {
+        let ticks = snapshot::ticks(blob);
+        assert_eq!(
+            ticks, boundary,
+            "core blob {k} counts {ticks} ticks, but its checkpoint is at tick {boundary}"
+        );
+        blob
+    })
+}
+
 /// Everything the receive paths share — team regions borrow it immutably,
 /// the master uses it between regions: where a spike goes, what a received
 /// message contains, and the collectives of the (possibly degraded) world.
@@ -522,6 +550,9 @@ struct Wire<'a> {
     /// Crash survival armed ([`RecoveryPolicy::survive_crashes`]): replica
     /// frames ride the data channel and death verdicts are collected.
     survive: bool,
+    /// The view's one member, with crash survival off: every collective is
+    /// the identity, so none is run (see the module docs).
+    alone: bool,
     /// The reliable-delivery layer, consulted even without a recovery
     /// policy — it then heals what it can and panics on what it cannot.
     rely: Option<&'a ReliableWorld>,
@@ -622,9 +653,14 @@ impl Wire<'_> {
 
     // Degraded-mode collectives: with an identity view these are the
     // ordinary full-world operations (bit-identical to the fault-free
-    // engine); after a death they run among the survivors only.
+    // engine); after a death they run among the survivors only. A rank
+    // alone runs none: the sum or the maximum over one member is its own
+    // contribution.
 
     fn rs_sum(&self, contrib: &[u64]) -> u64 {
+        if self.alone {
+            return contrib[self.me];
+        }
         self.timed_collective(|| {
             if self.view.is_identity() {
                 self.ctx.comm().reduce_scatter_sum(contrib)
@@ -637,10 +673,27 @@ impl Wire<'_> {
     }
 
     fn ar_max(&self, v: u64) -> u64 {
-        if self.view.is_identity() {
+        if self.alone {
+            v
+        } else if self.view.is_identity() {
             self.ctx.comm().allreduce_max(v)
         } else {
             self.ctx.comm().allreduce_max_among(self.view.members(), v)
+        }
+    }
+
+    /// The PGAS epoch's commit barrier; a rank alone put nothing and has
+    /// no one to wait for.
+    fn commit(&self) {
+        if !self.alone {
+            self.timed_collective(|| self.ctx.pgas().commit());
+        }
+    }
+
+    /// Hands every committed PGAS window to `f`; a rank alone has none.
+    fn drain(&self, f: impl FnMut(Rank, &[u8])) {
+        if !self.alone {
+            self.ctx.pgas().drain(f);
         }
     }
 
@@ -710,8 +763,9 @@ pub fn run_rank(
 /// # Panics
 /// In addition to [`run_rank`]'s configuration panics, panics when
 /// [`RunOptions::resume`] carries a checkpoint for a different rank, a
-/// different core count, or corrupt core blobs — resuming against the
-/// wrong model is a harness bug, not a runtime condition.
+/// different core count, corrupt core blobs, or a blob whose tick count
+/// is not the checkpoint's boundary — resuming against the wrong model is
+/// a harness bug, not a runtime condition.
 pub fn run_rank_with(
     ctx: &RankCtx,
     partition: &Partition,
@@ -787,7 +841,7 @@ pub fn run_rank_view(
                 "checkpoint core count does not match this rank's block"
             );
             let mut full = pool.full();
-            for (k, blob) in ck.core_blobs().enumerate() {
+            for (k, blob) in boundary_blobs(ck).enumerate() {
                 full.restore(k, blob)
                     .expect("checkpoint rejected by core restore");
             }
@@ -993,6 +1047,7 @@ impl<'a> TickLoop<'a> {
                 me,
                 n_local,
                 survive,
+                alone: view.members().len() == 1 && !survive,
                 rely,
                 mirror: Mutex::new(None),
                 collective_ns: AtomicU64::new(0),
@@ -1506,7 +1561,8 @@ impl<'a> TickLoop<'a> {
     }
 
     /// MPI Network phase: the master's Reduce-scatter of send flags tells
-    /// each rank how many messages to expect, overlapped with the workers
+    /// each rank how many messages to expect (a rank alone expects none
+    /// without asking, see [`Wire::rs_sum`]), overlapped with the workers
     /// routing local spikes; then all threads take turns receiving — the
     /// receive itself sits in a critical section, routing/delivery does
     /// not.
@@ -1577,7 +1633,9 @@ impl<'a> TickLoop<'a> {
     /// straight into the remote rank's window and one global barrier
     /// commits the epoch, overlapped with the workers routing local
     /// spikes; then the master drains the incoming windows — no
-    /// Reduce-scatter, no tag matching, no probe.
+    /// Reduce-scatter, no tag matching, no probe. A rank alone puts
+    /// nothing and has no window to read, so it neither commits nor
+    /// drains.
     fn network_pgas(&mut self) -> Option<Rank> {
         let t = self.t;
         let (ctx, cfg, wire) = (self.ctx, self.cfg, &self.wire);
@@ -1597,7 +1655,7 @@ impl<'a> TickLoop<'a> {
                         puts.fetch_add(1, Ordering::Relaxed);
                     }
                 }
-                wire.timed_collective(|| ctx.pgas().commit());
+                wire.commit();
             } else if overlapped {
                 for &record in &local[static_chunk(local.len(), tc.size() - 1, tid - 1)] {
                     shard.route(Delivery::of(record, t), n_local);
@@ -1615,7 +1673,7 @@ impl<'a> TickLoop<'a> {
         for buf in &mut self.agg {
             buf.clear();
         }
-        ctx.pgas().drain(|src, bytes| {
+        wire.drain(|src, bytes| {
             wire.message_spikes(src, bytes, t, |d| lander.land(d));
         });
         None // the PGAS verdict comes from the boundary's heartbeat round
@@ -1693,7 +1751,7 @@ impl<'a> TickLoop<'a> {
             .newest()
             .expect("starting tick is always snapshotted");
         let back_to = ck.start_tick();
-        self.shards.restore(ck.core_blobs());
+        self.shards.restore(boundary_blobs(ck));
         self.truncate_history(back_to);
         self.input_cursor = self.inputs.partition_point(|&(tick, _, _)| tick < back_to);
         self.report.replayed_ticks += u64::from(t + 1 - back_to);
@@ -1736,8 +1794,8 @@ impl<'a> TickLoop<'a> {
                         ctx.pgas().put_flush(dst, &held);
                     }
                 }
-                ctx.pgas().commit();
-                ctx.pgas().drain(|src, bytes| {
+                wire.commit();
+                wire.drain(|src, bytes| {
                     wire.message_spikes(src, bytes, t, |d| lander.land(d));
                 });
             }
@@ -2521,6 +2579,42 @@ mod tests {
         });
         let mut ck = victims[0].checkpoint.clone().unwrap();
         ck.rank = 1; // forge a cross-rank restore
+        run_model_with(&model, WorldConfig::flat(1), engine, move |_| RunOptions {
+            resume: Some(ck.clone()),
+            ..RunOptions::default()
+        });
+    }
+
+    /// A checkpoint taken at tick 5 of a two-core rank, its second blob
+    /// forged to count one tick more than the boundary.
+    fn checkpoint_off_its_boundary() -> (NetworkModel, EngineConfig, RankCheckpoint) {
+        let model = NetworkModel::relay_ring(2, 1, 0);
+        let engine = EngineConfig {
+            ticks: 20,
+            ..Default::default()
+        };
+        let victims = run_model_with(&model, WorldConfig::flat(1), engine, |_| RunOptions {
+            checkpoint_at: Some(5),
+            ..RunOptions::default()
+        });
+        let mut ck = victims[0].checkpoint.clone().unwrap();
+        snapshot::advance_ticks(&mut ck.blob[CORE_SNAPSHOT_BYTES..], 1);
+        (model, engine, ck)
+    }
+
+    #[test]
+    #[should_panic(expected = "core blob 1 counts 6 ticks, but its checkpoint is at tick 5")]
+    fn a_blob_off_its_checkpoints_boundary_is_refused() {
+        let (_, _, ck) = checkpoint_off_its_boundary();
+        boundary_blobs(&ck).for_each(drop);
+    }
+
+    #[test]
+    #[should_panic(expected = "rank panicked")]
+    fn resuming_off_its_checkpoints_boundary_is_rejected() {
+        // The pool's one clock would read the last blob's count for every
+        // core; the resume refuses the checkpoint instead.
+        let (model, engine, ck) = checkpoint_off_its_boundary();
         run_model_with(&model, WorldConfig::flat(1), engine, move |_| RunOptions {
             resume: Some(ck.clone()),
             ..RunOptions::default()
