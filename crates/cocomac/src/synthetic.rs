@@ -45,26 +45,40 @@ impl Default for SyntheticParams {
     }
 }
 
+impl SyntheticParams {
+    /// Whether [`synthetic_realtime`] can build these parameters.
+    ///
+    /// # Errors
+    /// The first degenerate parameter, in words: zero cores or ranks, a
+    /// rate outside 1..=1000, a fraction outside \[0,1\], or fewer cores
+    /// than ranks when any remote traffic is requested.
+    pub fn check(&self) -> Result<(), &'static str> {
+        if self.cores == 0 || self.ranks == 0 {
+            return Err("degenerate size");
+        }
+        if !(1..=1000).contains(&self.rate_hz) {
+            return Err("rate must be 1..=1000 Hz");
+        }
+        if !(0.0..=1.0).contains(&self.local_fraction) {
+            return Err("fraction outside [0,1]");
+        }
+        if self.local_fraction < 1.0 && self.ranks > 1 && self.cores < self.ranks as u64 {
+            return Err("remote traffic needs at least one core per rank");
+        }
+        Ok(())
+    }
+}
+
 /// Builds the synthetic system.
 ///
 /// # Panics
-/// Panics if parameters are degenerate (zero cores/ranks, rate outside
-/// 1..=1000, fraction outside \[0,1\], or fewer cores than ranks when any
-/// remote traffic is requested).
+/// Panics with [`SyntheticParams::check`]'s reason if the parameters are
+/// degenerate.
 pub fn synthetic_realtime(p: SyntheticParams) -> NetworkModel {
-    assert!(p.cores > 0 && p.ranks > 0, "degenerate size");
-    assert!((1..=1000).contains(&p.rate_hz), "rate must be 1..=1000 Hz");
-    assert!(
-        (0.0..=1.0).contains(&p.local_fraction),
-        "fraction outside [0,1]"
-    );
-    let partition = Partition::uniform(p.cores, p.ranks);
-    if p.local_fraction < 1.0 && p.ranks > 1 {
-        assert!(
-            p.cores >= p.ranks as u64,
-            "remote traffic needs at least one core per rank"
-        );
+    if let Err(reason) = p.check() {
+        panic!("{reason}");
     }
+    let partition = Partition::uniform(p.cores, p.ranks);
     let period = 1000 / p.rate_hz;
     let local_cut = (p.local_fraction * 256.0).round() as usize;
 
@@ -201,6 +215,49 @@ mod tests {
         for (x, y) in a.cores.iter().zip(&b.cores) {
             assert_eq!(x.neurons, y.neurons);
         }
+    }
+
+    #[test]
+    fn check_names_the_first_degenerate_parameter() {
+        let ok = SyntheticParams::default();
+        assert_eq!(ok.check(), Ok(()));
+        let cases = [
+            (SyntheticParams { cores: 0, ..ok }, "degenerate size"),
+            (SyntheticParams { ranks: 0, ..ok }, "degenerate size"),
+            (
+                SyntheticParams {
+                    rate_hz: 1001,
+                    ..ok
+                },
+                "rate must be 1..=1000 Hz",
+            ),
+            (
+                SyntheticParams {
+                    local_fraction: -0.5,
+                    ..ok
+                },
+                "fraction outside [0,1]",
+            ),
+            (
+                SyntheticParams {
+                    cores: 5,
+                    ranks: 7,
+                    ..ok
+                },
+                "remote traffic needs at least one core per rank",
+            ),
+        ];
+        for (params, reason) in cases {
+            assert_eq!(params.check(), Err(reason), "{params:?}");
+        }
+        // All-local traffic needs no core on every rank.
+        let local = SyntheticParams {
+            cores: 5,
+            ranks: 7,
+            local_fraction: 1.0,
+            ..ok
+        };
+        assert_eq!(local.check(), Ok(()));
     }
 
     #[test]

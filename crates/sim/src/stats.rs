@@ -97,8 +97,13 @@ pub struct RankReport {
     /// per-destination aggregation buffers) held at the end of the run —
     /// the allocator footprint the main loop's buffer reuse converges to.
     pub staging_bytes: u64,
-    /// Approximate bytes of core state hosted by this rank (the paper's
-    /// memory axis: 16 GB/node bounded its 16384 cores/node choice).
+    /// The summed `CoreConfig::memory_footprint` of the cores this rank
+    /// instantiated: each compiled config's size as one struct (crossbar
+    /// bits, per-neuron configs, header), the compiler's capacity-planning
+    /// unit (the paper's memory axis: 16 GB/node bounded its 16384
+    /// cores/node choice). It is not what the rank keeps resident — the
+    /// pool's arenas, with equal consecutive crossbars and neuron
+    /// parameters stored once, are `CorePool::resident_bytes`.
     pub memory_bytes: u64,
     /// Spikes still waiting in delay buffers when the run ended.
     pub spikes_in_flight: u64,

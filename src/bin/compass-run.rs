@@ -56,6 +56,14 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
+/// `value` as the number option `name` takes, or the usage error.
+fn number<T: std::str::FromStr>(name: &str, value: String) -> Result<T, ExitCode> {
+    value.parse().map_err(|_| {
+        eprintln!("compass-run: {name} takes an unsigned integer in range, got '{value}'");
+        usage()
+    })
+}
+
 fn parse() -> Result<Opts, ExitCode> {
     let mut o = Opts {
         workload: None,
@@ -82,21 +90,11 @@ fn parse() -> Result<Opts, ExitCode> {
         match a.as_str() {
             "--workload" => o.workload = Some(next("--workload")?),
             "--model" => o.model = Some(next("--model")?),
-            "--cores" => {
-                o.cores = next("--cores")?.parse().map_err(|_| usage())?;
-            }
-            "--ranks" => {
-                o.ranks = next("--ranks")?.parse().map_err(|_| usage())?;
-            }
-            "--threads" => {
-                o.threads = next("--threads")?.parse().map_err(|_| usage())?;
-            }
-            "--ticks" => {
-                o.ticks = next("--ticks")?.parse().map_err(|_| usage())?;
-            }
-            "--seed" => {
-                o.seed = next("--seed")?.parse().map_err(|_| usage())?;
-            }
+            "--cores" => o.cores = number("--cores", next("--cores")?)?,
+            "--ranks" => o.ranks = number("--ranks", next("--ranks")?)?,
+            "--threads" => o.threads = number("--threads", next("--threads")?)?,
+            "--ticks" => o.ticks = number("--ticks", next("--ticks")?)?,
+            "--seed" => o.seed = number("--seed", next("--seed")?)?,
             "--backend" => {
                 o.backend = match next("--backend")?.as_str() {
                     "mpi" => Backend::Mpi,
@@ -121,8 +119,8 @@ fn parse() -> Result<Opts, ExitCode> {
         eprintln!("compass-run: give exactly one of --workload or --model");
         return Err(usage());
     }
-    if o.ranks == 0 || o.threads == 0 {
-        eprintln!("compass-run: ranks and threads must be at least 1");
+    if o.cores == 0 || o.ranks == 0 || o.threads == 0 {
+        eprintln!("compass-run: cores, ranks and threads must be at least 1");
         return Err(usage());
     }
     if o.resume && o.checkpoint_dir.is_none() {
@@ -289,19 +287,28 @@ fn main() -> ExitCode {
                 }
             }
             "synthetic" => {
-                let model = synthetic_realtime(SyntheticParams {
+                let params = SyntheticParams {
                     cores: opts.cores,
                     ranks: opts.ranks,
                     local_fraction: 0.75,
                     rate_hz: 10,
                     seed: opts.seed,
-                });
+                };
+                if let Err(reason) = params.check() {
+                    eprintln!(
+                        "compass-run: cannot build the synthetic system on {} cores \
+                         over {} ranks: {reason}",
+                        opts.cores, opts.ranks
+                    );
+                    return ExitCode::FAILURE;
+                }
+                let model = synthetic_realtime(params);
                 if let Err(code) = execute(&model, world, &engine, &opts) {
                     return code;
                 }
             }
             "ring" => {
-                let model = NetworkModel::relay_ring(opts.cores.max(1), 16, opts.seed);
+                let model = NetworkModel::relay_ring(opts.cores, 16, opts.seed);
                 if let Err(code) = execute(&model, world, &engine, &opts) {
                     return code;
                 }
