@@ -25,6 +25,7 @@
 use compass::cocomac::{macaque_network, synthetic_realtime, SyntheticParams};
 use compass::comm::{World, WorldConfig};
 use compass::pcc::{compile, expanded, region_activity};
+use compass::sim::route::{MAX_CORES_PER_RANK, MAX_RANKS};
 use compass::sim::{
     run, run_durable, run_rank, Backend, CheckpointStore, DurabilityPolicy, EngineConfig,
     NetworkModel, RunReport,
@@ -137,6 +138,41 @@ fn parse() -> Result<Opts, ExitCode> {
     Ok(o)
 }
 
+/// Refuses, before anything is sized by them, the ranks, cores and threads
+/// a run cannot hold: more ranks than a spike record can name, more cores
+/// on one rank (an even split of `cores`, which `what` says where it came
+/// from) than it can index, or more threads than the largest rank has
+/// cores — a thread with no core does no work. Inside these bounds a size
+/// can still exceed the host's memory.
+fn check_sizes(opts: &Opts, cores: u64, what: &str) -> Result<(), ExitCode> {
+    let refuse = |reason: String| {
+        eprintln!("compass-run: {reason}");
+        usage()
+    };
+    if opts.ranks > MAX_RANKS {
+        return Err(refuse(format!(
+            "--ranks {} exceeds {MAX_RANKS}, the most ranks a spike record can address",
+            opts.ranks
+        )));
+    }
+    let largest = cores.div_ceil(opts.ranks as u64);
+    if largest > MAX_CORES_PER_RANK {
+        return Err(refuse(format!(
+            "{what} over --ranks {} puts {largest} cores on one rank; a spike record \
+             addresses at most {MAX_CORES_PER_RANK} cores a rank",
+            opts.ranks
+        )));
+    }
+    if opts.threads as u64 > largest {
+        return Err(refuse(format!(
+            "--threads {} exceeds {largest}, the largest rank's core count ({what} over \
+             --ranks {}): a thread with no core does no work",
+            opts.threads, opts.ranks
+        )));
+    }
+    Ok(())
+}
+
 /// Runs `model`, either plainly or — when `--checkpoint-dir` was given —
 /// durably, resuming from the store's newest committed generation when
 /// `--resume` allows it. Prints the report on success.
@@ -220,6 +256,11 @@ fn main() -> ExitCode {
         Ok(o) => o,
         Err(code) => return code,
     };
+    if opts.workload.is_some() {
+        if let Err(code) = check_sizes(&opts, opts.cores, &format!("--cores {}", opts.cores)) {
+            return code;
+        }
+    }
     let world = WorldConfig::new(opts.ranks, opts.threads);
     let engine = EngineConfig::new(opts.ticks, opts.backend);
 
@@ -326,6 +367,10 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
+        let what = format!("{path}'s {} cores", model.total_cores());
+        if let Err(code) = check_sizes(&opts, model.total_cores(), &what) {
+            return code;
+        }
         if let Err(code) = execute(&model, world, &engine, &opts) {
             return code;
         }

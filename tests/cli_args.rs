@@ -72,6 +72,58 @@ fn malformed_arguments_exit_with_a_code_and_a_reason_not_a_panic() {
     std::fs::remove_file(garbage).unwrap();
 }
 
+/// Sizes past what a run can hold are refused as usage errors before
+/// anything is allocated: ranks past the spike record's 20-bit rank field,
+/// cores per rank past its 24-bit index field, threads past the largest
+/// rank's core count. Each reason names the option and the bound.
+#[test]
+fn sizes_a_run_cannot_hold_are_refused_before_anything_is_allocated() {
+    let model = scratch("two-cores.cmps");
+    let ring = compass::sim::NetworkModel::relay_ring(2, 16, 1);
+    compass::pcc::expanded::write_file(&ring, &model).unwrap();
+    let model = model.to_str().unwrap();
+    let rows: [(&[&str], &str); 7] = [
+        // Each of these aborted in the allocator or the thread spawner.
+        (
+            &["--workload", "ring", "--cores", "99999999999"],
+            "puts 50000000000 cores on one rank",
+        ),
+        (
+            &["--workload", "ring", "--ranks", "99999999"],
+            "--ranks 99999999 exceeds 1048576",
+        ),
+        (
+            &["--workload", "ring", "--threads", "99999999"],
+            "--threads 99999999 exceeds 154",
+        ),
+        // One past each bound.
+        (
+            &["--workload", "ring", "--ranks", "1048577"],
+            "--ranks 1048577 exceeds 1048576",
+        ),
+        (
+            &["--workload", "ring", "--cores", "16777217", "--ranks", "1"],
+            "--cores 16777217 over --ranks 1 puts 16777217 cores on one rank; a spike record addresses at most 16777216",
+        ),
+        (
+            &["--workload", "synthetic", "--cores", "4", "--ranks", "2", "--threads", "3"],
+            "--threads 3 exceeds 2, the largest rank's core count",
+        ),
+        (
+            &["--model", model, "--ranks", "1", "--threads", "3"],
+            "--threads 3 exceeds 2, the largest rank's core count",
+        ),
+    ];
+    for (args, reason) in rows {
+        let (exit, stderr) = compass_run(args);
+        assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+        assert!(stderr.starts_with("compass-run: "), "{args:?}: {stderr}");
+        assert!(stderr.contains(reason), "{args:?}: {stderr}");
+        assert_eq!(exit, Some(2), "{args:?}: {stderr}");
+    }
+    std::fs::remove_file(model).unwrap();
+}
+
 /// The control: a well-formed run exits 0 and prints its report.
 #[test]
 fn a_well_formed_run_exits_zero() {
