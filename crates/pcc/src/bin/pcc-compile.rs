@@ -11,15 +11,40 @@
 //! `compass-run` consumption — the offline path §IV warns about, provided
 //! for small models and interchange. Without it, the tool prints the plan
 //! summary (region allocations, balancing diagnostics, wiring statistics).
+//!
+//! Exit codes: 2 for a usage error (including sizes no run can hold), 1
+//! for a request the tool understood but could not carry out.
 
 use compass_comm::{World, WorldConfig};
 use compass_pcc::{compile, expanded, CoreObject};
+use compass_sim::route::{MAX_CORES_PER_RANK, MAX_RANKS};
 use compass_sim::NetworkModel;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!("usage: pcc-compile <model.cob> --cores N [--ranks R] [--out model.cmps]");
     ExitCode::from(2)
+}
+
+/// Refuses, before anything is allocated, a world the simulator could not
+/// address: `compass-run`'s bounds, so every compiled model can be run.
+fn check_sizes(cores: u64, ranks: usize) -> Result<(), String> {
+    if ranks == 0 {
+        return Err("--ranks must be at least 1".into());
+    }
+    if ranks > MAX_RANKS {
+        return Err(format!(
+            "--ranks {ranks} exceeds {MAX_RANKS}, the most ranks a spike record can address"
+        ));
+    }
+    let largest = cores.div_ceil(ranks as u64);
+    if largest > MAX_CORES_PER_RANK {
+        return Err(format!(
+            "--cores {cores} over --ranks {ranks} puts {largest} cores on one rank; a spike \
+             record addresses at most {MAX_CORES_PER_RANK} cores a rank"
+        ));
+    }
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -52,11 +77,16 @@ fn main() -> ExitCode {
             _ => return usage(),
         }
     }
-    let (Some(input), Some(cores)) = (input, cores) else {
+    let Some(input) = input else {
+        eprintln!("pcc-compile: no model file given");
         return usage();
     };
-    if ranks == 0 {
-        eprintln!("pcc-compile: --ranks must be at least 1");
+    let Some(cores) = cores else {
+        eprintln!("pcc-compile: --cores is required");
+        return usage();
+    };
+    if let Err(reason) = check_sizes(cores, ranks) {
+        eprintln!("pcc-compile: {reason}");
         return ExitCode::from(2);
     }
 

@@ -864,8 +864,9 @@ pub fn run_rank_view(
 
     // Instantiate cores into one structure-of-arrays pool (the paper's PCC
     // hands off to Compass the same way: compile, instantiate, free the
-    // compiler structures). The pool copies what it keeps, so borrowed
-    // configs are read in place and owned ones dropped one by one.
+    // compiler structures). The pool copies what it keeps except the
+    // crossbar rows, which it shares with the configs, so borrowed configs
+    // are read in place and owned ones dropped one by one.
     let mut expected_ids = view.blocks_of(me).into_iter().flatten();
     let mut memory_bytes = 0u64;
     let mut pool = CorePool::with_capacity(view.count(me) as usize);

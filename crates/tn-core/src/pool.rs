@@ -2566,6 +2566,61 @@ mod tests {
 
     /// Cuts that do not split the pool are a panic in every build — this
     /// test runs under `--release` too — not a slice past the arenas.
+    /// Neither layout copies a crossbar in: every slot of a pool and of a
+    /// replica batch reads its config's own row block.
+    #[test]
+    fn the_pool_and_a_batch_read_the_configs_own_rows() {
+        let mut configs = vec![gauntlet_config(0), field_config(1, 0)];
+        configs.push(gauntlet_config(2));
+        let mut pool = CorePool::new();
+        for config in &configs {
+            pool.push(config).unwrap();
+        }
+        let batch = crate::ReplicaBatch::new(&configs, 5).unwrap();
+        for (k, config) in configs.iter().enumerate() {
+            let rows = config.crossbar.rows();
+            assert!(
+                std::ptr::eq(pool.table.view().synapse(k).0, rows),
+                "pool slot {k}"
+            );
+            let in_batch = batch.table().view().synapse(k).0;
+            assert!(std::ptr::eq(in_batch, rows), "batch slot {k}");
+        }
+    }
+
+    /// A config edited after it was pushed copies its rows first: the
+    /// pool keeps the bits it was built from and ticks exactly as a pool
+    /// built from an unshared copy of the unedited config.
+    #[test]
+    fn a_config_edited_after_push_leaves_the_pool_unchanged() {
+        let mut config = gauntlet_config(0);
+        let mut pool = CorePool::of_one(&config);
+        let mut unshared = config.clone();
+        unshared.crossbar = Crossbar::from_rows(*config.crossbar.rows());
+        let mut reference = CorePool::of_one(&unshared);
+        let before = *config.crossbar.rows();
+        for a in 0..CORE_AXONS {
+            config.crossbar.set(a, (a * 3) % CORE_NEURONS, true);
+            config.crossbar.set(a, (a * 7) % CORE_NEURONS, false);
+        }
+        config.crossbar.set_row_words(5, [u64::MAX; ROW_WORDS]);
+        assert_ne!(*config.crossbar.rows(), before);
+        assert_eq!(*pool.table.view().synapse(0).0, before);
+        let (mut fed, mut one) = (pool.full(), reference.full());
+        for a in (0u16..256).step_by(3) {
+            fed.deliver(0, a, 1 + u32::from(a) % 7);
+            one.deliver(0, a, 1 + u32::from(a) % 7);
+        }
+        for t in 0..24u32 {
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            fed.tick_slot(0, t, &mut |s| got.push(s));
+            one.tick_slot(0, t, &mut |s| want.push(s));
+            assert_eq!(got, want, "tick {t}");
+            assert_eq!(fed.events(0), one.events(0), "tick {t}");
+        }
+        assert_eq!(pool_bytes(&pool), pool_bytes(&reference));
+    }
+
     #[test]
     fn split_rejects_cuts_that_do_not_split_the_pool_in_release_too() {
         let mut pool = scenario_pool(3);

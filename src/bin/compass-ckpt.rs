@@ -14,7 +14,8 @@
 //! [`compass::sim::run_durable`]) writes. All three subcommands are safe
 //! to run against a live store: readers only ever see committed
 //! generations, and `gc` never removes the newest one or a delta anchor
-//! it still needs.
+//! it still needs. None of them creates a store: a `DIR` that is not an
+//! existing directory is a usage error (exit 2), and nothing is written.
 
 use compass::sim::{CheckpointStore, GenKind};
 use std::process::ExitCode;
@@ -29,6 +30,12 @@ fn usage() -> ExitCode {
 }
 
 fn open(dir: &str) -> Result<CheckpointStore, ExitCode> {
+    // Opening a store creates its directory, which a writer wants and a
+    // maintenance tool must not do to a mistyped path.
+    if !std::path::Path::new(dir).is_dir() {
+        eprintln!("compass-ckpt: {dir} is not an existing directory");
+        return Err(ExitCode::from(2));
+    }
     // Maintenance never needs fsync: it only reads, or deletes files
     // whose loss is already survivable.
     CheckpointStore::open(dir, false).map_err(|e| {

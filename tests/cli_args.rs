@@ -1,6 +1,7 @@
-//! Malformed `compass-run` argument vectors: each is refused with a
-//! structured error and exit code — 2 for a usage error, 1 for a request
-//! the program understood but cannot carry out — and never a panic.
+//! Malformed `compass-run` and `compass-ckpt` argument vectors: each is
+//! refused with a structured error and exit code — 2 for a usage error, 1
+//! for a request the program understood but cannot carry out — and never
+//! a panic.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -134,4 +135,57 @@ fn a_well_formed_run_exits_zero() {
         .expect("compass-run starts");
     assert!(out.status.success(), "{out:?}");
     assert!(String::from_utf8_lossy(&out.stdout).starts_with("cores 2 | ticks 4"));
+}
+
+/// `compass-ckpt` inspects, checks and prunes a store; it never creates
+/// one. Each subcommand refuses a `DIR` that is missing or a regular file
+/// with exit 2 and a `compass-ckpt:` reason, and a missing path is still
+/// missing afterwards. An existing empty directory is an empty store.
+#[test]
+fn compass_ckpt_refuses_a_dir_that_is_not_a_directory_and_creates_nothing() {
+    let ckpt = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_compass-ckpt"))
+            .args(args)
+            .output()
+            .expect("compass-ckpt starts");
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    let missing = scratch("no-store");
+    let file = scratch("not-a-store");
+    std::fs::write(&file, b"not a store").unwrap();
+    for dir in [&missing, &file] {
+        let dir = dir.to_str().unwrap();
+        let vectors: [&[&str]; 4] = [
+            &["inspect", dir],
+            &["fsck", dir],
+            &["gc", dir],
+            &["gc", dir, "--retain", "1"],
+        ];
+        for args in vectors {
+            let (exit, stderr) = ckpt(args);
+            assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+            assert!(stderr.starts_with("compass-ckpt: "), "{args:?}: {stderr}");
+            assert!(
+                stderr.contains("not an existing directory"),
+                "{args:?}: {stderr}"
+            );
+            assert_eq!(exit, Some(2), "{args:?}: {stderr}");
+        }
+    }
+    assert!(
+        !missing.exists(),
+        "compass-ckpt created {}",
+        missing.display()
+    );
+    assert!(file.is_file());
+    std::fs::remove_file(file).unwrap();
+    // The control: an existing empty directory is an empty store.
+    let empty = scratch("empty-store");
+    std::fs::create_dir(&empty).unwrap();
+    let (exit, stderr) = ckpt(&["inspect", empty.to_str().unwrap()]);
+    assert_eq!(exit, Some(0), "{stderr}");
+    std::fs::remove_dir_all(empty).unwrap();
 }
