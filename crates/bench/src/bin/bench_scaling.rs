@@ -55,7 +55,7 @@ Usage: bench_scaling [--max-cores N] [--ticks T] [--out PATH] [--check]
                   clamped down, e.g. --max-cores 5000 sweeps [1024, 2048,
                   4096]. Budgets below 1024 fall back to the merged
                   102-region model.
-  --ticks T       Ticks simulated per run (default 250).
+  --ticks T       Ticks simulated per run, at least 1 (default 250).
   --out PATH      Artifact path (default BENCH_scaling.json).
   --check         Re-read the emitted artifact and validate its schema.
   --help          Print this help.
@@ -103,6 +103,14 @@ fn parse_args() -> Result<Args, ArgError> {
                     flag: "--ticks",
                     problem: format!("{v:?} is not a tick count ({e})"),
                 })?;
+                // No ticks, no rates: every per-tick figure would be
+                // NaN or infinite, which JSON cannot carry.
+                if args.ticks == 0 {
+                    return Err(ArgError {
+                        flag: "--ticks",
+                        problem: "must be at least 1".into(),
+                    });
+                }
             }
             "--out" => args.out = take("--out")?,
             "--check" => args.check = true,

@@ -6,6 +6,9 @@
 //! `bench_scaling --check`, so CI can prove the emitted artifact is
 //! well-formed and carries all five sections of the scaling study.
 
+use tn_core::kernel::{DENSE_FUSED_MIN_INPUTS, LOCKSTEP_MIN_CHAINS};
+use tn_core::{NEURON_DENSE_MIN_VISITS, SYNAPSE_KERNEL_MIN_DUE, SYNAPSE_KERNEL_MIN_EVENTS};
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -259,6 +262,62 @@ fn utf8_len(first: u8) -> usize {
     }
 }
 
+/// Checks that `points` is non-empty and that every point reports each
+/// of `keys` as a finite number.
+fn check_points(section: &str, points: &[Json], keys: &[&str]) -> Result<(), String> {
+    if points.is_empty() {
+        return Err(format!("section {section:?} has no points"));
+    }
+    for (i, p) in points.iter().enumerate() {
+        for key in keys {
+            let v = p
+                .get(key)
+                .and_then(Json::as_num)
+                .ok_or_else(|| format!("{section}[{i}] missing numeric {key:?}"))?;
+            if !v.is_finite() {
+                return Err(format!("{section}[{i}].{key} is not finite"));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The `points` array of object section `section`.
+fn points_of<'a>(root: &'a Json, section: &str) -> Result<&'a [Json], String> {
+    root.get(section)
+        .ok_or_else(|| format!("missing section {section:?}"))?
+        .get("points")
+        .and_then(Json::as_arr)
+        .ok_or_else(|| format!("section {section:?} missing \"points\" array"))
+}
+
+/// The elements of array section `section`, numbered; none if absent.
+fn rows<'a>(root: &'a Json, section: &str) -> impl Iterator<Item = (usize, &'a Json)> {
+    root.get(section)
+        .and_then(Json::as_arr)
+        .unwrap_or_default()
+        .iter()
+        .enumerate()
+}
+
+/// `p.key` as a number, or `default`.
+fn num_or(p: &Json, key: &str, default: f64) -> f64 {
+    p.get(key).and_then(Json::as_num).unwrap_or(default)
+}
+
+/// Checks that `section.key` is present and a number or `null` — a
+/// crossover or threshold the sweep may never reach.
+fn check_nullable(root: &Json, section: &str, key: &str) -> Result<(), String> {
+    let v = root
+        .get(section)
+        .and_then(|s| s.get(key))
+        .ok_or_else(|| format!("section {section:?} missing {key:?}"))?;
+    if !matches!(v, Json::Null | Json::Num(_)) {
+        return Err(format!("{section}.{key} must be a number or null"));
+    }
+    Ok(())
+}
+
 /// The five sections `BENCH_scaling.json` must carry, with the figure
 /// each one miniaturizes and the per-point keys it must report.
 const SECTIONS: [(&str, &[&str]); 5] = [
@@ -333,42 +392,12 @@ pub fn validate_scaling_json(text: &str) -> Result<(), String> {
             .ok_or_else(|| format!("compile section missing numeric {key:?}"))?;
     }
     for (section, required) in SECTIONS {
-        let s = root
-            .get(section)
-            .ok_or_else(|| format!("missing section {section:?}"))?;
-        let points = s
-            .get("points")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("section {section:?} missing \"points\" array"))?;
-        if points.is_empty() {
-            return Err(format!("section {section:?} has no points"));
-        }
-        for (i, p) in points.iter().enumerate() {
-            for key in required {
-                let v = p
-                    .get(key)
-                    .and_then(Json::as_num)
-                    .ok_or_else(|| format!("{section}[{i}] missing numeric {key:?}"))?;
-                if !v.is_finite() {
-                    return Err(format!("{section}[{i}].{key} is not finite"));
-                }
-            }
-        }
+        check_points(section, points_of(&root, section)?, required)?;
     }
     // The crossover and threshold summaries must be present, though each
     // may be null when the sweep never reaches it.
-    for (section, key) in [
-        ("mpi_vs_pgas", "crossover_cores"),
-        ("real_time_threshold", "max_real_time_cores"),
-    ] {
-        let v = root
-            .get(section)
-            .and_then(|s| s.get(key))
-            .ok_or_else(|| format!("section {section:?} missing {key:?}"))?;
-        if !matches!(v, Json::Null | Json::Num(_)) {
-            return Err(format!("{section}.{key} must be a number or null"));
-        }
-    }
+    check_nullable(&root, "mpi_vs_pgas", "crossover_cores")?;
+    check_nullable(&root, "real_time_threshold", "max_real_time_cores")?;
     Ok(())
 }
 
@@ -378,6 +407,7 @@ const KERNEL_ARRAY_SECTIONS: [(&str, &[&str]); 6] = [
     (
         "synapse_kernel",
         &[
+            "types",
             "density",
             "due",
             "events",
@@ -457,8 +487,93 @@ const KERNEL_ARRAY_SECTIONS: [(&str, &[&str]); 6] = [
     ),
 ];
 
-/// Validates the kernels artifact's schema: the dispatch constants, the
-/// Synapse crossover sweep, the Neuron sweep pair, the engine tick loops,
+/// The crossover probes of `BENCH_kernels.json`: each is an object with
+/// a `points` array whose entries report these numeric keys.
+const KERNEL_PROBE_SECTIONS: [(&str, &[&str]); 4] = [
+    (
+        "dense_integrate",
+        &[
+            "visits",
+            "sparse_ns",
+            "fused_ns",
+            "fused_avx2_ns",
+            "masked_input_ns",
+            "auto_input_ns",
+            "masked_restless_ns",
+            "auto_restless_ns",
+            "masked_drawing_ns",
+            "auto_drawing_ns",
+        ],
+    ),
+    (
+        "draw_ahead",
+        &["chains", "baseline_ns", "avx2_ns", "avx2_bmi2_ns"],
+    ),
+    ("take_due", &["due", "vector_ns", "scalar_ns", "speedup"]),
+    (
+        "lane_step",
+        &[
+            "lanes",
+            "all_input_ns",
+            "settling_ns",
+            "saturating_ns",
+            "saturating_over_wrapping",
+        ],
+    ),
+];
+
+/// The measured crossovers the artifact records, each a number or `null`.
+const KERNEL_CROSSOVERS: [(&str, &str); 8] = [
+    ("dispatch", "crossover_events_t1"),
+    ("dispatch", "crossover_events_t4"),
+    ("dense_integrate", "fused_crossover_inputs"),
+    ("dense_integrate", "dense_crossover_input"),
+    ("dense_integrate", "dense_crossover_restless"),
+    ("dense_integrate", "dense_crossover_drawing"),
+    ("draw_ahead", "crossover_chains"),
+    ("take_due", "crossover_due"),
+];
+
+/// The `tn-core` dispatch constants the artifact records beside their
+/// grids: `(section, key, constant, compiled value)`. A constant edited
+/// without regenerating the artifact fails the check.
+const KERNEL_CONSTANTS: [(&str, &str, &str, usize); 5] = [
+    (
+        "dispatch",
+        "min_due",
+        "SYNAPSE_KERNEL_MIN_DUE",
+        SYNAPSE_KERNEL_MIN_DUE,
+    ),
+    (
+        "dispatch",
+        "min_events",
+        "SYNAPSE_KERNEL_MIN_EVENTS",
+        SYNAPSE_KERNEL_MIN_EVENTS,
+    ),
+    (
+        "dense_integrate",
+        "min_visits",
+        "NEURON_DENSE_MIN_VISITS",
+        NEURON_DENSE_MIN_VISITS as usize,
+    ),
+    (
+        "dense_integrate",
+        "fused_min_inputs",
+        "DENSE_FUSED_MIN_INPUTS",
+        DENSE_FUSED_MIN_INPUTS as usize,
+    ),
+    (
+        "draw_ahead",
+        "lockstep_min_chains",
+        "LOCKSTEP_MIN_CHAINS",
+        LOCKSTEP_MIN_CHAINS,
+    ),
+];
+
+/// Validates the kernels artifact's schema: the dispatch constants, each
+/// equal to the compiled one, beside the crossovers their grids measured
+/// (the Synapse sweep, `dense_integrate`, `draw_ahead`), the `take_due`
+/// and `lane_step` probes, the Neuron sweep pair, the engine tick loops,
 /// checkpoint and recovery pricing, degraded-mode rows, the replica
 /// `batched` section (which must report a measured ≥ 1 sessions/sec
 /// throughput per point), and the `durable` checkpoint-store section
@@ -472,12 +587,24 @@ pub fn validate_kernels_json(text: &str) -> Result<(), String> {
     if root.get("bench").and_then(Json::as_str) != Some("kernels") {
         return Err("missing \"bench\": \"kernels\" tag".into());
     }
-    let dispatch = root.get("dispatch").ok_or("missing \"dispatch\" section")?;
-    for key in ["min_due", "min_events"] {
-        dispatch
-            .get(key)
+    for (section, keys) in KERNEL_PROBE_SECTIONS {
+        check_points(section, points_of(&root, section)?, keys)?;
+    }
+    for (section, key, name, compiled) in KERNEL_CONSTANTS {
+        let recorded = root
+            .get(section)
+            .and_then(|s| s.get(key))
             .and_then(Json::as_num)
-            .ok_or_else(|| format!("dispatch section missing numeric {key:?}"))?;
+            .ok_or_else(|| format!("section {section:?} missing numeric {key:?}"))?;
+        if recorded != compiled as f64 {
+            return Err(format!(
+                "{section}.{key} = {recorded}, but {name} is {compiled}: \
+                 regenerate BENCH_kernels.json"
+            ));
+        }
+    }
+    for (section, key) in KERNEL_CROSSOVERS {
+        check_nullable(&root, section, key)?;
     }
     for (section, keys) in [
         (
@@ -504,49 +631,19 @@ pub fn validate_kernels_json(text: &str) -> Result<(), String> {
         let s = root
             .get(section)
             .ok_or_else(|| format!("missing section {section:?}"))?;
-        for key in keys {
-            let v = s
-                .get(key)
-                .and_then(Json::as_num)
-                .ok_or_else(|| format!("{section} missing numeric {key:?}"))?;
-            if !v.is_finite() {
-                return Err(format!("{section}.{key} is not finite"));
-            }
-        }
+        check_points(section, std::slice::from_ref(s), keys)?;
     }
     for (section, required) in KERNEL_ARRAY_SECTIONS {
         let points = root
             .get(section)
             .and_then(Json::as_arr)
             .ok_or_else(|| format!("missing array section {section:?}"))?;
-        if points.is_empty() {
-            return Err(format!("section {section:?} has no points"));
-        }
-        for (i, p) in points.iter().enumerate() {
-            for key in required {
-                let v = p
-                    .get(key)
-                    .and_then(Json::as_num)
-                    .ok_or_else(|| format!("{section}[{i}] missing numeric {key:?}"))?;
-                if !v.is_finite() {
-                    return Err(format!("{section}[{i}].{key} is not finite"));
-                }
-            }
-        }
+        check_points(section, points, required)?;
     }
     // The batched section's throughput claims must be actual measurements,
     // not placeholders.
-    for (i, p) in root
-        .get("batched")
-        .and_then(Json::as_arr)
-        .unwrap_or_default()
-        .iter()
-        .enumerate()
-    {
-        let rate = p
-            .get("sessions_per_s")
-            .and_then(Json::as_num)
-            .unwrap_or(0.0);
+    for (i, p) in rows(&root, "batched") {
+        let rate = num_or(p, "sessions_per_s", 0.0);
         if rate < 1.0 {
             return Err(format!(
                 "batched[{i}].sessions_per_s = {rate} is not a measurement"
@@ -556,31 +653,16 @@ pub fn validate_kernels_json(text: &str) -> Result<(), String> {
     // The elastic section's reason to exist: delta replication must ship
     // measurably fewer bytes per boundary than full payloads, on real
     // migrated cores.
-    for (i, p) in root
-        .get("elastic")
-        .and_then(Json::as_arr)
-        .unwrap_or_default()
-        .iter()
-        .enumerate()
-    {
-        let delta = p
-            .get("delta_bytes_per_boundary")
-            .and_then(Json::as_num)
-            .unwrap_or(f64::INFINITY);
-        let full = p
-            .get("full_bytes_per_boundary")
-            .and_then(Json::as_num)
-            .unwrap_or(0.0);
+    for (i, p) in rows(&root, "elastic") {
+        let delta = num_or(p, "delta_bytes_per_boundary", f64::INFINITY);
+        let full = num_or(p, "full_bytes_per_boundary", 0.0);
         if delta >= full {
             return Err(format!(
                 "elastic[{i}]: delta replicas ship {delta} bytes/boundary, \
                  not less than full's {full}"
             ));
         }
-        let migrated = p
-            .get("migrated_cores")
-            .and_then(Json::as_num)
-            .unwrap_or(0.0);
+        let migrated = num_or(p, "migrated_cores", 0.0);
         if migrated < 1.0 {
             return Err(format!(
                 "elastic[{i}].migrated_cores = {migrated} — the scale-out never moved a core"
@@ -590,27 +672,15 @@ pub fn validate_kernels_json(text: &str) -> Result<(), String> {
     // The durable section's reason to exist: the job must have committed
     // generations on disk, and delta generations must be measurably
     // smaller than the full anchors they diff against.
-    for (i, p) in root
-        .get("durable")
-        .and_then(Json::as_arr)
-        .unwrap_or_default()
-        .iter()
-        .enumerate()
-    {
-        let gens = p.get("generations").and_then(Json::as_num).unwrap_or(0.0);
+    for (i, p) in rows(&root, "durable") {
+        let gens = num_or(p, "generations", 0.0);
         if gens < 1.0 {
             return Err(format!(
                 "durable[{i}].generations = {gens} — the run never committed a generation"
             ));
         }
-        let delta = p
-            .get("delta_bytes_per_generation")
-            .and_then(Json::as_num)
-            .unwrap_or(f64::INFINITY);
-        let full = p
-            .get("full_bytes_per_generation")
-            .and_then(Json::as_num)
-            .unwrap_or(0.0);
+        let delta = num_or(p, "delta_bytes_per_generation", f64::INFINITY);
+        let full = num_or(p, "full_bytes_per_generation", 0.0);
         if delta >= full {
             return Err(format!(
                 "durable[{i}]: delta generations cost {delta} bytes, \
@@ -767,20 +837,71 @@ mod tests {
         for (name, keys) in KERNEL_ARRAY_SECTIONS {
             sections.push_str(&format!(",\n\"{name}\": [{}]", point(keys)));
         }
+        // Each probe object: its points, then its constants and
+        // crossovers as the compiled values and nulls.
+        for (name, keys) in KERNEL_PROBE_SECTIONS {
+            let mut fields = format!("\"points\": [{}]", point(keys));
+            for (section, key, _, compiled) in KERNEL_CONSTANTS {
+                if section == name {
+                    fields.push_str(&format!(", \"{key}\": {compiled}"));
+                }
+            }
+            for (section, key) in KERNEL_CROSSOVERS {
+                if section == name {
+                    fields.push_str(&format!(", \"{key}\": null"));
+                }
+            }
+            sections.push_str(&format!(",\n\"{name}\": {{{fields}}}"));
+        }
         format!(
             "{{\"bench\": \"kernels\", \
-             \"dispatch\": {{\"min_due\": 4, \"min_events\": 256}}, \
+             \"dispatch\": {{\"min_due\": {}, \"min_events\": {}, \
+             \"crossover_events_t1\": 409, \"crossover_events_t4\": null}}, \
              \"neuron_sweep\": {{\"full_ns\": 1, \"masked_ns\": 1, \"speedup\": 1}}, \
              \"checkpoint\": {{\"core_snapshot_bytes\": 3632, \
              \"snapshot_ns_per_core\": 1, \"restore_ns_per_core\": 1}}, \
              \"recovery\": {{\"baseline_ns_per_tick\": 1, \"reliable_ns_per_tick\": 1, \
-             \"armed_ns_per_tick\": 1}}{sections}}}"
+             \"armed_ns_per_tick\": 1}}{sections}}}",
+            SYNAPSE_KERNEL_MIN_DUE, SYNAPSE_KERNEL_MIN_EVENTS,
         )
     }
 
     #[test]
     fn validates_complete_kernels_artifact() {
-        validate_kernels_json(&kernels_skeleton()).unwrap();
+        let full = kernels_skeleton();
+        let root = Json::parse(&full).unwrap();
+        for section in ["dense_integrate", "draw_ahead", "take_due", "lane_step"] {
+            assert!(root.get(section).is_some(), "skeleton lacks {section}");
+        }
+        validate_kernels_json(&full).unwrap();
+    }
+
+    #[test]
+    fn kernels_validator_requires_every_probe_section() {
+        let full = kernels_skeleton();
+        for (name, _) in KERNEL_PROBE_SECTIONS {
+            let e = validate_kernels_json(&full.replace(&format!("\"{name}\""), "\"gone\""))
+                .unwrap_err();
+            assert!(e.contains(name), "{name}: {e}");
+        }
+        // A crossover is a number or null, never a placeholder string.
+        let e = validate_kernels_json(
+            &full.replace("\"crossover_chains\": null", "\"crossover_chains\": \"3\""),
+        )
+        .unwrap_err();
+        assert!(e.contains("crossover_chains"), "{e}");
+    }
+
+    #[test]
+    fn kernels_validator_names_a_constant_that_drifted_from_its_record() {
+        let full = kernels_skeleton();
+        for (_, key, name, compiled) in KERNEL_CONSTANTS {
+            let recorded = format!("\"{key}\": {compiled}");
+            assert!(full.contains(&recorded), "skeleton lacks {recorded}");
+            let edited = full.replace(&recorded, &format!("\"{key}\": {}", compiled + 1));
+            let e = validate_kernels_json(&edited).unwrap_err();
+            assert!(e.contains(name) && e.contains(key), "{key}: {e}");
+        }
     }
 
     #[test]

@@ -1,38 +1,20 @@
-//! Reusable global barriers.
+//! The reusable global barrier.
 //!
 //! §VII-A of the paper reports that the authors "experimented with writing
 //! \[their\] own custom synchronization primitives" (subgroup barriers) but
-//! found the platform-native barrier faster. We keep both families alive so
-//! the ablation bench can reproduce that comparison:
-//!
-//! * [`CentralizedBarrier`] — a mutex/condvar generation barrier, the right
-//!   default on oversubscribed hosts where spinning burns the one core the
-//!   other participants need.
-//! * [`SenseBarrier`] — a classic centralized sense-reversing barrier on
-//!   atomics with a yielding spin, the textbook HPC primitive.
-//!
-//! Both are *reusable*: the same instance synchronizes an unbounded sequence
-//! of episodes, one per simulated tick.
+//! found the platform-native barrier faster. [`CentralizedBarrier`] is the
+//! native kind: a mutex/condvar generation barrier, the right default on
+//! oversubscribed hosts where spinning burns the one core the other
+//! participants need. It is *reusable*: the same instance synchronizes an
+//! unbounded sequence of episodes, one per simulated tick.
 
 use crate::sync::{Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-
-/// A reusable barrier for a fixed set of `n` participants.
-pub trait GlobalBarrier: Send + Sync {
-    /// Blocks until all `n` participants have called `wait` for the current
-    /// episode. Returns `true` on exactly one participant per episode (the
-    /// "leader", by analogy with [`std::sync::BarrierWaitResult`]).
-    fn wait(&self) -> bool;
-
-    /// Number of participants this barrier synchronizes.
-    fn participants(&self) -> usize;
-}
 
 /// Mutex + condvar generation barrier.
 ///
 /// Functionally identical to [`std::sync::Barrier`] but exposes the
-/// participant count and implements [`GlobalBarrier`] so the simulator can
-/// swap barrier implementations for the ablation study.
+/// participant count and lets a participant [`leave`](Self::leave) or
+/// [`join`](Self::join) between episodes.
 #[derive(Debug)]
 pub struct CentralizedBarrier {
     state: Mutex<CentralState>,
@@ -91,10 +73,11 @@ impl CentralizedBarrier {
         let mut st = self.state.lock();
         st.n += 1;
     }
-}
 
-impl GlobalBarrier for CentralizedBarrier {
-    fn wait(&self) -> bool {
+    /// Blocks until all participants have called `wait` for the current
+    /// episode. Returns `true` on exactly one participant per episode (the
+    /// "leader", by analogy with [`std::sync::BarrierWaitResult`]).
+    pub fn wait(&self) -> bool {
         let mut st = self.state.lock();
         st.arrived += 1;
         if st.arrived == st.n {
@@ -111,70 +94,19 @@ impl GlobalBarrier for CentralizedBarrier {
         }
     }
 
-    fn participants(&self) -> usize {
+    /// Number of participants this barrier synchronizes.
+    pub fn participants(&self) -> usize {
         self.state.lock().n
-    }
-}
-
-/// Centralized sense-reversing barrier (atomics + yielding spin).
-///
-/// The last arriver flips the global sense; everyone else spins (with
-/// [`std::thread::yield_now`]) until they observe the flip. Each participant
-/// carries thread-local sense state *inside* the barrier indexed by an
-/// episode counter, so callers need no per-thread handle: the local sense is
-/// derived from the episode parity, which is identical across participants
-/// within an episode by construction.
-#[derive(Debug)]
-pub struct SenseBarrier {
-    n: usize,
-    count: AtomicUsize,
-    sense: AtomicBool,
-}
-
-impl SenseBarrier {
-    /// Creates a barrier for `n >= 1` participants.
-    ///
-    /// # Panics
-    /// Panics if `n == 0`.
-    pub fn new(n: usize) -> Self {
-        assert!(n >= 1, "a barrier needs at least one participant");
-        Self {
-            n,
-            count: AtomicUsize::new(0),
-            sense: AtomicBool::new(false),
-        }
-    }
-}
-
-impl GlobalBarrier for SenseBarrier {
-    fn wait(&self) -> bool {
-        // The sense observed on entry is this episode's "old" sense; the
-        // episode completes when the global sense differs from it.
-        let my_sense = self.sense.load(Ordering::Acquire);
-        if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
-            self.count.store(0, Ordering::Release);
-            self.sense.store(!my_sense, Ordering::Release);
-            true
-        } else {
-            while self.sense.load(Ordering::Acquire) == my_sense {
-                std::thread::yield_now();
-            }
-            false
-        }
-    }
-
-    fn participants(&self) -> usize {
-        self.n
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
-    fn exercise(barrier: Arc<dyn GlobalBarrier>, n: usize, episodes: usize) {
+    fn exercise(barrier: Arc<CentralizedBarrier>, n: usize, episodes: usize) {
         // Each episode: every thread adds its id to a shared sum, barrier,
         // checks the sum is complete, barrier, resets by leader.
         let sum = Arc::new(AtomicU64::new(0));
@@ -208,19 +140,10 @@ mod tests {
     }
 
     #[test]
-    fn sense_barrier_synchronizes_episodes() {
-        exercise(Arc::new(SenseBarrier::new(4)), 4, 50);
-    }
-
-    #[test]
     fn single_participant_is_always_leader() {
         let b = CentralizedBarrier::new(1);
         for _ in 0..10 {
             assert!(b.wait());
-        }
-        let s = SenseBarrier::new(1);
-        for _ in 0..10 {
-            assert!(s.wait());
         }
     }
 
@@ -291,6 +214,5 @@ mod tests {
     #[test]
     fn participants_reported() {
         assert_eq!(CentralizedBarrier::new(5).participants(), 5);
-        assert_eq!(SenseBarrier::new(7).participants(), 7);
     }
 }

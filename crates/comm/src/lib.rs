@@ -42,7 +42,7 @@ pub mod team;
 pub mod torus;
 pub mod world;
 
-pub use barrier::{CentralizedBarrier, GlobalBarrier, SenseBarrier};
+pub use barrier::CentralizedBarrier;
 pub use collectives::Communicator;
 pub use fault::{CrashPlan, FaultInjector, FaultKind, FaultPlan, RankCrash};
 pub use mailbox::{Envelope, Mailbox, MailboxSet, RecvRequest, Tag};

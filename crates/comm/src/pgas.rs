@@ -29,7 +29,7 @@
 //! only after finishing its epoch-`e` drain. The barrier's happens-before
 //! edges therefore totally order every access to each window.
 
-use crate::barrier::{CentralizedBarrier, GlobalBarrier};
+use crate::barrier::CentralizedBarrier;
 use crate::fault::FaultInjector;
 use crate::metrics::TransportMetrics;
 use crate::reliable::ReliableWorld;

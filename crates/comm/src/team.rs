@@ -19,7 +19,7 @@
 //! the caller. (A member waiting at [`TeamCtx::barrier`] for one that
 //! panicked before arriving is not released.)
 
-use crate::barrier::{CentralizedBarrier, GlobalBarrier};
+use crate::barrier::CentralizedBarrier;
 use crate::sync::{Condvar, Mutex};
 use std::any::Any;
 use std::ops::Range;

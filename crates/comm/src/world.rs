@@ -376,7 +376,6 @@ impl World {
                             rely,
                             membership,
                         };
-                        use crate::barrier::GlobalBarrier;
                         start_line.wait();
                         f(&ctx)
                     })

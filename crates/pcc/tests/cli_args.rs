@@ -30,9 +30,14 @@ fn malformed_arguments_and_inputs_exit_with_a_code_and_a_reason_not_a_panic() {
     let garbage = scratch("garbage.cob");
     std::fs::write(&garbage, "region ??? not a directive\n").unwrap();
     let missing = scratch("missing.cob");
+    let not_utf8 = scratch("not-utf8.cob");
+    std::fs::write(&not_utf8, b"region A\xff class=cortical volume=1\n").unwrap();
+    let empty = scratch("empty.cob");
+    std::fs::write(&empty, "").unwrap();
     let (garbage, missing) = (garbage.to_str().unwrap(), missing.to_str().unwrap());
+    let (not_utf8, empty) = (not_utf8.to_str().unwrap(), empty.to_str().unwrap());
     // (arguments, exit code, a phrase the reason must contain)
-    let rows: [(&[&str], i32, &str); 6] = [
+    let rows: [(&[&str], i32, &str); 8] = [
         (
             &[demo, "--cores", "99999999999"],
             2,
@@ -46,6 +51,8 @@ fn malformed_arguments_and_inputs_exit_with_a_code_and_a_reason_not_a_panic() {
         (&[demo, "--cores", "0"], 1, "planning failed"),
         (&[missing, "--cores", "4"], 1, "cannot read"),
         (&[garbage, "--cores", "4"], 1, "line 1"),
+        (&[not_utf8, "--cores", "4"], 1, "cannot read"),
+        (&[empty, "--cores", "4"], 1, "no regions"),
         (&[demo], 2, "--cores is required"),
     ];
     for (args, code, reason) in rows {
@@ -55,7 +62,9 @@ fn malformed_arguments_and_inputs_exit_with_a_code_and_a_reason_not_a_panic() {
         assert!(stderr.contains(reason), "{args:?}: {stderr}");
         assert_eq!(exit, Some(code), "{args:?}: {stderr}");
     }
-    std::fs::remove_file(garbage).unwrap();
+    for file in [garbage, not_utf8, empty] {
+        std::fs::remove_file(file).unwrap();
+    }
 }
 
 #[test]

@@ -1203,12 +1203,14 @@ impl<'a> TickLoop<'a> {
         // death in the shared membership table and wakes every blocked
         // receiver, so survivor heartbeat rounds for this tick return a
         // verdict instead of hanging — the in-process stand-in for a
-        // process abort detected by a failure detector.
+        // process abort detected by a failure detector. It unwinds with
+        // the crash as payload without calling the panic hook: a planned
+        // death prints no panic report.
         if let Some(plan) = &self.opts.crash {
             if plan.rank == me && plan.at_tick == t {
                 self.ctx.membership().mark_dead(me);
                 self.ctx.comm().mailboxes().wake_all();
-                std::panic::panic_any(RankCrash { rank: me, tick: t });
+                std::panic::resume_unwind(Box::new(RankCrash { rank: me, tick: t }));
             }
         }
 

@@ -55,7 +55,7 @@ pub const COUNT_PLANES: usize = 9;
 ///
 /// See [`SYNAPSE_KERNEL_MIN_EVENTS`] for the measured crossover; this
 /// floor just keeps the predicate out of the degenerate 1–3-row regime
-/// the sweep in `benches/micro.rs` does not cover.
+/// the `synapse_kernel` grid of `BENCH_kernels.json` does not cover.
 pub const SYNAPSE_KERNEL_MIN_DUE: usize = 4;
 
 /// Minimum total synaptic events (= summed crossbar fan-out of the due
@@ -67,10 +67,12 @@ pub const SYNAPSE_KERNEL_MIN_DUE: usize = 4;
 /// up to seven rows of a type's remainder) plus a flat ≈ 130 ns per type
 /// in play — an accumulator to clear, total and materialize, whatever it
 /// holds — so the crossover tracks total events and the number of
-/// accumulators, not due count or density alone. Measured with
-/// `cargo bench -p compass-bench --bench micro -- synapse_fold` over
-/// density {5, 25, 50, 100} % × due {4..256} with the due axons on one
-/// type and cycling through all four (ns per call, walk → fold, the
+/// accumulators, not due count or density alone. `bench_json` measures
+/// it over density {5, 25, 50, 100} % × due {4..256} with the due axons
+/// on one type and cycling through all four (`BENCH_kernels.json`:
+/// the `synapse_kernel` points, and in `dispatch` this constant beside
+/// the first event count at which the fold won, per number of types).
+/// When the line was set it read (ns per call, walk → fold, the
 /// mask-directed clear of `pending` included; points nearest the line and
 /// the dense end):
 ///
@@ -530,7 +532,7 @@ fn replica_lanes<const SATURATING: bool>(
 /// [`replica_lanes`] with wrapping adds, compiled for AVX2 — eight lanes
 /// per instruction with native widening loads, `i32` multiplies, blends
 /// and min/max. Per 64-lane visit, range check, zero-fill and packing
-/// included (`micro.rs`, `lane_step`): ≈ 125 ns against ≈ 205 for the
+/// included (`BENCH_kernels.json`, `lane_step`): ≈ 125 ns against ≈ 205 for the
 /// baseline-SSE2 build of the same loop and ≈ 330 for the saturating one.
 ///
 /// # Safety
@@ -720,10 +722,12 @@ pub fn synapse_bitsliced(
 /// planes each — a `restless` read-modify-write, three data-dependent
 /// branches); the dense step pays a fixed pass over all 256 lanes
 /// whatever the mask, plus the same per-draw and a smaller per-input
-/// cost. Measured with `cargo bench -p compass-bench --bench micro --
-/// dense_integrate` on this host (AVX2 lane loops; ns per Neuron step
-/// of one core, `masked_*` → `auto_*` rows, which below 64 visits are
-/// both the masked sweep) for masks made of one kind of visit:
+/// cost. `bench_json` measures it (`BENCH_kernels.json`,
+/// `dense_integrate`: this constant as `min_visits` beside the first
+/// visit count at which the dense step won, per kind of visit). When the
+/// line was set, on an AVX2 Xeon (AVX2 lane loops; ns per Neuron step of
+/// one core, `masked_*` → `auto_*` points, which below 64 visits are both
+/// the masked sweep), masks made of one kind of visit read:
 ///
 /// | visits | input | restless | drawing |
 /// |---|---|---|---|
@@ -775,18 +779,21 @@ pub(crate) fn union_count(a: &NeuronMask, b: &NeuronMask, c: &NeuronMask) -> u32
 /// vector is one dependent shift-xor chain, as latency-bound as a scalar
 /// one (scratch micro-bench, ns per slot of 256 draws: the chains through
 /// a bit-scan, four side by side, 315–411; four in one vector 338–460);
-/// eight are two vectors whose chains overlap (190–218; `micro.rs`,
-/// `draw_ahead`, `full_x8`: ≈ 165–200).
+/// eight are two vectors whose chains overlap (190–218; `BENCH_kernels.json`,
+/// `draw_ahead`, full mask × 8 chains: ≈ 165–200).
 pub const DRAW_LANES: usize = 8;
 
 /// Fewest chains with a whole block of draws left for which the block is
 /// drawn in lockstep. Under AVX2 eight lanes cost the same whatever the
 /// number of live chains — ≈ 1 300–1 450 ns per 256 draws of each — and
-/// a chain by itself ≈ 510–570 (`micro.rs`, `draw_ahead`, `full_x1` …
-/// `full_x8`): two chains are cheaper one after the other (≈ 1 000–1 100),
-/// three are not (≈ 1 600). The baseline build's lockstep block is
-/// ≈ 2 200–2 600 ns and would cross at five; the line is the AVX2 one.
-const LOCKSTEP_MIN_CHAINS: usize = 3;
+/// a chain by itself ≈ 510–570 (`BENCH_kernels.json`, `draw_ahead`, full
+/// mask × 1 … 8 chains): two chains are cheaper one after the other
+/// (≈ 1 000–1 100), three are not (≈ 1 600). The baseline build's lockstep
+/// block is ≈ 2 200–2 600 ns and would cross at five; the line is the AVX2
+/// one. The section records this constant as `lockstep_min_chains` beside
+/// `crossover_chains`, the first chain count at which the eight-chain
+/// window beat that many single chains.
+pub const LOCKSTEP_MIN_CHAINS: usize = 3;
 
 /// One tick's stochastic-leak draws for one slot, indexed by neuron.
 /// Entries of neurons that do not draw are never read as a draw.
@@ -1043,7 +1050,8 @@ unsafe fn deposit<const PDEP: bool>(mut ranks: u64, mask: u8) -> u64 {
     }
     // Eight drawing neurons in a row take the eight ranks as they are:
     // half of CoCoMac's mask bytes, and the loop below is ≈ 1 ns a bit
-    // (`micro.rs`, `240_x8_baseline`: 5 850 → 3 156 ns a window).
+    // (`draw_ahead`, mask 240 × 8 chains, baseline: 5 850 → 3 156 ns a
+    // window).
     if mask == 0xFF {
         return ranks;
     }
@@ -1102,9 +1110,11 @@ pub enum DenseBuild {
 /// The pre-pass pays per neuron with input (a gather through four count
 /// planes and four weight planes, a saturating multiply-add chain); the
 /// fused loop pays a wider pass over all 256 lanes whatever the input.
-/// Measured with `cargo bench -p compass-bench --bench micro --
-/// dense_integrate` on this host (ns per slot, every input on one type;
-/// two passes agreed within 2 %):
+/// `bench_json` measures it (`BENCH_kernels.json`, `dense_integrate`:
+/// this constant as `fused_min_inputs` beside `fused_crossover_inputs`,
+/// the first input count at which the AVX2 build won). When the line was
+/// set, on an AVX2 Xeon (ns per slot, every input on one type; two passes
+/// agreed within 2 %):
 ///
 /// | inputs | sparse | fused, AVX2 | fused, baseline |
 /// |---|---|---|---|

@@ -1367,10 +1367,10 @@ pub fn take_due_scalar(
 /// after the chunk that empties `live` — the first one, for a wavefront
 /// confined to sixteen axons. The types are read off the due list
 /// afterwards ([`kernel::types_in_play`] stops at the fourth), which
-/// keeps the walk to a bit-scan and a store per hit. Per slot (`micro.rs`,
-/// `take_due`, vector against word at a time): nothing due 25 against
-/// 103–177 ns, CoCoMac's 54 scattered axons 95 against 228, all 256 due
-/// 249 against 257–271.
+/// keeps the walk to a bit-scan and a store per hit. Per slot
+/// (`BENCH_kernels.json`, `take_due`, vector against word at a time; when
+/// it was written): nothing due 25 against 103–177 ns, CoCoMac's 54
+/// scattered axons 95 against 228, all 256 due 249 against 257–271.
 ///
 /// # Safety
 ///
