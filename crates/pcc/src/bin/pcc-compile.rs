@@ -129,13 +129,14 @@ fn main() -> ExitCode {
     let stats = stats.expect("at least one rank");
 
     println!(
-        "compiled {} cores / {} regions on {ranks} rank(s): plan {:?} (IPFP {} iterations, residual {:.2e}), wiring {:?} ({} connections)",
+        "compiled {} cores / {} regions on {ranks} rank(s): plan {:?} (IPFP {} iterations, residual {:.2e}), wiring {:?} (genesis {:?}, {} connections)",
         plan.total_cores(),
         plan.regions(),
         stats.plan_time,
         plan.balance_iterations,
         plan.balance_error,
         stats.wire_time,
+        stats.wiring.genesis_time,
         stats.wiring.requests_out,
     );
     println!(

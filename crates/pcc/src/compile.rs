@@ -74,7 +74,8 @@ pub struct CompileStats {
     pub plan_breakdown: PlanStats,
     /// Wiring handshake (including core genesis).
     pub wire_time: Duration,
-    /// Wiring traffic statistics.
+    /// Wiring traffic statistics, and `wiring.genesis_time`: the share of
+    /// `wire_time` spent generating cores.
     pub wiring: WiringStats,
     /// IPFP iterations used.
     pub balance_iterations: usize,
@@ -276,6 +277,13 @@ mod tests {
         });
         assert_eq!(stats.total_time(), stats.plan_time + stats.wire_time);
         assert!(stats.wire_time.as_nanos() > 0, "wiring untimed");
+        let genesis = stats.wiring.genesis_time;
+        assert!(genesis.as_nanos() > 0, "genesis untimed");
+        assert!(
+            genesis <= stats.wire_time,
+            "genesis {genesis:?} exceeds the wiring time {:?} that contains it",
+            stats.wire_time
+        );
     }
 
     #[test]

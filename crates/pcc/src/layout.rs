@@ -74,11 +74,20 @@ impl PlanStats {
     }
 }
 
+/// The most regions a plan holds: the wiring handshake carries a region
+/// id as a `u16`.
+pub const MAX_REGIONS: usize = 1 << 16;
+
 /// Why planning failed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanError {
     /// The description has no regions.
     NoRegions,
+    /// More regions than [`MAX_REGIONS`].
+    TooManyRegions {
+        /// Region count.
+        regions: usize,
+    },
     /// Fewer cores than regions (each region needs at least one).
     TooFewCores {
         /// Requested model size.
@@ -97,6 +106,12 @@ impl std::fmt::Display for PlanError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PlanError::NoRegions => write!(f, "CoreObject has no regions"),
+            PlanError::TooManyRegions { regions } => {
+                write!(
+                    f,
+                    "{regions} regions exceed the {MAX_REGIONS} a plan can hold"
+                )
+            }
             PlanError::TooFewCores { cores, regions } => {
                 write!(f, "{cores} cores cannot host {regions} regions")
             }
@@ -224,6 +239,10 @@ pub fn plan_timed(
     let regions = object.regions.len();
     if regions == 0 {
         return Err(PlanError::NoRegions);
+    }
+    // Before anything regions²-sized is allocated.
+    if regions > MAX_REGIONS {
+        return Err(PlanError::TooManyRegions { regions });
     }
     if total_cores < regions as u64 {
         return Err(PlanError::TooFewCores {
@@ -358,7 +377,8 @@ impl CompilePlan {
     /// `r`, in region-local neuron order. Length = region budget; the
     /// multiset of values matches row `r` of the connection counts, and the
     /// seeded shuffle realizes the paper's "connections as diffuse as
-    /// possible" choice. Identical on every rank.
+    /// possible" choice. Identical on every rank. A region id fits `u16`
+    /// because a plan holds at most [`MAX_REGIONS`] regions.
     pub fn target_region_vector(&self, r: usize) -> Vec<u16> {
         let regions = self.regions();
         let budget = self.region_budget(r) as usize;
@@ -426,17 +446,27 @@ pub struct ProportionalSchedule {
     issued: Vec<u64>,
     total_issued: u64,
     total_capacity: u64,
+    /// The one bucket with capacity, when there is exactly one: every
+    /// item goes there, so no ratio is computed. A region on one rank
+    /// (every region at world 1) schedules this way.
+    sole: Option<usize>,
 }
 
 impl ProportionalSchedule {
     /// Creates a schedule over the given bucket capacities.
     pub fn new(capacity: Vec<u64>) -> Self {
         let total_capacity = capacity.iter().sum();
+        let mut open = capacity.iter().enumerate().filter(|&(_, &c)| c > 0);
+        let sole = match (open.next(), open.next()) {
+            (Some((i, _)), None) => Some(i),
+            _ => None,
+        };
         Self {
             issued: vec![0; capacity.len()],
             capacity,
             total_issued: 0,
             total_capacity,
+            sole,
         }
     }
 
@@ -457,6 +487,11 @@ impl ProportionalSchedule {
     pub fn try_assign_next(&mut self) -> Option<usize> {
         if self.total_issued >= self.total_capacity {
             return None;
+        }
+        if let Some(only) = self.sole {
+            self.issued[only] += 1;
+            self.total_issued += 1;
+            return Some(only);
         }
         let mut best = usize::MAX;
         let mut best_key = f64::INFINITY;
@@ -580,6 +615,28 @@ mod tests {
     }
 
     #[test]
+    fn too_many_regions_are_rejected_before_any_matrix() {
+        // A regions² mixing matrix at this count would be 34 GB: the
+        // verdict has to come first.
+        let mut obj = CoreObject::new(0);
+        for i in 0..=MAX_REGIONS {
+            obj.add_region(RegionSpec {
+                name: format!("R{i}"),
+                class: RegionClass::Cortical,
+                volume: 1.0,
+                intra: 0.5,
+                drive_period: 0,
+            });
+        }
+        let err = plan(&obj, 1 << 20, 1).err();
+        assert_eq!(err, Some(PlanError::TooManyRegions { regions: 65_537 }));
+        assert!(err
+            .unwrap()
+            .to_string()
+            .contains("65537 regions exceed the 65536"));
+    }
+
+    #[test]
     fn target_vector_multiset_matches_counts() {
         let p = plan(&tiny_object(), 12, 2).unwrap();
         for r in 0..p.regions() {
@@ -699,6 +756,14 @@ mod tests {
         let mut s = ProportionalSchedule::new(vec![2, 2]);
         let order: Vec<usize> = (0..4).map(|_| s.assign_next()).collect();
         assert_eq!(order, vec![0, 1, 0, 1], "equal capacities alternate");
+    }
+
+    #[test]
+    fn proportional_schedule_with_one_open_bucket_fills_it_then_refuses() {
+        let mut s = ProportionalSchedule::new(vec![0, 3, 0]);
+        let order: Vec<Option<usize>> = (0..4).map(|_| s.try_assign_next()).collect();
+        assert_eq!(order, [Some(1), Some(1), Some(1), None]);
+        assert_eq!(s.issued(1), 3);
     }
 
     #[test]

@@ -42,6 +42,6 @@ pub use coreobject::{CoreObject, GlobalParams, ParseError, RegionClass, RegionSp
 pub use ipfp::{apportion_weighted, balance, integerize, BalanceResult};
 pub use layout::{
     apportion, place, plan, plan_timed, plan_with_placement, CompilePlan, Placement, PlanError,
-    PlanStats, ProportionalSchedule,
+    PlanStats, ProportionalSchedule, MAX_REGIONS,
 };
 pub use wiring::{wire, WiringStats};

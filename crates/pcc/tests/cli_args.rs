@@ -34,10 +34,15 @@ fn malformed_arguments_and_inputs_exit_with_a_code_and_a_reason_not_a_panic() {
     std::fs::write(&not_utf8, b"region A\xff class=cortical volume=1\n").unwrap();
     let empty = scratch("empty.cob");
     std::fs::write(&empty, "").unwrap();
+    // One region more than a region id can name.
+    let crowded = scratch("crowded.cob");
+    let regions: String = (0..=65_536).map(|i| format!("region R{i}\n")).collect();
+    std::fs::write(&crowded, regions).unwrap();
     let (garbage, missing) = (garbage.to_str().unwrap(), missing.to_str().unwrap());
     let (not_utf8, empty) = (not_utf8.to_str().unwrap(), empty.to_str().unwrap());
+    let crowded = crowded.to_str().unwrap();
     // (arguments, exit code, a phrase the reason must contain)
-    let rows: [(&[&str], i32, &str); 8] = [
+    let rows: [(&[&str], i32, &str); 9] = [
         (
             &[demo, "--cores", "99999999999"],
             2,
@@ -53,6 +58,11 @@ fn malformed_arguments_and_inputs_exit_with_a_code_and_a_reason_not_a_panic() {
         (&[garbage, "--cores", "4"], 1, "line 1"),
         (&[not_utf8, "--cores", "4"], 1, "cannot read"),
         (&[empty, "--cores", "4"], 1, "no regions"),
+        (
+            &[crowded, "--cores", "4"],
+            1,
+            "65537 regions exceed the 65536",
+        ),
         (&[demo], 2, "--cores is required"),
     ];
     for (args, code, reason) in rows {
@@ -62,7 +72,7 @@ fn malformed_arguments_and_inputs_exit_with_a_code_and_a_reason_not_a_panic() {
         assert!(stderr.contains(reason), "{args:?}: {stderr}");
         assert_eq!(exit, Some(code), "{args:?}: {stderr}");
     }
-    for file in [garbage, not_utf8, empty] {
+    for file in [garbage, not_utf8, empty, crowded] {
         std::fs::remove_file(file).unwrap();
     }
 }
