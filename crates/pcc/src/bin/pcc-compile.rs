@@ -18,7 +18,7 @@
 use compass_comm::{World, WorldConfig};
 use compass_pcc::{compile, expanded, CoreObject};
 use compass_sim::route::{MAX_CORES_PER_RANK, MAX_RANKS};
-use compass_sim::NetworkModel;
+use compass_sim::{check_fits, NetworkModel};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -27,7 +27,8 @@ fn usage() -> ExitCode {
 }
 
 /// Refuses, before anything is allocated, a world the simulator could not
-/// address: `compass-run`'s bounds, so every compiled model can be run.
+/// address or the host could not hold: `compass-run`'s bounds, so every
+/// compiled model can be run.
 fn check_sizes(cores: u64, ranks: usize) -> Result<(), String> {
     if ranks == 0 {
         return Err("--ranks must be at least 1".into());
@@ -44,7 +45,7 @@ fn check_sizes(cores: u64, ranks: usize) -> Result<(), String> {
              record addresses at most {MAX_CORES_PER_RANK} cores a rank"
         ));
     }
-    Ok(())
+    check_fits(cores, ranks)
 }
 
 fn main() -> ExitCode {

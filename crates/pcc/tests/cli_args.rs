@@ -77,6 +77,35 @@ fn malformed_arguments_and_inputs_exit_with_a_code_and_a_reason_not_a_panic() {
     }
 }
 
+/// A compile whose run the host could not hold is refused before anything
+/// is allocated, with `compass-run`'s price: the reason names the bytes.
+/// A 1 024-core compile still passes.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_compile_the_host_cannot_run_is_refused_with_its_bytes() {
+    let demo = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../models/demo.cob");
+    let demo = demo.to_str().unwrap();
+    let rows: [&[&str]; 2] = [
+        &[demo, "--cores", "16000000", "--ranks", "1"],
+        &[demo, "--cores", "64", "--ranks", "1000000"],
+    ];
+    for args in rows {
+        let (exit, stderr) = pcc_compile(args);
+        assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+        assert!(stderr.starts_with("pcc-compile: "), "{args:?}: {stderr}");
+        assert!(stderr.contains("bytes are available"), "{args:?}: {stderr}");
+        assert!(stderr.contains("need at least"), "{args:?}: {stderr}");
+        assert_eq!(exit, Some(2), "{args:?}: {stderr}");
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_pcc-compile"))
+        .args([demo, "--cores", "1024", "--ranks", "1"])
+        .output()
+        .expect("pcc-compile starts");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(String::from_utf8_lossy(&out.stdout).starts_with("compiled 1024 cores"));
+}
+
 #[test]
 fn a_well_formed_compile_exits_zero() {
     let demo = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../models/demo.cob");

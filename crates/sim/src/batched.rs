@@ -88,14 +88,14 @@ impl BatchedSimulation {
         model: &NetworkModel,
         sessions: &[Vec<(u64, u16, u32)>],
     ) -> Result<BatchedSimulation, BatchRunError> {
-        model.validate()?;
+        model.validate_ids_and_deliveries()?;
         let lanes = sessions.len();
         let n_cores = model.cores.len() as u64;
-        let batch = ReplicaBatch::new(&model.cores, lanes).map_err(|e| match e {
+        let batch = ReplicaBatch::within(&model.cores, lanes, n_cores).map_err(|e| match e {
             BatchError::LaneCount(n) => {
                 BatchRunError::Sessions(format!("{n} sessions (need 1..={MAX_LANES})"))
             }
-            BatchError::Config(c) => BatchRunError::Model(ModelError::BadCore(c.to_string())),
+            BatchError::Config(c) => BatchRunError::Model(ModelError::from(c)),
         })?;
         let mut scheduled_all: Vec<(u32, u64, u16)> = model
             .initial_deliveries

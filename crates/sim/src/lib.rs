@@ -79,15 +79,15 @@ pub mod store;
 pub use batched::{BatchRunError, BatchedSimulation};
 pub use checkpoint::{BatchCheckpoint, CheckpointError, RankCheckpoint, ReplicaPayload};
 pub use engine::{
-    run_rank, run_rank_view, run_rank_with, Backend, DeathInterrupt, EngineConfig, RunOptions,
-    RunOutcome,
+    run_rank, run_rank_view, run_rank_with, Backend, DeathInterrupt, EngineConfig, Refused,
+    RunOptions, RunOutcome,
 };
 pub use model::{ModelError, NetworkModel};
 pub use partition::{Partition, SurvivorView};
 pub use recovery::RecoveryPolicy;
 pub use runner::{
-    run, run_durable, run_elastic, run_recovering, run_surviving, DurableError, ElasticEvent,
-    ElasticPlan, ElasticStep,
+    check_fits, run, run_durable, run_elastic, run_recovering, run_surviving, DurableError,
+    ElasticEvent, ElasticPlan, ElasticStep,
 };
 pub use solo::SoloSimulation;
 pub use stats::{trace_digest, PhaseTimes, RankReport, RunReport};

@@ -346,6 +346,20 @@ impl SurvivorView {
         (self.offset[r] + (core - self.base.block(r).start)) as usize
     }
 
+    /// The global id of survivor `me`'s local core `idx` — the inverse of
+    /// [`Self::local_index`]: a walk over the original blocks `me` hosts.
+    ///
+    /// # Panics
+    /// Panics if `me` hosts fewer than `idx + 1` cores.
+    pub(crate) fn core_at(&self, me: Rank, idx: usize) -> CoreId {
+        let idx = idx as u64;
+        (0..self.base.ranks())
+            .filter(|&r| self.owner[r] == me)
+            .find(|&r| (self.offset[r]..self.offset[r] + self.base.count(r)).contains(&idx))
+            .map(|r| self.base.block(r).start + idx - self.offset[r])
+            .unwrap_or_else(|| panic!("rank {me} hosts no local core {idx}"))
+    }
+
     /// The rank that adopts `r`'s cores if `r` dies now: the next
     /// surviving member in ring order. Returns `r` itself when it is the
     /// only member (no buddy exists — replication is pointless).

@@ -12,7 +12,9 @@
 //! does.
 
 use crate::checkpoint::{MigrationEnvelope, MigrationRun, RankCheckpoint};
-use crate::engine::{run_rank_view, DeathInterrupt, EngineConfig, RunOptions, RunOutcome};
+use crate::engine::{
+    agree, run_rank_view, DeathInterrupt, EngineConfig, Refused, RunOptions, RunOutcome,
+};
 use crate::model::{ModelError, NetworkModel};
 use crate::partition::{intersect_blocks, Partition, SurvivorView};
 use crate::recovery::RecoveryPolicy;
@@ -23,7 +25,7 @@ use compass_comm::{
     TransportMetrics, World, WorldConfig,
 };
 use std::fmt;
-use std::mem::take;
+use std::mem::{size_of, take};
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -51,12 +53,19 @@ pub(crate) struct Job<'a> {
 /// The one driver: builds the world `job` describes, runs every rank
 /// through the job's segments, and merges the results. The second value is
 /// the first durable-write failure any rank reported.
+///
+/// Each rank validates the configs it pushes (`run_rank_view`); a refused
+/// one stops every rank before tick 0, and the error is the refusing
+/// rank's.
+///
+/// # Errors
+/// The [`ModelError`] of the lowest core a rank refused.
 pub(crate) fn launch(
     model: &NetworkModel,
     world: WorldConfig,
     cfg: &EngineConfig,
     job: &Job<'_>,
-) -> (RunReport, Option<String>) {
+) -> Result<(RunReport, Option<String>), ModelError> {
     let metrics = Arc::new(TransportMetrics::new());
     let faults = job
         .faults
@@ -78,12 +87,14 @@ pub(crate) fn launch(
 
     let mut ranks = Vec::with_capacity(world.ranks);
     let mut write_error = None;
+    let mut refused = Vec::new();
     for res in results {
         match res {
-            Ok((report, durable_error)) => {
+            Ok(Ok((report, durable_error))) => {
                 write_error = write_error.or(durable_error);
                 ranks.push(report);
             }
+            Ok(Err(r)) => refused.push(r),
             Err(failure) => {
                 // The planned victim's thread is gone; its pre-crash
                 // history is accounted by the adopting buddy, so its slot
@@ -98,31 +109,81 @@ pub(crate) fn launch(
             }
         }
     }
+    if !refused.is_empty() {
+        let e = refused.into_iter().find_map(|r| r.error);
+        return Err(e.expect("the rank that refused a core names its error"));
+    }
     let report = RunReport {
         ranks,
         wall,
         ticks: cfg.ticks,
         transport: metrics.snapshot(),
     };
-    (report, write_error)
+    Ok((report, write_error))
+}
+
+/// Bytes every ordered pair of ranks keeps resident in a world: the two
+/// PGAS windows, and each rank's byte counter, tick block, send flag and
+/// one team thread's staging buffer for every destination.
+const PAIR_BYTES: u64 = (2 * size_of::<Vec<u8>>()
+    + size_of::<u64>()
+    + size_of::<Vec<u8>>()
+    + size_of::<u64>()
+    + size_of::<Vec<u8>>()) as u64;
+
+/// Prices a run of `cores` cores over `ranks` ranks before anything is
+/// allocated: each rank's cores at the pool's per-slot bytes
+/// ([`tn_core::CorePool::slot_bytes`]) plus the world² table of per-pair
+/// state, against the host's `MemAvailable` (`/proc/meminfo`; a host
+/// without one is not priced).
+///
+/// # Errors
+/// The reason, naming the bytes, when the estimate exceeds what is
+/// available.
+pub fn check_fits(cores: u64, ranks: usize) -> Result<(), String> {
+    let ranks = ranks as u64;
+    let cores_bytes = cores.saturating_mul(tn_core::CorePool::slot_bytes() as u64);
+    let pair_bytes = ranks.saturating_mul(ranks).saturating_mul(PAIR_BYTES);
+    let need = cores_bytes.saturating_add(pair_bytes);
+    let Some(available) = mem_available() else {
+        return Ok(());
+    };
+    if need <= available {
+        return Ok(());
+    }
+    Err(format!(
+        "{cores} cores over {ranks} ranks need at least {need} bytes ({cores_bytes} for the \
+         cores at {} bytes a core, {pair_bytes} for {ranks}² rank pairs at {PAIR_BYTES} bytes \
+         a pair), but {available} bytes are available",
+        tn_core::CorePool::slot_bytes()
+    ))
+}
+
+/// The host's `MemAvailable`, in bytes.
+fn mem_available() -> Option<u64> {
+    let info = std::fs::read_to_string("/proc/meminfo").ok()?;
+    let line = info.lines().find(|l| l.starts_with("MemAvailable:"))?;
+    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb.saturating_mul(1024))
 }
 
 /// Simulates `model` on a world of shape `world` with engine options `cfg`.
 ///
-/// Returns the merged [`RunReport`]. The model is validated first; wall
-/// time covers the simulation only (instantiation happens inside ranks, as
-/// in the paper, but before the timed loop... the paper likewise excludes
-/// model compilation from its reported times).
+/// Returns the merged [`RunReport`]. Dense ids and the deliveries are
+/// checked first; each core is checked once, by the rank that instantiates
+/// it, before tick 0 (as in the paper, instantiation happens inside the
+/// ranks; [`RankReport::instantiate_time`] times it).
 ///
 /// # Errors
-/// Returns the first [`ModelError`] if the model is inconsistent.
+/// Returns the [`ModelError`] [`NetworkModel::validate`] names for a model
+/// with one fault.
 pub fn run(
     model: &NetworkModel,
     world: WorldConfig,
     cfg: &EngineConfig,
 ) -> Result<RunReport, ModelError> {
-    model.validate()?;
-    Ok(launch(model, world, cfg, &Job::default()).0)
+    model.validate_ids_and_deliveries()?;
+    Ok(launch(model, world, cfg, &Job::default())?.0)
 }
 
 /// Simulates `model` under a reliable-delivery layer, optionally with
@@ -138,7 +199,7 @@ pub fn run(
 /// unchanged either way.
 ///
 /// # Errors
-/// Returns the first [`ModelError`] if the model is inconsistent.
+/// As [`run`].
 pub fn run_recovering(
     model: &NetworkModel,
     world: WorldConfig,
@@ -146,14 +207,14 @@ pub fn run_recovering(
     plan: Option<FaultPlan>,
     policy: Option<RecoveryPolicy>,
 ) -> Result<RunReport, ModelError> {
-    model.validate()?;
+    model.validate_ids_and_deliveries()?;
     let job = Job {
         faults: plan,
         reliable: true,
         recovery: policy,
         ..Job::default()
     };
-    Ok(launch(model, world, cfg, &job).0)
+    Ok(launch(model, world, cfg, &job)?.0)
 }
 
 /// Simulates `model` while one rank is killed mid-run, and drives the full
@@ -177,7 +238,7 @@ pub fn run_recovering(
 /// [`RunReport::total_death_verdicts`].
 ///
 /// # Errors
-/// Returns the first [`ModelError`] if the model is inconsistent.
+/// As [`run`].
 ///
 /// # Panics
 /// Panics when the crash plan is unsatisfiable (victim outside the world,
@@ -191,7 +252,7 @@ pub fn run_surviving(
     crash: CrashPlan,
     policy: RecoveryPolicy,
 ) -> Result<RunReport, ModelError> {
-    model.validate()?;
+    model.validate_ids_and_deliveries()?;
     assert_crash_fits(&crash, world);
     assert!(
         crash.at_tick < cfg.ticks,
@@ -204,7 +265,7 @@ pub fn run_surviving(
         crash: Some(crash),
         ..Job::default()
     };
-    Ok(launch(model, world, cfg, &job).0)
+    Ok(launch(model, world, cfg, &job)?.0)
 }
 
 fn assert_crash_fits(crash: &CrashPlan, world: WorldConfig) {
@@ -290,8 +351,9 @@ impl From<StoreError> for DurableError {
 /// so the trace stays bit-identical to the fault-free oracle.
 ///
 /// # Errors
-/// [`DurableError::Model`] for an inconsistent model,
-/// [`DurableError::Store`] when the store cannot be opened or names a
+/// [`DurableError::Model`] for an inconsistent model (as [`run`]; an id or
+/// delivery error opens no store), [`DurableError::Store`] when the store
+/// cannot be opened or names a
 /// different world size, and [`DurableError::Write`] when the simulation
 /// finished but some rank's writer could not persist its generations.
 ///
@@ -308,7 +370,7 @@ pub fn run_durable(
     recovery: Option<RecoveryPolicy>,
     crash: Option<CrashPlan>,
 ) -> Result<RunReport, DurableError> {
-    model.validate()?;
+    model.validate_ids_and_deliveries()?;
     let store = CheckpointStore::open(&policy.dir, policy.sync)?;
     let resume = store.recover(world.ranks as u32)?;
     // A committed generation never postdates a planned crash (the victim
@@ -335,7 +397,7 @@ pub fn run_durable(
         resume,
         ..Job::default()
     };
-    match launch(model, world, cfg, &job) {
+    match launch(model, world, cfg, &job)? {
         (_, Some(e)) => Err(DurableError::Write(e)),
         (report, None) => Ok(report),
     }
@@ -599,21 +661,23 @@ impl<'a> RankRun<'a> {
         }
     }
 
-    fn run(mut self) -> (RankReport, Option<String>) {
+    /// Walks the job's segments; a refusal before tick 0 ends the walk
+    /// on every rank (the first segment's agreement told them all).
+    fn run(mut self) -> Result<(RankReport, Option<String>), Refused> {
         let steps = self.job.elastic.map_or(&[][..], |plan| &plan.steps[..]);
         let mut start = 0;
         for step in steps {
-            self.segment(start, Some(step.at_tick));
+            self.segment(start, Some(step.at_tick))?;
             self.boundary(step);
             start = step.at_tick;
         }
-        self.segment(start, None);
+        self.segment(start, None)?;
         let mut out = self.acc.unwrap_or_default();
         (out.trace, out.fires_per_tick) = self.history;
         out.migrated_cores += self.migration.0;
         out.migration_bytes += self.migration.1;
         out.migration_time += self.migration.2;
-        (out, self.durable_error)
+        Ok((out, self.durable_error))
     }
 
     /// One engine call over `[resume point .. seg_end)` under the current
@@ -626,7 +690,7 @@ impl<'a> RankRun<'a> {
         seed: History,
         crash: Option<CrashPlan>,
         seg_end: Option<u32>,
-    ) -> RunOutcome {
+    ) -> Result<RunOutcome, Refused> {
         let (me, view, model) = (self.ctx.rank(), &self.view, self.model);
         let blocks = view.blocks_of(me).into_iter();
         let configs = blocks.flat_map(|b| &model.cores[b.start as usize..b.end as usize]);
@@ -656,22 +720,27 @@ impl<'a> RankRun<'a> {
 
     /// Runs the segment `[start .. seg_end)` if this rank is a member
     /// (replaying it degraded if a peer dies inside it); a parked rank only
-    /// tracks deaths from the shared crash plan.
-    fn segment(&mut self, start: u32, seg_end: Option<u32>) {
+    /// takes part in the job's opening agreement and tracks deaths from the
+    /// shared crash plan.
+    fn segment(&mut self, start: u32, seg_end: Option<u32>) -> Result<(), Refused> {
         let me = self.ctx.rank();
         if !self.view.members().contains(&me) {
+            if start == 0 {
+                // The members' fresh start agrees across the world.
+                agree(self.ctx, &self.view, true, None)?;
+            }
             if let Some(cp) = self.job.crash {
                 let in_window = cp.at_tick >= start && seg_end.is_none_or(|e| cp.at_tick < e);
                 if in_window && self.view.members().contains(&cp.rank) {
                     self.retire(cp.rank);
                 }
             }
-            return;
+            return Ok(());
         }
         let (resume, seed) = (self.resume.take(), take(&mut self.history));
-        let mut out = self.engine(resume, seed, self.job.crash, seg_end);
+        let mut out = self.engine(resume, seed, self.job.crash, seg_end)?;
         if let Some(int) = out.interrupt.take() {
-            out = self.replay_degraded(out, int, seg_end);
+            out = self.replay_degraded(out, int, seg_end)?;
         }
         let mut report = out.report;
         self.history = (take(&mut report.trace), take(&mut report.fires_per_tick));
@@ -681,6 +750,7 @@ impl<'a> RankRun<'a> {
         self.acc = Some(report);
         self.boundary_ck = out.checkpoint;
         self.durable_error = self.durable_error.take().or(out.durable_error);
+        Ok(())
     }
 
     /// `dead` is gone: its ring buddy hosts its cores from here on.
@@ -700,7 +770,7 @@ impl<'a> RankRun<'a> {
         first: RunOutcome,
         int: DeathInterrupt,
         seg_end: Option<u32>,
-    ) -> RunOutcome {
+    ) -> Result<RunOutcome, Refused> {
         let me = self.ctx.rank();
         let mut rep1 = first.report;
         // Own and adopted cores merge in ascending global order — the
@@ -748,7 +818,7 @@ impl<'a> RankRun<'a> {
             },
         );
         self.retire(int.dead);
-        let mut out = self.engine(Some(merged), seed, None, seg_end);
+        let mut out = self.engine(Some(merged), seed, None, seg_end)?;
         assert!(
             out.interrupt.is_none(),
             "one crash per run: the degraded segment must finish"
@@ -759,7 +829,7 @@ impl<'a> RankRun<'a> {
         out.report.replayed_ticks += u64::from(int.at_tick - int.resume.start_tick());
         out.report.adopted_cores += adopted_cores;
         out.durable_error = first.durable_error;
-        out
+        Ok(out)
     }
 
     /// The admission protocol at an elastic boundary (see [`run_elastic`]):
@@ -968,7 +1038,7 @@ impl<'a> RankRun<'a> {
 /// barrier no rank passes until every participant finished migrating).
 ///
 /// # Errors
-/// Returns the first [`ModelError`] if the model is inconsistent.
+/// As [`run`].
 ///
 /// # Panics
 /// Panics when the plan is unsatisfiable (see [`ElasticPlan`]) or a rank
@@ -982,7 +1052,7 @@ pub fn run_elastic(
     elastic: &ElasticPlan,
     policy: RecoveryPolicy,
 ) -> Result<RunReport, ModelError> {
-    model.validate()?;
+    model.validate_ids_and_deliveries()?;
     elastic.validate(world.ranks, cfg.ticks, crash.as_ref());
     let job = Job {
         faults: plan,
@@ -992,7 +1062,7 @@ pub fn run_elastic(
         elastic: Some(elastic),
         ..Job::default()
     };
-    Ok(launch(model, world, cfg, &job).0)
+    Ok(launch(model, world, cfg, &job)?.0)
 }
 
 #[cfg(test)]

@@ -39,21 +39,23 @@ pub struct SoloSimulation {
 
 impl SoloSimulation {
     /// Instantiates the model (pre-scheduled deliveries are honored on the
-    /// ticks they name, exactly as in the batch engine).
+    /// ticks they name, exactly as in the batch engine). Each core is
+    /// validated once, as the pool pushes it.
     ///
     /// # Errors
-    /// Returns the model's validation error if it is inconsistent.
+    /// Returns the model's validation error if it is inconsistent: for a
+    /// model with one fault, the one [`NetworkModel::validate`] names.
     pub fn new(model: &NetworkModel) -> Result<SoloSimulation, ModelError> {
-        model.validate()?;
+        model.validate_ids_and_deliveries()?;
         let mut scheduled: Vec<(u32, u64, u16)> = model
             .initial_deliveries
             .iter()
             .map(|&(c, a, t)| (t, c, a))
             .collect();
         scheduled.sort_unstable();
-        let mut pool = CorePool::with_capacity(model.cores.len());
+        let mut pool = CorePool::within(model.cores.len(), model.total_cores());
         for config in &model.cores {
-            pool.push(config).expect("validated");
+            pool.push(config)?;
         }
         Ok(SoloSimulation {
             pool,

@@ -57,6 +57,10 @@ impl PhaseTimes {
 pub struct RankReport {
     /// Accumulated per-phase wall-clock times on this rank.
     pub phases: PhaseTimes,
+    /// Wall-clock from entering the engine to tick 0, per segment: the
+    /// pushes (one validation per config, route packing included), the
+    /// agreement on refusals, and any restore.
+    pub instantiate_time: Duration,
     /// Total neuron firings on this rank (connected or not).
     pub fires: u64,
     /// Spikes delivered to cores on the same rank ("gray matter" traffic).
@@ -188,6 +192,7 @@ impl RankReport {
         let RankReport {
             // Work actually done by the earlier segment: sums.
             phases,
+            instantiate_time,
             spikes_local,
             spikes_remote,
             messages_sent,
@@ -238,6 +243,7 @@ impl RankReport {
             fires_per_tick: _,
         } = earlier;
         self.phases.add(&phases);
+        self.instantiate_time += instantiate_time;
         self.spikes_local += spikes_local;
         self.spikes_remote += spikes_remote;
         self.messages_sent += messages_sent;
@@ -478,6 +484,16 @@ impl RunReport {
             total.add(&r.activity);
         }
         total
+    }
+
+    /// Slowest rank's instantiation, summed over its segments: the rank
+    /// that reaches tick 0 last holds every other there.
+    pub fn instantiate_time(&self) -> Duration {
+        self.ranks
+            .iter()
+            .map(|r| r.instantiate_time)
+            .max()
+            .unwrap_or_default()
     }
 
     /// Slowest-rank phase breakdown (what the paper's stacked plots show).
@@ -724,6 +740,7 @@ mod tests {
             checkpoint_bytes: 100,
             replayed_ticks: 4,
             recovery_time: ms(6),
+            instantiate_time: ms(4),
             adopted_cores: 1,
             migrated_cores: 9,
             durable_generations: 2,
@@ -752,6 +769,7 @@ mod tests {
             checkpoint_bytes: 1000,
             replayed_ticks: 40,
             recovery_time: ms(60),
+            instantiate_time: ms(40),
             adopted_cores: 10,
             migrated_cores: 90,
             durable_generations: 20,
@@ -777,6 +795,7 @@ mod tests {
         assert_eq!(later.checkpoint_bytes, 1100);
         assert_eq!(later.replayed_ticks, 44);
         assert_eq!(later.recovery_time, ms(66));
+        assert_eq!(later.instantiate_time, ms(44));
         assert_eq!(later.adopted_cores, 11);
         assert_eq!(later.migrated_cores, 99);
         assert_eq!(later.durable_generations, 22);

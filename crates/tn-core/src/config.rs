@@ -45,6 +45,16 @@ pub enum CoreConfigError {
         /// Human-readable constraint violation.
         reason: String,
     },
+    /// A neuron targets a core its pool's addressing cannot reach: one
+    /// outside the model.
+    Unroutable {
+        /// The config's own core.
+        core: CoreId,
+        /// Offending neuron index.
+        neuron: usize,
+        /// The core it targets.
+        target: CoreId,
+    },
 }
 
 impl std::fmt::Display for CoreConfigError {
@@ -59,6 +69,14 @@ impl std::fmt::Display for CoreConfigError {
             CoreConfigError::BadNeuron { neuron, reason } => {
                 write!(f, "neuron {neuron}: {reason}")
             }
+            CoreConfigError::Unroutable {
+                core,
+                neuron,
+                target,
+            } => write!(
+                f,
+                "neuron {neuron} of core {core} targets core {target}, outside the model"
+            ),
         }
     }
 }

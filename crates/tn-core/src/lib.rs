@@ -59,7 +59,7 @@ pub use pool::{CorePool, KernelStats, PoolSlice};
 pub use prng::CorePrng;
 pub use snapshot::{SnapshotError, CORE_SNAPSHOT_BYTES};
 pub use spike::{Spike, SpikeTarget, SPIKE_WIRE_BYTES};
-pub use table::Targets;
+pub use table::{Route, Targets};
 
 /// Axons per core (paper §II: "256 axons").
 pub const CORE_AXONS: usize = 256;

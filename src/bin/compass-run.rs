@@ -27,8 +27,8 @@ use compass::comm::{World, WorldConfig};
 use compass::pcc::{compile, expanded, region_activity};
 use compass::sim::route::{MAX_CORES_PER_RANK, MAX_RANKS};
 use compass::sim::{
-    run, run_durable, run_rank, Backend, CheckpointStore, DurabilityPolicy, EngineConfig,
-    NetworkModel, RunReport,
+    check_fits, run, run_durable, run_rank, Backend, CheckpointStore, DurabilityPolicy,
+    EngineConfig, NetworkModel, RunReport,
 };
 use std::process::ExitCode;
 use std::time::Instant;
@@ -141,9 +141,9 @@ fn parse() -> Result<Opts, ExitCode> {
 /// Refuses, before anything is sized by them, the ranks, cores and threads
 /// a run cannot hold: more ranks than a spike record can name, more cores
 /// on one rank (an even split of `cores`, which `what` says where it came
-/// from) than it can index, or more threads than the largest rank has
-/// cores — a thread with no core does no work. Inside these bounds a size
-/// can still exceed the host's memory.
+/// from) than it can index, more threads than the largest rank has
+/// cores — a thread with no core does no work — or more memory than the
+/// host has available (`check_fits`).
 fn check_sizes(opts: &Opts, cores: u64, what: &str) -> Result<(), ExitCode> {
     let refuse = |reason: String| {
         eprintln!("compass-run: {reason}");
@@ -170,7 +170,7 @@ fn check_sizes(opts: &Opts, cores: u64, what: &str) -> Result<(), ExitCode> {
             opts.threads, opts.ranks
         )));
     }
-    Ok(())
+    check_fits(cores, opts.ranks).map_err(refuse)
 }
 
 /// Runs `model`, either plainly or — when `--checkpoint-dir` was given —
@@ -246,8 +246,11 @@ fn print_report(report: &RunReport) {
     );
     let p = report.phase_breakdown();
     println!(
-        "phases: synapse {:?} | neuron {:?} | network {:?}",
-        p.synapse, p.neuron, p.network
+        "phases: instantiate {:?} | synapse {:?} | neuron {:?} | network {:?}",
+        report.instantiate_time(),
+        p.synapse,
+        p.neuron,
+        p.network
     );
 }
 

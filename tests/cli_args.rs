@@ -125,6 +125,34 @@ fn sizes_a_run_cannot_hold_are_refused_before_anything_is_allocated() {
     std::fs::remove_file(model).unwrap();
 }
 
+/// A run the host cannot hold is priced and refused before anything is
+/// allocated: its cores at the pool's per-slot bytes plus the world² table
+/// of per-pair state, against `MemAvailable` (Linux's `/proc/meminfo`).
+/// The reason names the bytes; a 1 024-core run still passes.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_run_the_host_cannot_hold_is_refused_with_its_bytes() {
+    let rows: [&[&str]; 2] = [
+        &["--workload", "ring", "--cores", "16000000", "--ranks", "1"],
+        &["--workload", "ring", "--ranks", "1000000"],
+    ];
+    for args in rows {
+        let (exit, stderr) = compass_run(args);
+        assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+        assert!(stderr.starts_with("compass-run: "), "{args:?}: {stderr}");
+        assert!(stderr.contains("bytes are available"), "{args:?}: {stderr}");
+        assert!(stderr.contains("need at least"), "{args:?}: {stderr}");
+        assert_eq!(exit, Some(2), "{args:?}: {stderr}");
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_compass-run"))
+        .args(["--workload", "ring", "--cores", "1024", "--ranks", "1"])
+        .args(["--ticks", "2"])
+        .output()
+        .expect("compass-run starts");
+    assert!(out.status.success(), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stdout).starts_with("cores 1024 | ticks 2"));
+}
+
 /// The control: a well-formed run exits 0 and prints its report.
 #[test]
 fn a_well_formed_run_exits_zero() {

@@ -135,11 +135,12 @@ fn pgas_replaces_messages_with_puts_and_barriers() {
     // Same spikes moved...
     assert_eq!(mpi.total_remote_spikes(), pgas.total_remote_spikes());
     // ...but via puts (and exactly one barrier per rank per tick), with no
-    // two-sided traffic and no reduce-scatter.
+    // two-sided traffic and no reduce-scatter: the one collective each
+    // rank runs is the agreement on refused cores before tick 0.
     assert_eq!(pgas.transport.p2p_messages, 0);
     assert!(pgas.transport.puts > 0);
     assert_eq!(pgas.transport.barriers, 4 * u64::from(TICKS));
-    assert_eq!(pgas.transport.collective_ops, 0);
+    assert_eq!(pgas.transport.collective_ops, 4);
     assert!(
         mpi.transport.collective_ops > 0,
         "MPI path uses the collective"
