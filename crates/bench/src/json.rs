@@ -497,6 +497,8 @@ const KERNEL_PROBE_SECTIONS: [(&str, &[&str]); 4] = [
             "sparse_ns",
             "fused_ns",
             "fused_avx2_ns",
+            "sparse_avx512_ns",
+            "fused_avx512_ns",
             "masked_input_ns",
             "auto_input_ns",
             "masked_restless_ns",

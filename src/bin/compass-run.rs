@@ -230,7 +230,7 @@ fn execute(
 
 fn print_report(report: &RunReport) {
     println!(
-        "cores {} | ticks {} | wall {:?} | slowdown {:.0}x | mean rate {:.1} Hz",
+        "cores {} | ticks {} | wall {:?} | slowdown {:.2}x | mean rate {:.2} Hz",
         report.total_cores(),
         report.ticks,
         report.wall,
@@ -246,11 +246,12 @@ fn print_report(report: &RunReport) {
     );
     let p = report.phase_breakdown();
     println!(
-        "phases: instantiate {:?} | synapse {:?} | neuron {:?} | network {:?}",
+        "phases: instantiate {:?} | synapse {:?} | neuron {:?} | network {:?} | kernels {}",
         report.instantiate_time(),
         p.synapse,
         p.neuron,
-        p.network
+        p.network,
+        compass::tn::kernel::level().name()
     );
 }
 

@@ -165,6 +165,33 @@ fn a_well_formed_run_exits_zero() {
     assert!(String::from_utf8_lossy(&out.stdout).starts_with("cores 2 | ticks 4"));
 }
 
+/// A short run reports its real-time result unrounded: a 10-tick ring
+/// takes a fraction of its 10 ms of model time, which the slowdown shows
+/// to two decimals instead of as `0x`; the phases line names the CPU level
+/// the Neuron phase ran at.
+#[test]
+fn a_short_ring_run_reports_its_slowdown_and_kernel_level() {
+    let out = Command::new(env!("CARGO_BIN_EXE_compass-run"))
+        .args(["--workload", "ring", "--cores", "4", "--ticks", "10"])
+        .output()
+        .expect("compass-run starts");
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(!stdout.contains("slowdown 0x"), "{stdout}");
+    let slowdown = stdout
+        .split("slowdown ")
+        .nth(1)
+        .and_then(|rest| rest.split('x').next())
+        .expect("a slowdown field");
+    assert_eq!(
+        slowdown.split('.').nth(1).map(str::len),
+        Some(2),
+        "{stdout}"
+    );
+    let level = compass::tn::kernel::level().name();
+    assert!(stdout.contains(&format!("| kernels {level}\n")), "{stdout}");
+}
+
 /// `compass-ckpt` inspects, checks and prunes a store; it never creates
 /// one. Each subcommand refuses a `DIR` that is missing or a regular file
 /// with exit 2 and a `compass-ckpt:` reason, and a missing path is still
