@@ -16,9 +16,87 @@
 //! counters, PRNG stream, snapshot bytes — to a `SoloSimulation` of the
 //! same model whose extra deliveries are session `k`'s.
 
-use crate::checkpoint::{check_core_blobs, BatchCheckpoint, CheckpointError};
+use crate::checkpoint::{check_core_blobs, merged, CheckpointError, RankCheckpoint};
 use crate::model::{ModelError, NetworkModel};
-use tn_core::{BatchError, ReplicaBatch, Spike, CORE_AXONS, MAX_LANES};
+use tn_core::{BatchError, ReplicaBatch, Spike, CORE_AXONS, CORE_SNAPSHOT_BYTES, MAX_LANES};
+
+/// A replica-batched run's state at a tick boundary: a [`RankCheckpoint`]
+/// of rank 0 whose one run holds every core once per lane, lane-major —
+/// the rank-state frame with a lane count (see `crate::checkpoint`).
+///
+/// The lane axis round-trips losslessly to solo checkpoints:
+/// [`RankCheckpoint::extract_lane`] yields a checkpoint whose core blobs
+/// are byte-identical to what a [`crate::SoloSimulation`] of that session
+/// would snapshot at the same boundary, and [`RankCheckpoint::from_solo`]
+/// reassembles a batch checkpoint from N such solo checkpoints — so
+/// sessions can leave the batch, continue solo, and come back.
+pub type BatchCheckpoint = RankCheckpoint;
+
+/// The lane axis of a [`BatchCheckpoint`].
+impl RankCheckpoint {
+    /// A batch checkpoint of `lanes` sessions of cores `0..cores`, their
+    /// snapshots lane-major in `blob`.
+    pub(crate) fn assemble(lanes: u16, start_tick: u32, cores: u32, blob: Vec<u8>) -> Self {
+        let one = RankCheckpoint::new(0, start_tick, merged(Some(0..cores.into())), blob);
+        RankCheckpoint { lanes, ..one }
+    }
+
+    /// Lane `lane`'s snapshots: a frame of several lanes holds one run.
+    ///
+    /// # Panics
+    /// Panics if `lane` is out of range.
+    fn lane_bytes(&self, lane: u16) -> &[u8] {
+        assert!(lane < self.lanes, "lane {lane} of {}", self.lanes);
+        let n = self.core_count() * CORE_SNAPSHOT_BYTES;
+        &self.blob[usize::from(lane) * n..][..n]
+    }
+
+    /// Lane `lane`'s per-core snapshot blobs, ascending by core id.
+    ///
+    /// # Panics
+    /// Panics if `lane` is out of range.
+    pub fn lane_blobs(&self, lane: u16) -> impl ExactSizeIterator<Item = &[u8]> + '_ {
+        self.lane_bytes(lane).chunks_exact(CORE_SNAPSHOT_BYTES)
+    }
+
+    /// Extracts one lane as a solo-compatible one-lane checkpoint
+    /// (rank 0): the session leaves the batch and can resume under
+    /// [`crate::SoloSimulation::restore`] or the single-rank engine.
+    ///
+    /// # Panics
+    /// Panics if `lane` is out of range.
+    pub fn extract_lane(&self, lane: u16) -> Self {
+        let blob = self.lane_bytes(lane).to_vec();
+        RankCheckpoint::new(0, self.start_tick, self.runs.clone(), blob)
+    }
+
+    /// Reassembles a batch checkpoint (rank 0) from per-session one-lane
+    /// checkpoints of at most one run (lane `k` = `lanes[k]`), which
+    /// must share their tick boundary and core run.
+    ///
+    /// # Errors
+    /// [`CheckpointError::LaneMismatch`] if there are 0 or more than 64
+    /// lanes, or the lanes disagree on boundary, runs or lane count.
+    pub fn from_solo(lanes: &[Self]) -> Result<Self, CheckpointError> {
+        let Some(first) = lanes.first() else {
+            return Err(CheckpointError::LaneMismatch);
+        };
+        let shape = (1, first.start_tick, &first.runs);
+        let same = |l: &Self| (l.lanes, l.start_tick, &l.runs) == shape;
+        if lanes.len() > MAX_LANES || first.runs.len() > 1 || !lanes.iter().all(same) {
+            return Err(CheckpointError::LaneMismatch);
+        }
+        let mut blob = Vec::with_capacity(lanes.len() * first.blob.len());
+        for lane in lanes {
+            blob.extend_from_slice(&lane.blob);
+        }
+        let one = RankCheckpoint::new(0, first.start_tick, first.runs.clone(), blob);
+        Ok(RankCheckpoint {
+            lanes: lanes.len() as u16,
+            ..one
+        })
+    }
+}
 
 /// Why a [`BatchedSimulation`] could not be built.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -301,7 +379,7 @@ impl BatchedSimulation {
                 self.batch.lane_snapshot_into(k, lane, &mut blob);
             }
         }
-        BatchCheckpoint::assemble(self.lanes as u16, self.tick, cores as u32, blob)
+        RankCheckpoint::assemble(self.lanes as u16, self.tick, cores as u32, blob)
     }
 
     /// Restores one lane from a solo-format core-snapshot sequence (the
@@ -362,10 +440,10 @@ impl BatchedSimulation {
     /// is unchanged.
     pub fn restore(&mut self, ckpt: &BatchCheckpoint) -> Result<(), CheckpointError> {
         let cores = self.batch.len();
-        if ckpt.lanes() as usize != self.lanes || ckpt.core_count() as usize != cores {
+        if ckpt.lanes() as usize != self.lanes || ckpt.core_count() != cores {
             return Err(CheckpointError::Truncated {
                 expected: self.lanes * cores,
-                got: ckpt.lanes() as usize * ckpt.core_count() as usize,
+                got: ckpt.lanes() as usize * ckpt.core_count(),
             });
         }
         for lane in 0..self.lanes {

@@ -99,7 +99,7 @@
 //! sequentially).
 
 use crate::checkpoint::{
-    is_replica_frame, DeltaBase, DeltaReplica, DeltaSlots, RankCheckpoint, ReplicaPayload,
+    decode, merged, DeltaBase, DeltaSlots, RankCheckpoint, ReplicaPayload, CHECKPOINT_MAGIC,
 };
 use crate::model::ModelError;
 use crate::partition::{Partition, SurvivorView};
@@ -616,8 +616,8 @@ struct Wire<'a> {
     /// policy — it then heals what it can and panics on what it cannot.
     rely: Option<&'a ReliableWorld>,
     /// The buddy mirror: the latest replica of the rank this one backs,
-    /// materialized on receipt. Full payloads (`RPL1`) replace it
-    /// wholesale; delta payloads (`RPLD`) patch it in place — dirty slots
+    /// materialized on receipt by [`ReplicaPayload::absorb`]. A full frame
+    /// replaces it wholesale; a delta patches it in place — dirty slots
     /// overwritten, clean slots' tick counters advanced arithmetically (the
     /// dirty-epoch invariant: a clean slot provably took the skip path
     /// every tick). A Mutex because receive paths run inside team regions;
@@ -661,18 +661,14 @@ impl Wire<'_> {
     /// checked channel makes both unreachable in practice; the guards
     /// exist so a protocol bug degrades, never panics or corrupts).
     fn absorb_replica(&self, payload: &[u8]) -> bool {
-        if !(self.survive && is_replica_frame(payload)) {
+        // Spike traffic is tick blocks (`TKB1`): a frame is told apart by
+        // its magic.
+        if !(self.survive && tn_core::wire::magic(payload) == Some(CHECKPOINT_MAGIC)) {
             return false;
         }
         let mut mirror = self.mirror.lock().expect("replica mirror poisoned");
-        if ReplicaPayload::looks_like(payload) {
-            if let Ok(full) = ReplicaPayload::from_bytes(payload) {
-                *mirror = Some(full);
-            }
-        } else if let Ok(delta) = DeltaReplica::from_bytes(payload) {
-            if let Some(m) = mirror.as_mut() {
-                let _ = delta.apply(m);
-            }
+        if let Ok(frame) = decode(payload) {
+            let _ = ReplicaPayload::absorb(&mut mirror, frame);
         }
         true
     }
@@ -971,9 +967,9 @@ pub fn run_rank_view(
                 "checkpoint was taken on a different rank"
             );
             assert_eq!(
-                ck.core_count(),
-                pool.len(),
-                "checkpoint core count does not match this rank's block"
+                (ck.lanes(), ck.runs()),
+                (1, &merged(view.blocks_of(me))[..]),
+                "checkpoint does not hold exactly this rank's cores"
             );
             let mut full = pool.full();
             for (k, blob) in boundary_blobs(ck).enumerate() {
@@ -1082,6 +1078,9 @@ struct TickLoop<'a> {
     /// Rollback-recovery (see `crate::recovery`): recent in-memory
     /// snapshots.
     ring: CheckpointRing,
+    /// The global core runs this rank hosts in this segment: what every
+    /// checkpoint and frame it takes holds.
+    runs: Vec<std::ops::Range<CoreId>>,
     /// The buddy the last replica went to, and what its mirror then held.
     ship: (Rank, DeltaBase),
     durable: Option<DurableWriter>,
@@ -1161,10 +1160,11 @@ impl<'a> TickLoop<'a> {
             None => 0,
         };
 
+        let runs = merged(view.blocks_of(me));
         let spawned = opts
             .durability
             .as_ref()
-            .map(|pol| DurableWriter::spawn(pol, me as u32, world as u32));
+            .map(|pol| DurableWriter::spawn(pol, me as u32, world as u32, runs.clone()));
         let (durable, durable_error) = match spawned {
             Some(Ok(writer)) => (Some(writer), None),
             Some(Err(e)) => (None, Some(e)),
@@ -1204,7 +1204,8 @@ impl<'a> TickLoop<'a> {
             snap_fresh: false,
             checkpoint: None,
             ring: CheckpointRing::new(2),
-            ship: (me, DeltaBase::default()),
+            ship: (me, DeltaBase::over(me as u32, runs.clone())),
+            runs,
             durable,
             durable_error,
             interrupt: None,
@@ -1232,11 +1233,8 @@ impl<'a> TickLoop<'a> {
 
     /// This tick's boundary as an owned checkpoint.
     fn checkpoint_now(&mut self) -> RankCheckpoint {
-        RankCheckpoint {
-            rank: self.wire.me as u32,
-            start_tick: self.t,
-            blob: self.snapshot().to_vec(),
-        }
+        let blob = self.snapshot().to_vec();
+        RankCheckpoint::new(self.wire.me as u32, self.t, self.runs.clone(), blob)
     }
 
     /// Discards recorded history from tick `back_to` on (rollback and
@@ -1395,15 +1393,13 @@ impl<'a> TickLoop<'a> {
         base.payload_into(
             &mut payload,
             full,
-            me as u32,
-            t,
-            &ck.blob,
+            ck,
             DeltaSlots::Flagged(&dirty),
             trace,
             fires,
         );
         base.advance(t, trace, fires);
-        base.blob.clone_from(&ck.blob);
+        base.held.blob.clone_from(&ck.blob);
         *ship_buddy = buddy;
         if full {
             self.report.full_replica_ships += 1;

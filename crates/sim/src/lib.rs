@@ -76,8 +76,8 @@ pub mod solo;
 pub mod stats;
 pub mod store;
 
-pub use batched::{BatchRunError, BatchedSimulation};
-pub use checkpoint::{BatchCheckpoint, CheckpointError, RankCheckpoint, ReplicaPayload};
+pub use batched::{BatchCheckpoint, BatchRunError, BatchedSimulation};
+pub use checkpoint::{CheckpointError, RankCheckpoint, ReplicaPayload};
 pub use engine::{
     run_rank, run_rank_view, run_rank_with, Backend, DeathInterrupt, EngineConfig, Refused,
     RunOptions, RunOutcome,

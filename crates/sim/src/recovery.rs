@@ -156,11 +156,7 @@ mod tests {
     use super::*;
 
     fn ck(tick: u32) -> RankCheckpoint {
-        RankCheckpoint {
-            rank: 0,
-            start_tick: tick,
-            blob: Vec::new(),
-        }
+        RankCheckpoint::new(0, tick, Vec::new(), Vec::new())
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! inside its own world, as the paper's in-situ compile-then-simulate flow
 //! does.
 
-use crate::checkpoint::{MigrationEnvelope, MigrationRun, RankCheckpoint};
+use crate::checkpoint::RankCheckpoint;
 use crate::engine::{
     agree, run_rank_view, DeathInterrupt, EngineConfig, Refused, RunOptions, RunOutcome,
 };
@@ -26,10 +26,9 @@ use compass_comm::{
 };
 use std::fmt;
 use std::mem::{size_of, take};
-use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tn_core::{Spike, CORE_SNAPSHOT_BYTES};
+use tn_core::Spike;
 
 /// What a front asks of the driver. The default is [`run`]: no faults, no
 /// reliable layer, no recovery, every rank a member from start to finish.
@@ -569,19 +568,6 @@ const ELASTIC_COST: u8 = 2;
 const ELASTIC_MIG: u8 = 3;
 const ELASTIC_DONE: u8 = 4;
 
-/// The snapshot bytes of global core range `run` inside `host`'s boundary
-/// checkpoint under `view`.
-fn slice_run<'c>(
-    view: &SurvivorView,
-    host: Rank,
-    ck: &'c RankCheckpoint,
-    run: &Range<u64>,
-) -> &'c [u8] {
-    let lo = view.local_index(host, run.start) * CORE_SNAPSHOT_BYTES;
-    let hi = lo + (run.end - run.start) as usize * CORE_SNAPSHOT_BYTES;
-    &ck.blob[lo..hi]
-}
-
 /// Control-channel payloads are little-endian `u64` words.
 fn le_bytes(words: &[u64]) -> Vec<u8> {
     words.iter().flat_map(|w| w.to_le_bytes()).collect()
@@ -773,21 +759,9 @@ impl<'a> RankRun<'a> {
     ) -> Result<RunOutcome, Refused> {
         let me = self.ctx.rank();
         let mut rep1 = first.report;
-        // Own and adopted cores merge in ascending global order — the
-        // layout the degraded view's `local_index` expects. Each
-        // original-rank block is contiguous in its old host's checkpoint,
-        // so this is a sequence of range copies.
-        let mut pieces: Vec<(Range<u64>, Rank, &RankCheckpoint)> = self
-            .view
-            .blocks_of(me)
-            .into_iter()
-            .map(|b| (b, me, &int.resume))
-            .collect();
         let mut adopted_cores = 0u64;
         if let Some(rp) = &int.adopted {
             adopted_cores = rp.ckpt.core_count() as u64;
-            let theirs = self.view.blocks_of(int.dead);
-            pieces.extend(theirs.into_iter().map(|b| (b, int.dead, &rp.ckpt)));
             // The victim's recorded history died with its thread; its
             // replica carries it, and it joins this rank's own pre-boundary
             // history.
@@ -799,16 +773,13 @@ impl<'a> RankRun<'a> {
                 *a += b;
             }
         }
-        pieces.sort_by_key(|(run, _, _)| run.start);
-        let mut blob = Vec::new();
-        for (run, host, ck) in &pieces {
-            blob.extend_from_slice(slice_run(&self.view, *host, ck, run));
-        }
-        let merged = RankCheckpoint {
-            rank: me as u32,
-            start_tick: int.resume.start_tick(),
-            blob,
-        };
+        // Own and adopted cores merge in ascending global order — the
+        // layout the degraded view's `local_index` expects.
+        self.retire(int.dead);
+        let mut parts = vec![&int.resume];
+        parts.extend(int.adopted.as_ref().map(|rp| &rp.ckpt));
+        let tick = int.resume.start_tick();
+        let merged = RankCheckpoint::splice(me as u32, tick, &parts, &self.view.blocks_of(me));
         let seed = (
             take(&mut rep1.trace),
             if self.cfg.tick_stats {
@@ -817,7 +788,6 @@ impl<'a> RankRun<'a> {
                 Vec::new()
             },
         );
-        self.retire(int.dead);
         let mut out = self.engine(Some(merged), seed, None, seg_end)?;
         assert!(
             out.interrupt.is_none(),
@@ -935,65 +905,39 @@ impl<'a> RankRun<'a> {
         let new_members = new_view.members();
 
         // MIG: old owners ship the checkpoint runs that intersect each new
-        // owner's layout; receivers splice them (plus their own kept runs)
+        // owner's layout; receivers splice them with the cores they keep
         // into the resumed checkpoint.
         if participants.contains(&me) {
             let view = &self.view;
-            let mut my_runs: Vec<MigrationRun> = Vec::new();
-            if old_members.contains(&me) {
-                let ck = self
-                    .boundary_ck
-                    .as_ref()
+            let kept = old_members.contains(&me).then(|| {
+                let ck = (self.boundary_ck.take())
                     .expect("an active rank exits a boundary with its checkpoint");
-                assert_eq!(ck.start_tick(), b, "boundary checkpoint tick mismatch");
                 let mine = view.blocks_of(me);
-                for &m in new_members {
-                    let mut runs: Vec<MigrationRun> =
-                        intersect_blocks(&mine, &new_view.blocks_of(m))
-                            .iter()
-                            .map(|run| MigrationRun {
-                                global_start: run.start,
-                                blob: slice_run(view, me, ck, run).to_vec(),
-                            })
-                            .collect();
-                    if m == me {
-                        my_runs.append(&mut runs);
-                    } else if !runs.is_empty() {
-                        let env = MigrationEnvelope { boundary: b, runs };
-                        self.migration.1 += env.total_bytes();
-                        ctx.comm().ctrl_send(m, ELASTIC_MIG, b, env.to_bytes());
+                for &m in new_members.iter().filter(|&&m| m != me) {
+                    let runs = intersect_blocks(&mine, &new_view.blocks_of(m));
+                    if !runs.is_empty() {
+                        let shipped = RankCheckpoint::splice(me as u32, b, &[&ck], &runs);
+                        self.migration.1 += shipped.total_bytes();
+                        ctx.comm().ctrl_send(m, ELASTIC_MIG, b, shipped.to_bytes());
                     }
                 }
-            }
+                ck
+            });
             self.resume = new_members.contains(&me).then(|| {
                 let mine_new = new_view.blocks_of(me);
+                let mut parts: Vec<RankCheckpoint> = kept.into_iter().collect();
                 for &o in old_members.iter().filter(|&&o| o != me) {
                     if intersect_blocks(&view.blocks_of(o), &mine_new).is_empty() {
                         continue;
                     }
                     let raw = ctx.comm().ctrl_recv(o, ELASTIC_MIG, b);
-                    let env = MigrationEnvelope::from_bytes(&raw)
-                        .expect("migration envelope survived the internal channel");
-                    assert_eq!(env.boundary, b, "migration boundary mismatch");
-                    self.migration.0 += env.core_count() as u64;
-                    my_runs.extend(env.runs);
+                    let shipped = RankCheckpoint::from_bytes(&raw)
+                        .expect("migrated cores survived the internal channel");
+                    self.migration.0 += shipped.core_count() as u64;
+                    parts.push(shipped);
                 }
-                my_runs.sort_by_key(|r| r.global_start);
-                let blob = my_runs
-                    .iter()
-                    .map(|r| &r.blob[..])
-                    .collect::<Vec<_>>()
-                    .concat();
-                assert_eq!(
-                    blob.len(),
-                    new_view.count(me) as usize * CORE_SNAPSHOT_BYTES,
-                    "rank {me}: spliced checkpoint does not fill the new block"
-                );
-                RankCheckpoint {
-                    rank: me as u32,
-                    start_tick: b,
-                    blob,
-                }
+                let parts: Vec<&RankCheckpoint> = parts.iter().collect();
+                RankCheckpoint::splice(me as u32, b, &parts, &mine_new)
             });
 
             // DONE: the collective admission verdict — an all-to-all no

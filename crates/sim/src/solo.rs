@@ -16,7 +16,7 @@
 //! in the loop transfers unchanged to the parallel runs and, per the
 //! paper's contract, to hardware.
 
-use crate::checkpoint::{check_core_blobs, CheckpointError, RankCheckpoint};
+use crate::checkpoint::{check_core_blobs, merged, CheckpointError, RankCheckpoint};
 use crate::model::{ModelError, NetworkModel};
 use tn_core::{CorePool, Spike};
 
@@ -136,15 +136,12 @@ impl SoloSimulation {
     /// single-rank checkpoint (rank 0, all cores in model order). The
     /// per-core blobs are the standard `TNCS` snapshots, so a solo
     /// checkpoint interchanges with one lane of a
-    /// [`crate::checkpoint::BatchCheckpoint`].
+    /// [`crate::BatchCheckpoint`].
     pub fn snapshot(&self) -> RankCheckpoint {
         let mut blob = Vec::new();
         self.pool.snapshot_all_into(&mut blob);
-        RankCheckpoint {
-            rank: 0,
-            start_tick: self.tick,
-            blob,
-        }
+        let runs = merged(Some(0..self.pool.len() as u64));
+        RankCheckpoint::new(0, self.tick, runs, blob)
     }
 
     /// Restores every core from `ckpt` and moves the clock to its
@@ -153,11 +150,15 @@ impl SoloSimulation {
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Truncated`] if the core count differs from the
-    /// model's; [`CheckpointError::Core`] naming the first per-core blob
-    /// that fails snapshot validation. Every blob is checked before any
-    /// is written, so on error the simulation is unchanged.
+    /// [`CheckpointError::LaneMismatch`] for a batch checkpoint of several
+    /// lanes; [`CheckpointError::Truncated`] if the core count differs
+    /// from the model's; [`CheckpointError::Core`] naming the first
+    /// per-core blob that fails snapshot validation. Every blob is checked
+    /// before any is written, so on error the simulation is unchanged.
     pub fn restore(&mut self, ckpt: &RankCheckpoint) -> Result<(), CheckpointError> {
+        if ckpt.lanes() != 1 {
+            return Err(CheckpointError::LaneMismatch);
+        }
         if ckpt.core_count() != self.pool.len() {
             return Err(CheckpointError::Truncated {
                 expected: self.pool.len(),

@@ -8,12 +8,18 @@
 //! the whole job at a tick boundary; its id **is** the tick. Generation `g`
 //! with `R` ranks consists of:
 //!
-//! * `g{g:012}-r{r:04}.ckpt` for each rank `r` — the rank's payload (a full
-//!   [`ReplicaPayload`] `RPL1` frame, or a [`DeltaReplica`] `RPLD` frame
-//!   diffed against the previous generation), followed by an 8-byte footer
-//!   `[u32 payload_len][u32 crc32(payload)]`;
+//! * `g{g:012}-r{r:04}.ckpt` for each rank `r` — the rank's state as one
+//!   rank-state frame (`crate::checkpoint`): a full [`ReplicaPayload`],
+//!   or a delta against the previous generation — followed by an 8-byte
+//!   footer `[u32 payload_len][u32 crc32(payload)]`;
 //! * `g{g:012}.mft` — a fixed-size manifest (kind, base generation, rank
 //!   count) with the same footer, written **last**.
+//!
+//! A manifest certifies the layout of its rank files, so its version
+//! ([`MANIFEST_VERSION`]) moves with the frame's: a store another build
+//! wrote is refused with [`StoreError::UnsupportedVersion`] by every
+//! reader — recovery, `fsck`, `gc` — and never read as empty, resumed
+//! from tick 0 and overwritten.
 //!
 //! # Commit protocol
 //!
@@ -32,28 +38,32 @@
 //!
 //! # Delta generations
 //!
-//! Delta generations store [`DeltaReplica`] frames whose `base_tick` is the
-//! previous generation, so restoring generation `g` walks the manifest
-//! `base` pointers back to the nearest full generation and applies the
-//! deltas in order onto the materialized mirror. Writers emit a full
-//! generation first and every [`DURABLE_FULL_EVERY`]-th boundary after
-//! that, bounding every rebuild chain.
+//! Delta generations store delta frames whose base tick is the previous
+//! generation, so restoring generation `g` walks the manifest `base`
+//! pointers back to the nearest full generation and absorbs the deltas in
+//! order into the materialized mirror (`ReplicaPayload::absorb`). Writers
+//! emit a full generation first and every [`DURABLE_FULL_EVERY`]-th
+//! boundary after that, bounding every rebuild chain.
 
-use crate::checkpoint::{CheckpointError, DeltaBase, DeltaReplica, DeltaSlots, ReplicaPayload};
+use crate::checkpoint::{
+    decode, CheckpointError, DeltaBase, DeltaSlots, RankCheckpoint, ReplicaPayload,
+};
 use compass_comm::crc32;
 use std::collections::BTreeMap;
 use std::fs::{self, File};
 use std::io::Write as _;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
-use tn_core::wire::Reader;
-use tn_core::Spike;
+use tn_core::wire::{Reader, WireError};
+use tn_core::{CoreId, Spike};
 
 /// Leading magic of a generation manifest.
 pub const MANIFEST_MAGIC: [u8; 4] = *b"CMF1";
 
-/// Current manifest format version.
-pub const MANIFEST_VERSION: u16 = 1;
+/// Current manifest format version: 2 certifies rank files in the one
+/// rank-state frame. Version 1 stores hold the `RPL1` / `RPLD` layouts.
+pub const MANIFEST_VERSION: u16 = 2;
 
 /// Manifest body size (footer excluded).
 const MANIFEST_BYTES: usize = 32;
@@ -118,6 +128,16 @@ pub enum StoreError {
         /// Ranks the newest committed generation holds.
         got: u32,
     },
+    /// A CRC-valid manifest carries a format version this build does not
+    /// read: the store was written by another build. Every reader stops
+    /// here rather than skip it, so nothing resumes from tick 0 over it
+    /// and `gc` removes no file of it.
+    UnsupportedVersion {
+        /// The manifest.
+        path: PathBuf,
+        /// The version it carries.
+        found: u16,
+    },
     /// A payload is too long for the footer's 32-bit length field. Nothing
     /// was written: the generation is skipped and earlier ones stay valid
     /// — a truncated length would seal a file no reader ever accepts.
@@ -143,6 +163,12 @@ impl std::fmt::Display for StoreError {
                 f,
                 "checkpoint store was written by a {got}-rank world, cannot resume {expected} ranks"
             ),
+            StoreError::UnsupportedVersion { path, found } => write!(
+                f,
+                "{} has store format version {found}, this build reads version {MANIFEST_VERSION}: \
+                 the store was written by another build and is left as it is",
+                path.display()
+            ),
             StoreError::PayloadTooLarge { name, len } => write!(
                 f,
                 "payload of {len} bytes for {name} exceeds the store's 32-bit length field"
@@ -155,7 +181,9 @@ impl std::error::Error for StoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             StoreError::Io { source, .. } => Some(source),
-            StoreError::RankMismatch { .. } | StoreError::PayloadTooLarge { .. } => None,
+            StoreError::RankMismatch { .. }
+            | StoreError::UnsupportedVersion { .. }
+            | StoreError::PayloadTooLarge { .. } => None,
         }
     }
 }
@@ -163,10 +191,9 @@ impl std::error::Error for StoreError {
 /// Whether a generation's rank files are full payloads or deltas.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GenKind {
-    /// Rank files are [`ReplicaPayload`] frames: self-contained.
+    /// Rank files are full frames ([`ReplicaPayload`]): self-contained.
     Full,
-    /// Rank files are [`DeltaReplica`] frames against the `base`
-    /// generation.
+    /// Rank files are delta frames against the `base` generation.
     Delta,
 }
 
@@ -203,12 +230,15 @@ impl Manifest {
     }
 
     pub(crate) fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        let mut r = Reader::frame(bytes, MANIFEST_MAGIC, MANIFEST_BYTES)?;
+        let mut r = Reader::frame(bytes, MANIFEST_MAGIC, MANIFEST_BYTES).map_err(|e| match e {
+            WireError::BadMagic => CheckpointError::BadMagic(MANIFEST_MAGIC),
+            e => e.into(),
+        })?;
         r.version_u16(MANIFEST_VERSION)?;
         let kind = match r.u8()? {
             0 => GenKind::Full,
             1 => GenKind::Delta,
-            _ => return Err(CheckpointError::BadMagic),
+            k => return Err(CheckpointError::UnknownKind(k)),
         };
         r.u8()?; // reserved
         let (gen, base, ranks) = (r.u64()?, r.u64()?, r.u32()?);
@@ -450,7 +480,13 @@ impl CheckpointStore {
     /// Scans the directory for committed generations: every readable,
     /// CRC-valid manifest, ascending by generation. Unreadable or
     /// corrupt manifests are skipped (their generations are treated as
-    /// never committed); only directory-level I/O failures are errors.
+    /// never committed).
+    ///
+    /// # Errors
+    /// [`StoreError::UnsupportedVersion`] for a CRC-valid manifest of
+    /// another format version — the store is another build's, and every
+    /// reader of it stops; [`StoreError::Io`] when the directory cannot
+    /// be listed.
     pub fn manifests(&self) -> Result<Vec<Manifest>, StoreError> {
         let mut found = BTreeMap::new();
         for entry in fs::read_dir(&self.dir).map_err(|e| io_err(&self.dir, e))? {
@@ -464,10 +500,16 @@ impl CheckpointStore {
                 continue;
             };
             let Ok(body) = unseal(&bytes) else { continue };
-            let Ok(m) = Manifest::from_bytes(body) else {
-                continue;
-            };
-            found.insert(m.gen, m);
+            match Manifest::from_bytes(body) {
+                Ok(m) => {
+                    found.insert(m.gen, m);
+                }
+                Err(CheckpointError::UnsupportedVersion(found)) => {
+                    let path = entry.path();
+                    return Err(StoreError::UnsupportedVersion { path, found });
+                }
+                Err(_) => {}
+            }
         }
         Ok(found.into_values().collect())
     }
@@ -500,7 +542,8 @@ impl CheckpointStore {
     }
 
     /// Materializes one committed generation into per-rank payloads,
-    /// validating every file it touches. Soft-fails with a reason so
+    /// validating every file it touches: each rank's mirror absorbs the
+    /// chain's frames in order, full first. Soft-fails with a reason so
     /// recovery can fall back to an older generation.
     fn materialize(
         &self,
@@ -508,47 +551,39 @@ impl CheckpointStore {
         target: &Manifest,
     ) -> Result<Vec<ReplicaPayload>, String> {
         let chain = Self::chain_for(by_gen, target)?;
-        let (full, deltas) = chain
-            .split_first()
-            .expect("chain holds at least the target");
-        if full.kind != GenKind::Full {
+        if chain[0].kind != GenKind::Full {
             return Err(format!(
                 "chain bottoms out at non-full generation {}",
-                full.gen
+                chain[0].gen
             ));
         }
-        let mut payloads = Vec::with_capacity(target.ranks as usize);
-        for rank in 0..target.ranks {
-            let bytes = self.read_rank(full.gen, rank)?;
-            let payload = ReplicaPayload::from_bytes(&bytes)
-                .map_err(|e| format!("generation {} rank {rank}: {e}", full.gen))?;
-            if payload.ckpt.rank() != rank || u64::from(payload.ckpt.start_tick()) != full.gen {
-                return Err(format!(
-                    "generation {} rank {rank} holds rank {} at tick {}",
-                    full.gen,
-                    payload.ckpt.rank(),
-                    payload.ckpt.start_tick()
-                ));
-            }
-            payloads.push(payload);
-        }
-        for link in deltas {
+        let mut mirrors = vec![None; target.ranks as usize];
+        for link in chain {
             if link.ranks != target.ranks {
                 return Err(format!(
                     "generation {} holds {} ranks, chain expects {}",
                     link.gen, link.ranks, target.ranks
                 ));
             }
-            for (rank, mirror) in payloads.iter_mut().enumerate() {
-                let bytes = self.read_rank(link.gen, rank as u32)?;
-                let delta = DeltaReplica::from_bytes(&bytes)
-                    .map_err(|e| format!("generation {} rank {rank}: {e}", link.gen))?;
-                delta
-                    .apply(mirror)
-                    .map_err(|e| format!("generation {} rank {rank}: {e}", link.gen))?;
+            for (rank, mirror) in mirrors.iter_mut().enumerate() {
+                let at =
+                    |e: &dyn std::fmt::Display| format!("generation {} rank {rank}: {e}", link.gen);
+                let frame = decode(&self.read_rank(link.gen, rank as u32)?).map_err(|e| at(&e))?;
+                if frame.0.is_some() != (link.kind == GenKind::Delta) {
+                    return Err(at(&"frame kind disagrees with the manifest"));
+                }
+                ReplicaPayload::absorb(mirror, frame).map_err(|e| at(&e))?;
+                let ck = &mirror.as_ref().expect("a frame was absorbed").ckpt;
+                if (ck.rank(), u64::from(ck.start_tick())) != (rank as u32, link.gen) {
+                    return Err(at(&format_args!(
+                        "holds rank {} at tick {}",
+                        ck.rank(),
+                        ck.start_tick()
+                    )));
+                }
             }
         }
-        Ok(payloads)
+        Ok(mirrors.into_iter().flatten().collect())
     }
 
     /// Finds the newest committed generation that fully validates for an
@@ -694,7 +729,6 @@ pub(crate) struct DurableWriter {
     free: mpsc::Receiver<Vec<u8>>,
     /// Ends with bytes written, generations persisted, the first failure.
     handle: std::thread::JoinHandle<(u64, u64, Option<StoreError>)>,
-    me: u32,
     ranks: u32,
     /// The policy's cadence in ticks.
     pub(crate) every: u32,
@@ -705,7 +739,12 @@ pub(crate) struct DurableWriter {
 impl DurableWriter {
     /// Opens the store under `pol` and starts the writer thread of rank
     /// `me` of a `ranks`-rank world.
-    pub(crate) fn spawn(pol: &DurabilityPolicy, me: u32, ranks: u32) -> Result<Self, String> {
+    pub(crate) fn spawn(
+        pol: &DurabilityPolicy,
+        me: u32,
+        ranks: u32,
+        runs: Vec<Range<CoreId>>,
+    ) -> Result<Self, String> {
         let store =
             CheckpointStore::open(&pol.dir, pol.sync).map_err(|e| format!("rank {me}: {e}"))?;
         let retain = pol.retain;
@@ -718,17 +757,19 @@ impl DurableWriter {
             }
             Ok(bytes)
         };
-        Self::spawn_with(persist, pol.every, me, ranks)
+        Self::spawn_with(persist, pol.every, ranks, DeltaBase::over(me, runs))
     }
 
     /// [`DurableWriter::spawn`] over any `persist` step (returns the bytes
-    /// it wrote): the seam the tests gate or kill the writer through.
+    /// it wrote), from `base`: the seam the tests gate or kill the writer
+    /// through.
     fn spawn_with(
         mut persist: impl FnMut(Manifest, &[u8]) -> Result<u64, StoreError> + Send + 'static,
         every: u32,
-        me: u32,
         ranks: u32,
+        base: DeltaBase,
     ) -> Result<Self, String> {
+        let me = base.held.rank;
         let (tx, rx) = mpsc::channel::<(Manifest, Vec<u8>)>();
         let (free_tx, free) = mpsc::channel();
         for _ in 0..WRITER_BUFFERS {
@@ -757,10 +798,9 @@ impl DurableWriter {
             tx,
             free,
             handle,
-            me,
             ranks,
             every,
-            base: DeltaBase::default(),
+            base,
         })
     }
 
@@ -779,37 +819,33 @@ impl DurableWriter {
     /// Blocks while every payload buffer is still with the writer thread:
     /// a disk slower than the tick loop slows the run, it does not grow it.
     pub(crate) fn stage(&mut self, t: u32, snap: &mut Vec<u8>, trace: &[Spike], fires: &[u64]) {
-        let full = self.base.ships.is_multiple_of(DURABLE_FULL_EVERY) || t <= self.base.tick;
+        let held = &self.base.held;
+        let full = self.base.ships.is_multiple_of(DURABLE_FULL_EVERY) || t <= held.start_tick;
+        let base = u64::from(if full { t } else { held.start_tick });
+        let cur = RankCheckpoint::new(held.rank, t, held.runs.clone(), std::mem::take(snap));
         // A closed channel means the writer thread died; its failure
         // surfaces at join time, and until then a fresh buffer keeps the
         // tick loop moving.
         let mut payload = self.free.recv().unwrap_or_default();
-        self.base.payload_into(
-            &mut payload,
-            full,
-            self.me,
-            t,
-            snap,
-            DeltaSlots::Compared,
-            trace,
-            fires,
-        );
+        let slots = DeltaSlots::Compared;
+        self.base
+            .payload_into(&mut payload, full, &cur, slots, trace, fires);
         let manifest = Manifest {
             gen: u64::from(t),
             kind: if full { GenKind::Full } else { GenKind::Delta },
-            base: u64::from(if full { t } else { self.base.tick }),
+            base,
             ranks: self.ranks,
         };
         let _ = self.tx.send((manifest, payload));
         self.base.advance(t, trace, fires);
-        std::mem::swap(&mut self.base.blob, snap);
+        *snap = std::mem::replace(&mut self.base.held.blob, cur.blob);
     }
 
     /// Closes the channel so the writer finishes the queued generations,
     /// and waits for it. Returns bytes written, generations persisted, and
     /// the first failure, rendered.
     pub(crate) fn join(self) -> (u64, u64, Option<String>) {
-        let me = self.me;
+        let me = self.base.held.rank;
         drop(self.tx);
         match self.handle.join() {
             Ok((bytes, gens, err)) => (bytes, gens, err.map(|e| format!("rank {me}: {e}"))),
@@ -820,8 +856,11 @@ impl DurableWriter {
 
 #[cfg(test)]
 mod tests {
+    // A frame's runs are ranges: a list of one run is meant.
+    #![allow(clippy::single_range_in_vec_init)]
+
     use super::*;
-    use crate::checkpoint::RankCheckpoint;
+    use crate::checkpoint::tests::reference_delta;
     use tn_core::CORE_SNAPSHOT_BYTES;
 
     fn scratch(name: &str) -> PathBuf {
@@ -830,17 +869,19 @@ mod tests {
         dir
     }
 
+    /// The two cores rank `rank` hosts.
+    fn runs(rank: u32) -> Vec<Range<CoreId>> {
+        let first = 2 * u64::from(rank);
+        vec![first..first + 2]
+    }
+
     fn payload(rank: u32, tick: u32, fill: u8) -> ReplicaPayload {
         let mut blob = vec![fill; 2 * CORE_SNAPSHOT_BYTES];
         blob[16..24].copy_from_slice(&u64::from(tick).to_le_bytes());
         let at = CORE_SNAPSHOT_BYTES;
         blob[at + 16..at + 24].copy_from_slice(&u64::from(tick).to_le_bytes());
         ReplicaPayload {
-            ckpt: RankCheckpoint {
-                rank,
-                start_tick: tick,
-                blob,
-            },
+            ckpt: RankCheckpoint::new(rank, tick, runs(rank), blob),
             trace: Vec::new(),
             fires_per_tick: vec![u64::from(fill); tick as usize],
         }
@@ -874,16 +915,10 @@ mod tests {
                 cur[at..at + 8].copy_from_slice(&(t + elapsed).to_le_bytes());
             }
             cur[40] = cur[40].wrapping_add(1);
-            let d = DeltaReplica::diff(
-                base as u32,
-                gen as u32,
-                vec![0, 1],
-                &old.ckpt.blob,
-                &cur,
-                Vec::new(),
-                vec![9; (gen - base) as usize],
-            );
-            store.write_rank(gen, r, &d.to_bytes()).unwrap();
+            let cur = RankCheckpoint::new(r, gen as u32, runs(r), cur);
+            let fires = vec![9; (gen - base) as usize];
+            let d = reference_delta(base as u32, &cur, &old.ckpt.blob, &[0, 1], &[], &fires);
+            store.write_rank(gen, r, &d).unwrap();
         }
         assert!(store
             .try_commit(Manifest {
@@ -947,7 +982,7 @@ mod tests {
         let store = CheckpointStore::open(&dir, false).unwrap();
         commit_full(&store, 4, 1, 1);
         // A write killed mid-temp: partial bytes, never renamed.
-        fs::write(dir.join(".tmp-g000000000008-r0000.ckpt"), b"RPL1par").unwrap();
+        fs::write(dir.join(".tmp-g000000000008-r0000.ckpt"), b"CKPTpar").unwrap();
         fs::write(dir.join(".tmp-g000000000008.mft"), b"CM").unwrap();
         let rp = store.recover(1).unwrap().expect("previous generation");
         assert_eq!(rp.gen, 4);
@@ -1023,6 +1058,64 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A store in the layout of the five-format build: sealed version-1
+    /// `CMF1` manifests over `RPL1` rank files, at generations 4 and 8.
+    fn write_old_layout_store(dir: &Path) {
+        fs::create_dir_all(dir).unwrap();
+        for gen in [4u64, 8] {
+            let mut manifest = Manifest {
+                gen,
+                kind: GenKind::Full,
+                base: gen,
+                ranks: 1,
+            }
+            .to_bytes();
+            manifest[4..6].copy_from_slice(&1u16.to_le_bytes());
+            fs::write(dir.join(manifest_file_name(gen)), seal(&manifest)).unwrap();
+            // `RPL1`: magic, `CKPT` length, trace and fires counts, then a
+            // version-1 `CKPT` of rank 0 holding no core.
+            let mut rank_file = b"RPL1".to_vec();
+            for word in [20u32, 0, 0] {
+                rank_file.extend_from_slice(&word.to_le_bytes());
+            }
+            rank_file.extend_from_slice(b"CKPT\x01\x00\x00\x00");
+            for word in [0u32, gen as u32, 0] {
+                rank_file.extend_from_slice(&word.to_le_bytes());
+            }
+            fs::write(dir.join(rank_file_name(gen, 0)), seal(&rank_file)).unwrap();
+        }
+    }
+
+    /// A store the five-format build wrote is not read as empty — which
+    /// would resume a run at tick 0 over it — but refused by every reader
+    /// with the version it carries, and `gc` removes none of its files.
+    #[test]
+    fn a_store_in_the_old_layout_is_refused_not_overwritten() {
+        let dir = scratch("old-layout");
+        write_old_layout_store(&dir);
+        let listing = || {
+            let mut names: Vec<_> = fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name())
+                .collect();
+            names.sort();
+            names
+        };
+        let before = listing();
+        let store = CheckpointStore::open(&dir, false).unwrap();
+        let refused = |e: StoreError| {
+            let reason = e.to_string();
+            let found_v1 = matches!(e, StoreError::UnsupportedVersion { found: 1, .. });
+            assert!(found_v1 && reason.contains("version 1"), "{reason}");
+        };
+        refused(store.recover(1).unwrap_err());
+        refused(store.fsck().unwrap_err());
+        refused(store.gc(1).unwrap_err());
+        refused(store.manifests().unwrap_err());
+        assert_eq!(listing(), before, "no file was removed");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn gc_keeps_chains_whole() {
         let dir = scratch("gc");
@@ -1073,7 +1166,10 @@ mod tests {
         assert!(Manifest::from_bytes(b"short").is_err());
         let mut bad = m.to_bytes();
         bad[0] = b'X';
-        assert_eq!(Manifest::from_bytes(&bad), Err(CheckpointError::BadMagic));
+        assert_eq!(
+            Manifest::from_bytes(&bad),
+            Err(CheckpointError::BadMagic(*b"CMF1"))
+        );
         let mut bad = m.to_bytes();
         bad[4] = 9;
         assert_eq!(
@@ -1081,8 +1177,13 @@ mod tests {
             Err(CheckpointError::UnsupportedVersion(9))
         );
         let mut bad = m.to_bytes();
-        bad[6] = 7; // unknown kind
-        assert!(Manifest::from_bytes(&bad).is_err());
+        bad[6] = 7;
+        assert_eq!(
+            Manifest::from_bytes(&bad),
+            Err(CheckpointError::UnknownKind(7))
+        );
+        let reason = CheckpointError::BadMagic(*b"CMF1").to_string();
+        assert!(reason.contains("CMF1"), "{reason}");
     }
 
     #[test]
@@ -1136,6 +1237,11 @@ mod tests {
         }
     }
 
+    /// A writer's base for rank `rank` hosting cores `0..cores`.
+    fn base(rank: u32, cores: u64) -> DeltaBase {
+        DeltaBase::over(rank, vec![0..cores])
+    }
+
     /// Stages a one-core boundary at tick `t` without a recorded history.
     fn stage_tick(writer: &mut DurableWriter, t: u32) {
         let mut snap = payload(0, t, 9).ckpt.blob[..CORE_SNAPSHOT_BYTES].to_vec();
@@ -1155,7 +1261,7 @@ mod tests {
             gate_rx.recv().expect("test opens the gate");
             Ok(body.len() as u64)
         };
-        let mut writer = DurableWriter::spawn_with(persist, 4, 0, 1).unwrap();
+        let mut writer = DurableWriter::spawn_with(persist, 4, 1, base(0, 1)).unwrap();
         let staged = Arc::new(AtomicU32::new(0));
         let tick_loop = std::thread::spawn({
             let staged = Arc::clone(&staged);
@@ -1202,7 +1308,7 @@ mod tests {
             let _died_tx = &died_tx;
             panic!("writer dies on its first generation");
         };
-        let mut writer = DurableWriter::spawn_with(persist, 4, 0, 1).unwrap();
+        let mut writer = DurableWriter::spawn_with(persist, 4, 1, base(0, 1)).unwrap();
         stage_tick(&mut writer, 0);
         assert!(died.recv().is_err(), "only the unwind closes the channel");
         // One buffer is still queued on the return channel; every stage
@@ -1226,7 +1332,8 @@ mod tests {
                 Ok(body.len() as u64)
             }
         };
-        let mut writer = DurableWriter::spawn_with(persist, 4, 2, 3).unwrap();
+        let mut writer =
+            DurableWriter::spawn_with(persist, 4, 3, DeltaBase::over(2, runs(2))).unwrap();
         let blob = |t: u32, body: u8| {
             let mut b = payload(2, t, 1).ckpt.blob;
             b[300] = body;
@@ -1244,35 +1351,21 @@ mod tests {
             let reference = match &prev {
                 Some((base_tick, base)) if t > *base_tick => {
                     let had = *base_tick as usize;
-                    let dirty = if base[300] == cur[300] {
-                        vec![]
-                    } else {
-                        vec![0]
-                    };
-                    let delta = DeltaReplica::diff(
-                        *base_tick,
-                        t,
-                        dirty,
-                        base,
-                        &cur,
-                        Vec::new(),
-                        history[had..].to_vec(),
-                    );
+                    let dirty: &[usize] = if base[300] == cur[300] { &[] } else { &[0] };
+                    let now = RankCheckpoint::new(2, t, runs(2), cur.clone());
+                    let delta =
+                        reference_delta(*base_tick, &now, base, dirty, &[], &history[had..]);
                     let m = Manifest {
                         gen: u64::from(t),
                         kind: GenKind::Delta,
                         base: u64::from(*base_tick),
                         ranks: 3,
                     };
-                    (m, delta.to_bytes())
+                    (m, delta)
                 }
                 _ => {
                     let full = ReplicaPayload {
-                        ckpt: RankCheckpoint {
-                            rank: 2,
-                            start_tick: t,
-                            blob: cur.clone(),
-                        },
+                        ckpt: RankCheckpoint::new(2, t, runs(2), cur.clone()),
                         trace: Vec::new(),
                         fires_per_tick: history.to_vec(),
                     };

@@ -262,25 +262,16 @@ pub(crate) fn encode_slot(
     out.extend_from_slice(&fires.to_le_bytes());
     out.extend_from_slice(&syn_events.to_le_bytes());
     out.extend_from_slice(&prng_raw.to_le_bytes());
-    #[cfg(target_endian = "little")]
-    {
-        // SAFETY: i32/u16 arrays are plain-old-data; on little-endian
-        // targets their in-memory bytes are exactly the wire bytes.
-        out.extend_from_slice(unsafe {
-            std::slice::from_raw_parts(potentials.as_ptr().cast::<u8>(), potentials.len() * 4)
-        });
-        out.extend_from_slice(unsafe {
-            std::slice::from_raw_parts(delay_bits.as_ptr().cast::<u8>(), delay_bits.len() * 2)
-        });
+    // One safe loop per array into bytes already sized: on a
+    // little-endian target the compiler turns each into a plain copy.
+    let at = out.len();
+    out.resize(at + potentials.len() * 4 + delay_bits.len() * 2, 0);
+    let (pots, delays) = out[at..].split_at_mut(potentials.len() * 4);
+    for (word, v) in pots.chunks_exact_mut(4).zip(potentials) {
+        word.copy_from_slice(&v.to_le_bytes());
     }
-    #[cfg(not(target_endian = "little"))]
-    {
-        for v in potentials {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        for b in delay_bits {
-            out.extend_from_slice(&b.to_le_bytes());
-        }
+    for (word, b) in delays.chunks_exact_mut(2).zip(delay_bits) {
+        word.copy_from_slice(&b.to_le_bytes());
     }
     // At a tick boundary every count is zero (the Neuron phase took
     // them): the section is then a fill, and a transposition only between

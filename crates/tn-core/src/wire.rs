@@ -1,8 +1,8 @@
 //! The one bounds-checked reader every byte layout decodes through.
 //!
-//! The formats of this workspace (`TNCS`, `CKPT`, `RPL1`, `RPLD`, `MIG1`,
-//! `BCK1`, `CMF1`, `CMPS`, the store footer — DESIGN.md "Wire and file
-//! formats") share no header, so there is no common frame struct; what
+//! The formats of this workspace (`TNCS`, the `CKPT` rank-state frame,
+//! `CMF1`, `CMPS`, the store footer — DESIGN.md "Wire and file formats")
+//! share no header, so there is no common frame struct; what
 //! they share is the *walk*: a magic test, little-endian fields read in
 //! order, counted arrays whose `count * stride` comes off the wire, and an
 //! exact-length check at the end. [`Reader`] is that walk. Every read is

@@ -244,3 +244,75 @@ fn compass_ckpt_refuses_a_dir_that_is_not_a_directory_and_creates_nothing() {
     assert_eq!(exit, Some(0), "{stderr}");
     std::fs::remove_dir_all(empty).unwrap();
 }
+
+/// A store in the layout of the five-format build — a sealed version-1
+/// `CMF1` manifest over an `RPL1` rank file — is refused, not read as
+/// empty: every `compass-ckpt` subcommand exits 1 with a reason that
+/// names version 1, none panics, and every file stays in place; nor does
+/// `compass-run --checkpoint-dir` start a run over it.
+#[test]
+fn compass_ckpt_refuses_a_store_in_the_old_layout() {
+    let dir = scratch("old-layout-store");
+    std::fs::create_dir_all(&dir).unwrap();
+    let seal = |body: &[u8]| {
+        let mut file = body.to_vec();
+        file.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        file.extend_from_slice(&compass::comm::crc32(body).to_le_bytes());
+        file
+    };
+    // Magic, version 1, kind full, reserved, generation, base, ranks,
+    // reserved.
+    let mut manifest = b"CMF1\x01\x00\x00\x00".to_vec();
+    for word in [8u64, 8] {
+        manifest.extend_from_slice(&word.to_le_bytes());
+    }
+    manifest.extend_from_slice(&[1, 0, 0, 0, 0, 0, 0, 0]);
+    std::fs::write(dir.join("g000000000008.mft"), seal(&manifest)).unwrap();
+    // `RPL1` over a version-1 `CKPT` of rank 0 at tick 8 holding no core.
+    let mut rank_file = b"RPL1".to_vec();
+    for word in [20u32, 0, 0] {
+        rank_file.extend_from_slice(&word.to_le_bytes());
+    }
+    rank_file.extend_from_slice(b"CKPT\x01\x00\x00\x00");
+    for word in [0u32, 8, 0] {
+        rank_file.extend_from_slice(&word.to_le_bytes());
+    }
+    std::fs::write(dir.join("g000000000008-r0000.ckpt"), seal(&rank_file)).unwrap();
+    let files = || {
+        let mut names: Vec<_> = (std::fs::read_dir(&dir).unwrap())
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        names.sort();
+        names
+    };
+    let before = files();
+    let path = dir.to_str().unwrap();
+    let vectors: [&[&str]; 4] = [
+        &["fsck", path],
+        &["inspect", path],
+        &["gc", path],
+        &["gc", path, "--retain", "0"],
+    ];
+    for args in vectors {
+        let out = Command::new(env!("CARGO_BIN_EXE_compass-ckpt"))
+            .args(args)
+            .output()
+            .expect("compass-ckpt starts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+        assert!(stderr.starts_with("compass-ckpt: "), "{args:?}: {stderr}");
+        assert!(stderr.contains("version 1"), "{args:?}: {stderr}");
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+    }
+    // A run pointed at it, fresh or resuming, stops before writing.
+    let run = ["--workload", "ring", "--ranks", "1", "--ticks", "8"];
+    for resume in [&[][..], &["--resume"]] {
+        let args = [&run[..], &["--checkpoint-dir", path], resume].concat();
+        let (exit, stderr) = compass_run(&args);
+        assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+        assert!(stderr.contains("version 1"), "{args:?}: {stderr}");
+        assert_eq!(exit, Some(1), "{args:?}: {stderr}");
+    }
+    assert_eq!(files(), before, "the store was touched");
+    std::fs::remove_dir_all(dir).unwrap();
+}

@@ -408,14 +408,12 @@ fn completed_job_relaunch_is_idempotent() {
 }
 
 /// Bytes are the contract: the store a fixed run leaves behind — every
-/// file's name and every byte of `RPL1` / `RPLD` payload, manifest and
-/// CRC footer — is pinned by digest. The constant was recorded from the
-/// commit before the payload builder, the sliced CRC and the copy-free
-/// seal landed (PR 14, 921c5c0); a store written by either side must be
-/// indistinguishable from the other's.
+/// file's name and every byte of full and delta frame, manifest and CRC
+/// footer — is pinned by digest. The constant was recorded when rank
+/// state moved to the one versioned frame and the manifest to version 2.
 #[test]
 fn store_bytes_match_the_golden_digest() {
-    const GOLDEN: u64 = 0x74ea_6857_0152_786b;
+    const GOLDEN: u64 = 0xd0aa_0126_d0c8_9d3b;
     let model = NetworkModel::relay_ring(20, 8, 1);
     let dir = scratch("golden");
     let pol = DurabilityPolicy {
