@@ -21,13 +21,11 @@
 
 pub mod atlas;
 pub mod builder;
-pub mod graphstats;
 pub mod hierarchy;
 pub mod synthetic;
 
 pub use atlas::{assign_volumes, Volumes};
 pub use builder::{core_budgets, macaque_network, MacaqueNetwork, DRIVE_PERIOD};
 pub use compass_pcc::RegionClass;
-pub use graphstats::{analyze, to_dot, GraphStats};
 pub use hierarchy::{generate_parcellation, merge_to_parents, MergedGraph, Parcellation};
 pub use synthetic::{synthetic_realtime, SyntheticParams};

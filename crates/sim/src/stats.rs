@@ -319,11 +319,6 @@ impl RunReport {
         self.ranks.iter().map(|r| r.memory_bytes).sum()
     }
 
-    /// Spikes still in flight at the end of the run.
-    pub fn total_in_flight(&self) -> u64 {
-        self.ranks.iter().map(|r| r.spikes_in_flight).sum()
-    }
-
     /// Total Synapse-phase scans skipped via quiescence fast paths.
     pub fn total_synapse_skips(&self) -> u64 {
         self.ranks.iter().map(|r| r.synapse_skips).sum()
