@@ -274,31 +274,17 @@ impl World {
         T: Send,
         F: Fn(&RankCtx) -> T + Sync,
     {
-        Self::run_with_faults(config, metrics, None, f)
+        Self::run_with_recovery(config, metrics, None, None, f)
     }
 
     /// Like [`World::run_with_metrics`] with an optional [`FaultInjector`]
     /// applied to every application-level mailbox send and PGAS put (never
-    /// to collective-internal traffic). The caller keeps its own clone of
-    /// the injector `Arc` to inspect [`FaultInjector::injected`] afterwards.
-    pub fn run_with_faults<T, F>(
-        config: WorldConfig,
-        metrics: Arc<TransportMetrics>,
-        faults: Option<Arc<FaultInjector>>,
-        f: F,
-    ) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&RankCtx) -> T + Sync,
-    {
-        Self::run_with_recovery(config, metrics, faults, None, f)
-    }
-
-    /// Like [`World::run_with_faults`] with an optional [`ReliableWorld`]
+    /// to collective-internal traffic) and an optional [`ReliableWorld`]
     /// installed under both transports: application payloads are framed
     /// before faults strike, receivers validate/dedup on the way in, and
     /// the rank body can drive the per-tick audit via
-    /// [`RankCtx::reliable`].
+    /// [`RankCtx::reliable`]. The caller keeps its own clone of the
+    /// injector `Arc` to inspect [`FaultInjector::injected`] afterwards.
     pub fn run_with_recovery<T, F>(
         config: WorldConfig,
         metrics: Arc<TransportMetrics>,

@@ -146,15 +146,18 @@ macro_rules! prop_oneof {
 }
 
 /// Defines `#[test]` functions whose arguments are drawn from strategies.
+/// Each function carries the attributes written on it; in a test module
+/// that is `#[test]`, and here the function is called directly.
 ///
-/// ```ignore
+/// ```
+/// # use proptest::prelude::*;
 /// proptest! {
 ///     #![proptest_config(ProptestConfig::with_cases(16))]
-///     #[test]
 ///     fn adds_commute(a in 0u32..100, b in 0u32..100) {
 ///         prop_assert_eq!(a + b, b + a);
 ///     }
 /// }
+/// adds_commute();
 /// ```
 #[macro_export]
 macro_rules! proptest {

@@ -247,7 +247,7 @@ mod macaque {
     }
 
     #[test]
-    #[ignore = "64k-core smoke; run by the CI scaling job in release"]
+    #[ignore = "64k-core smoke; run by the CI `ignored` job in release"]
     fn macaque_64k_compiles_and_fires() {
         let net = macaque_network(2012);
         let (plan, model) = compile_serial(&net.object, 65_536).expect("realizable at 64k");

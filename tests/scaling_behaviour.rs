@@ -274,7 +274,7 @@ mod macaque_at_scale {
     }
 
     #[test]
-    #[ignore = "full 32-combo matrix; run by the CI scaling job in release"]
+    #[ignore = "full 32-combo matrix; run by the CI `ignored` job in release"]
     fn macaque_full_matrix_is_decomposition_invariant() {
         let base = observe(WorldConfig::flat(1), Backend::Mpi);
         assert!(base.fires > 0);
