@@ -896,10 +896,11 @@ fn main() {
 
     // Elastic membership priced at CoCoMac scale (1024 cores — the
     // production shape, not the 20-core toy): the steady-state cost of
-    // staying elastically armed with delta vs full replica payloads, the
-    // measured replica bytes shipped per auto-checkpoint boundary under
-    // each policy, and the cost of an actual scale-out — a standby rank
-    // admitted mid-run, priced per migrated core. Trace equivalence
+    // staying elastically armed (buddy replicas shipped at every
+    // auto-checkpoint boundary), the measured replica bytes per boundary
+    // beside the snapshot bytes a full frame of every core carries, and
+    // the cost of an actual scale-out — a standby rank admitted mid-run,
+    // priced per migrated core. Trace equivalence
     // across all of these is enforced by tests/elastic.rs; this section
     // only prices it.
     out.push_str("  \"elastic\": [\n");
@@ -916,10 +917,6 @@ fn main() {
     let el_world = WorldConfig::new(3, 1);
     let el_per_tick = |f: &dyn Fn() -> u64| best_ns(3, f) / f64::from(el_ticks);
     let delta_pol = RecoveryPolicy::surviving(el_every);
-    let full_pol = RecoveryPolicy {
-        delta_replicas: false,
-        ..RecoveryPolicy::surviving(el_every)
-    };
     let armed_ns = el_per_tick(&|| {
         run_recovering(
             &el_model,
@@ -936,20 +933,14 @@ fn main() {
             .expect("valid model")
             .total_fires()
     });
-    let full_ns = el_per_tick(&|| {
-        run_recovering(&el_model, el_world, &el_engine, None, Some(full_pol))
-            .expect("valid model")
-            .total_fires()
-    });
-    // Replica traffic per boundary under each payload policy: every rank
-    // ships to its buddy once per auto-checkpoint boundary.
+    // Replica traffic per boundary: every rank ships to its buddy once per
+    // auto-checkpoint boundary. A full frame of every core carries at
+    // least their snapshots.
     let boundaries = u64::from(el_ticks / el_every);
     let delta_run = run_recovering(&el_model, el_world, &el_engine, None, Some(delta_pol))
         .expect("valid model");
-    let full_run =
-        run_recovering(&el_model, el_world, &el_engine, None, Some(full_pol)).expect("valid model");
     let delta_bytes_per_boundary = delta_run.total_replication_bytes() as f64 / boundaries as f64;
-    let full_bytes_per_boundary = full_run.total_replication_bytes() as f64 / boundaries as f64;
+    let full_bytes_per_boundary = (el_model.cores.len() * CORE_SNAPSHOT_BYTES) as f64;
     // A real scale-out: two ranks run the model, a warm standby is
     // admitted at a boundary and takes its third of the cores over the
     // migration channel.
@@ -973,7 +964,6 @@ fn main() {
         mig_bytes = r.total_migration_bytes();
     }
     let delta_over = (delta_ns - armed_ns) / armed_ns;
-    let full_over = (full_ns - armed_ns) / armed_ns;
     let delta_reduction = 1.0 - delta_bytes_per_boundary / full_bytes_per_boundary;
     let migration_ns_per_core = mig_ns / mig_cores.max(1) as f64;
     let migration_bytes_per_core = mig_bytes as f64 / mig_cores.max(1) as f64;
@@ -983,8 +973,7 @@ fn main() {
          \"ticks\": {el_ticks}, \"boundary_every\": {el_every}, \
          \"armed_ns_per_tick\": {armed_ns:.1}, \
          \"replicating_delta_ns_per_tick\": {delta_ns:.1}, \
-         \"replicating_full_ns_per_tick\": {full_ns:.1}, \
-         \"delta_overhead\": {delta_over:.3}, \"full_overhead\": {full_over:.3}, \
+         \"delta_overhead\": {delta_over:.3}, \
          \"delta_bytes_per_boundary\": {delta_bytes_per_boundary:.0}, \
          \"full_bytes_per_boundary\": {full_bytes_per_boundary:.0}, \
          \"delta_reduction\": {delta_reduction:.3}, \
@@ -995,13 +984,12 @@ fn main() {
     );
     println!(
         "elastic cocomac(1024) ranks={} armed={armed_ns:.1}ns/tick \
-         delta={delta_ns:.1}ns/tick (+{:.1}%) full={full_ns:.1}ns/tick (+{:.1}%) \
+         delta={delta_ns:.1}ns/tick (+{:.1}%) \
          bytes/boundary delta={delta_bytes_per_boundary:.0} full={full_bytes_per_boundary:.0} \
          (-{:.1}%) migration={migration_ns_per_core:.1}ns/core \
          ({migration_bytes_per_core:.0}B/core over {mig_cores} cores)",
         el_world.ranks,
         delta_over * 100.0,
-        full_over * 100.0,
         delta_reduction * 100.0
     );
     out.push_str("  ],\n");

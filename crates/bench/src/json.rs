@@ -455,9 +455,7 @@ const KERNEL_ARRAY_SECTIONS: [(&str, &[&str]); 6] = [
             "ranks",
             "armed_ns_per_tick",
             "replicating_delta_ns_per_tick",
-            "replicating_full_ns_per_tick",
             "delta_overhead",
-            "full_overhead",
             "delta_bytes_per_boundary",
             "full_bytes_per_boundary",
             "delta_reduction",
@@ -653,8 +651,8 @@ pub fn validate_kernels_json(text: &str) -> Result<(), String> {
         }
     }
     // The elastic section's reason to exist: delta replication must ship
-    // measurably fewer bytes per boundary than full payloads, on real
-    // migrated cores.
+    // measurably fewer bytes per boundary than the snapshots of every core
+    // a full payload carries, on real migrated cores.
     for (i, p) in rows(&root, "elastic") {
         let delta = num_or(p, "delta_bytes_per_boundary", f64::INFINITY);
         let full = num_or(p, "full_bytes_per_boundary", 0.0);

@@ -29,6 +29,13 @@
 //! given the same inputs they deliver the same multisets of messages, which
 //! is what lets the simulator above guarantee configuration-independent
 //! spike traces.
+//!
+//! The crate denies `unsafe` code. Two sites are allowed it: the thread
+//! team's type-erased job pointer ([`team`]), and the checksum's call into
+//! its carry-less-multiply kernel after the CPU was seen to support it
+//! ([`reliable`]).
+
+#![deny(unsafe_code)]
 
 pub mod barrier;
 pub mod collectives;

@@ -20,14 +20,14 @@
 //!   put*(e) → commit(e) [barrier] → drain(e) → put*(e+1) → …
 //! ```
 //!
-//! # Safety argument for the interior mutability
-//!
 //! Window `(src, dst, parity p)` is written only by `src` during epochs of
 //! parity `p` and drained only by `dst` after that epoch's barrier. A write
 //! to parity `p` can next happen in epoch `e + 2`, which `src` reaches only
 //! after passing the epoch `e + 1` barrier — and `dst` enters that barrier
 //! only after finishing its epoch-`e` drain. The barrier's happens-before
-//! edges therefore totally order every access to each window.
+//! edges therefore totally order every access to each window, so the lock
+//! each window sits behind is never contended: it is there to keep the
+//! crate free of `unsafe`, not to order anything.
 
 use crate::barrier::CentralizedBarrier;
 use crate::fault::FaultInjector;
@@ -35,20 +35,12 @@ use crate::metrics::TransportMetrics;
 use crate::reliable::ReliableWorld;
 use crate::sync::Mutex;
 use crate::Rank;
-use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
 /// A one-sided put target: an append-only byte buffer for one (src, dst,
-/// parity) triple.
-#[derive(Debug, Default)]
-struct Window {
-    buf: UnsafeCell<Vec<u8>>,
-}
-
-// SAFETY: access is serialized by the epoch protocol documented at module
-// level; the barrier provides the necessary happens-before edges.
-unsafe impl Sync for Window {}
+/// parity) triple, behind a lock the epoch protocol keeps uncontended.
+type Window = Mutex<Vec<u8>>;
 
 /// Shared PGAS state for a world of `P` ranks.
 #[derive(Debug)]
@@ -132,11 +124,7 @@ impl PgasWorld {
             for parity in 0..2 {
                 for other in 0..self.ranks {
                     for (src, dst) in [(rank, other), (other, rank)] {
-                        let w = self.window(parity, src, dst);
-                        // SAFETY: admission-time quiescence (doc above) —
-                        // no rank is putting or draining while the joiner
-                        // attaches, so no window access can race this.
-                        unsafe { (*w.buf.get()).clear() };
+                        self.window(parity, src, dst).lock().clear();
                     }
                 }
             }
@@ -279,10 +267,7 @@ impl PgasEndpoint {
     fn append(&self, dst: Rank, bytes: &[u8]) {
         let parity = (self.epoch.load(Ordering::Relaxed) & 1) as usize;
         let w = self.world.window(parity, self.me, dst);
-        // SAFETY: module-level protocol — only `self.me` writes this window
-        // during this epoch, and the previous same-parity drain
-        // happened-before via two barriers.
-        unsafe { (*w.buf.get()).extend_from_slice(bytes) };
+        w.lock().extend_from_slice(bytes);
     }
 
     /// Ends the epoch's write phase with the global barrier. After every
@@ -318,12 +303,9 @@ impl PgasEndpoint {
         );
         let parity = (self.epoch.load(Ordering::Relaxed) & 1) as usize;
         for src in 0..self.world.ranks {
-            let w = self.world.window(parity, src, self.me);
-            // SAFETY: module-level protocol — the epoch barrier happened,
-            // and only `self.me` drains its own incoming windows.
-            let buf = unsafe { &mut *w.buf.get() };
+            let mut buf = self.world.window(parity, src, self.me).lock();
             if !buf.is_empty() {
-                f(src, buf);
+                f(src, &buf);
                 buf.clear();
             }
         }
@@ -429,7 +411,7 @@ mod tests {
     fn drained_windows_keep_their_buffers() {
         let w = world(1);
         let ep = w.endpoint(0);
-        let capacity = |parity| unsafe { (*w.window(parity, 0, 0).buf.get()).capacity() };
+        let capacity = |parity| w.window(parity, 0, 0).lock().capacity();
         for epoch in 0..6 {
             ep.put(0, &[7; 4096]);
             ep.commit();

@@ -237,6 +237,7 @@ impl Crc32 {
         {
             // SAFETY: the CPU was just seen to support `pclmulqdq` and
             // `sse4.1`, the two features the kernel is compiled for.
+            #[allow(unsafe_code)]
             let (state, tail) = unsafe { crc_fold_pclmulqdq(self.state, bytes) };
             self.state = state;
             tail

@@ -53,7 +53,9 @@ struct JobPtr(*const (dyn Fn(TeamCtx<'_>) + Sync));
 
 // SAFETY: the pointee is `Sync` and the `parallel` protocol keeps it alive
 // while any worker can dereference it.
+#[allow(unsafe_code)]
 unsafe impl Send for JobPtr {}
+#[allow(unsafe_code)]
 unsafe impl Sync for JobPtr {}
 
 struct Shared {
@@ -155,6 +157,7 @@ impl ThreadTeam {
         // returns or unwinds (we wait for `running == 0` with the job
         // installed by this epoch, the master's own panic caught until
         // then), so the pointer never dangles while dereferenced.
+        #[allow(unsafe_code)]
         let job = JobPtr(unsafe {
             std::mem::transmute::<
                 *const (dyn Fn(TeamCtx<'_>) + Sync),
@@ -261,6 +264,7 @@ fn worker_loop(tid: usize, size: usize, shared: &Shared) {
         };
         // SAFETY: see `JobPtr` — the master keeps the closure alive until
         // `running` drops to zero, which happens strictly after this call.
+        #[allow(unsafe_code)]
         let f = unsafe { &*job.0 };
         // A panic ends this member's share like a return: `running` still
         // drops, and the master re-raises the payload once it is zero.

@@ -479,9 +479,9 @@ impl ReplicaPayload {
     /// store generation being materialized) taking a [`decode`]d frame: a
     /// full frame replaces `mirror`; a delta patches its cores' shipped
     /// chunks in, advances every other core's tick counter by the gap —
-    /// the *dirty-epoch invariant*: a core that did not travel took the
-    /// skip path every tick, which changes no other byte (a rollback
-    /// restores, and so dirties, every core) — and extends the history.
+    /// a core that did not travel is one the sender checked, bytewise,
+    /// differs from its base only by a tick counter advanced by the gap
+    /// (see [`DeltaBase::ship`]) — and extends the history.
     ///
     /// # Errors
     /// [`CheckpointError::LaneMismatch`] for a full frame of several
@@ -532,8 +532,8 @@ impl ReplicaPayload {
 
 /// Chunk granularity of a delta: 64 bytes separates a snapshot's hot
 /// header and potential words from its mostly-quiescent delay-ring and
-/// pending-count tail, so dense models, every core dirty every epoch,
-/// still ship a fraction of the image.
+/// pending-count tail, so dense models, every core changing between
+/// boundaries, still ship a fraction of the image.
 const DELTA_CHUNK_BYTES: usize = 64;
 /// Chunks per `TNCS` snapshot; the final chunk may be short.
 const DELTA_CHUNKS_PER_CORE: usize = CORE_SNAPSHOT_BYTES.div_ceil(DELTA_CHUNK_BYTES);
@@ -559,55 +559,41 @@ fn mask_bytes(mask: u64) -> usize {
     selected.map(|ci| chunk_span(ci).len()).sum()
 }
 
-/// Which slots of a delta travel: the one thing the two consumers of
-/// [`DeltaBase::payload_into`] decide differently.
-#[derive(Clone, Copy)]
-pub(crate) enum DeltaSlots<'a> {
-    /// Exactly the slots the predicate flags, the rest not even read: the
-    /// buddy path's pool `dirty` bits, which the tick loop maintains.
-    Flagged(&'a dyn Fn(usize) -> bool),
-    /// Every slot that differs from the base in anything but a tick
-    /// counter advanced by exactly the boundary gap: the durable path,
-    /// which owes nothing to dirty bits another consumer clears. The gap
-    /// must be positive — a boundary at or before the base's is re-staged
-    /// as a full payload.
-    Compared,
-}
-
-impl DeltaSlots<'_> {
-    /// The chunk mask slot `slot` travels with (`new` now, `old` in the
-    /// base, `gap` ticks apart), or `None` when it stays home.
-    fn mask(self, slot: usize, gap: u32, new: &[u8], old: &[u8]) -> Option<u64> {
-        let mask = match self {
-            DeltaSlots::Flagged(flagged) => return flagged(slot).then(|| chunk_mask(new, old)),
-            DeltaSlots::Compared => chunk_mask(new, old),
-        };
-        // Only chunk 0 may differ, and only as `absorb` changes a slot that
-        // did not travel: the tick counter advanced by exactly the gap.
-        if mask & !1 == 0 {
-            let mut replayed = [0u8; DELTA_CHUNK_BYTES];
-            replayed.copy_from_slice(&old[..DELTA_CHUNK_BYTES]);
-            snapshot::advance_ticks(&mut replayed, gap.into());
-            if new[..DELTA_CHUNK_BYTES] == replayed {
-                return None;
-            }
+/// The chunk mask the slot `new` travels with, `gap` ticks after `old`
+/// in the base, or `None` when it stays home: when it differs from `old`
+/// in nothing but a tick counter advanced by exactly the gap, which
+/// `absorb` reproduces without a byte on the wire. A core that slept
+/// through the gap is such a slot; so is one whose phases left every other
+/// byte as it was.
+fn travels(gap: u32, new: &[u8], old: &[u8]) -> Option<u64> {
+    let mask = chunk_mask(new, old);
+    if mask & !1 == 0 {
+        let mut replayed = [0u8; DELTA_CHUNK_BYTES];
+        replayed.copy_from_slice(&old[..DELTA_CHUNK_BYTES]);
+        snapshot::advance_ticks(&mut replayed, gap.into());
+        if new[..DELTA_CHUNK_BYTES] == replayed {
+            return None;
         }
-        Some(mask)
     }
+    Some(mask)
 }
 
-/// What the receiver of a full-or-delta stream (the buddy's mirror, the
-/// durable store) holds after the last ship — the base the next delta is
-/// diffed against. Senders keep one per engine call on purpose: a fresh
-/// base (`ships == 0`) forces a full payload, so a fresh or degraded
-/// segment re-anchors its receivers unconditionally.
+/// Every this-many ships a delta stream re-anchors its receiver with a
+/// full frame, bounding the chain a durable restart walks (and the garbage
+/// it pins), so that a lost buddy delta cannot starve recovery forever.
+pub(crate) const FULL_EVERY: u64 = 8;
+
+/// The sender's side of a full-or-delta stream (the buddy replica, the
+/// durable generations): what the receiver holds after the last ship —
+/// the base the next delta is diffed against. Senders keep one per engine
+/// call on purpose: a fresh base (`ships == 0`) ships a full frame, so a
+/// fresh or degraded segment re-anchors its receivers unconditionally.
 #[derive(Debug)]
 pub(crate) struct DeltaBase {
     /// The checkpoint the receiver holds: the sender's runs, at the tick
-    /// of the last ship. Its blob is kept current on full ships too, so a
-    /// fallback re-anchor resumes the delta stream cleanly.
+    /// of the last ship.
     pub(crate) held: RankCheckpoint,
-    pub(crate) ships: u64,
+    ships: u64,
     /// Recorded history the receiver already holds.
     trace_len: usize,
     fires_len: usize,
@@ -625,51 +611,71 @@ impl DeltaBase {
         }
     }
 
-    /// Clears `out` and fills it with the frame that advances the receiver
-    /// to `cur` — written once, straight into a buffer the caller keeps.
+    /// Ships the rank's state at boundary `t` — `blob`, the snapshots of
+    /// the runs this base is over, in slot order — with its recorded
+    /// history `trace`/`fires`: clears `out`, writes into it the frame
+    /// that advances the receiver to that state, and makes the state the
+    /// new base. Returns whether the frame is full; `blob` comes back
+    /// holding the previous base's bytes, a buffer to reuse.
     ///
-    /// When `full`: `cur` and the whole recorded `trace`/`fires` history,
-    /// the bytes of `ReplicaPayload { .. }.to_bytes()`. Otherwise a delta
-    /// against the base in one sweep: each slot that travels appends its
-    /// chunk mask and the 64-byte chunks it selects, neighbours that
-    /// travel share a run header, and the history suffix follows. Slots
-    /// that do not travel cost nothing on the wire.
-    pub(crate) fn payload_into(
-        &self,
+    /// The frame is full — the bytes of `ReplicaPayload { .. }.to_bytes()`
+    /// — on the first ship, on every [`FULL_EVERY`]-th, at a boundary at
+    /// or before the base's (a rollback replay), and when `reanchor` (the
+    /// receiver changed). Otherwise it is a delta against the base, in one
+    /// sweep: each slot that [`travels`] appends its chunk mask and the
+    /// 64-byte chunks it selects, neighbours that travel share a run
+    /// header, and the history suffix follows; slots that stay home cost
+    /// nothing on the wire.
+    pub(crate) fn ship(
+        &mut self,
         out: &mut Vec<u8>,
-        full: bool,
-        cur: &RankCheckpoint,
-        slots: DeltaSlots<'_>,
+        t: u32,
+        blob: &mut Vec<u8>,
+        reanchor: bool,
         trace: &[Spike],
         fires: &[u64],
-    ) {
+    ) -> bool {
+        let base = std::mem::replace(&mut self.held.start_tick, t);
+        let full = reanchor || self.ships.is_multiple_of(FULL_EVERY) || t <= base;
+        std::mem::swap(&mut self.held.blob, blob);
+        let (cur, old) = (&self.held, &blob[..]);
         out.clear();
         if full {
             let tail = trace.len() * SPIKE_WIRE_BYTES + fires.len() * 8;
             out.reserve(cur.total_bytes() as usize + tail);
-            return cur.put(out, trace, fires);
+            cur.put(out, trace, fires);
+        } else {
+            debug_assert_eq!(cur.blob.len(), old.len());
+            let trace = &trace[self.trace_len.min(trace.len())..];
+            let fires = &fires[self.fires_len.min(fires.len())..];
+            cur.put_delta(out, base, old, trace, fires);
         }
-        debug_assert_eq!(
-            (&cur.runs, cur.blob.len()),
-            (&self.held.runs, self.held.blob.len())
-        );
-        let trace = &trace[self.trace_len.min(trace.len())..];
-        let fires = &fires[self.fires_len.min(fires.len())..];
-        let base = self.held.start_tick;
-        let gap = cur.start_tick.wrapping_sub(base);
+        self.ships += 1;
+        self.trace_len = trace.len();
+        self.fires_len = fires.len();
+        full
+    }
+}
+
+impl RankCheckpoint {
+    /// Appends the delta frame that brings a receiver holding `old` at
+    /// tick `base` to this checkpoint, with the history suffix
+    /// `trace`/`fires` (see [`DeltaBase::ship`]).
+    fn put_delta(&self, out: &mut Vec<u8>, base: u32, old: &[u8], trace: &[Spike], fires: &[u64]) {
+        let gap = self.start_tick.wrapping_sub(base);
         // The run count is patched in once the sweep knows it.
         let counts = [0, trace.len(), fires.len()];
-        put_header(out, 1, cur.rank, cur.start_tick, base, counts);
-        let (now, was) = (cur.core_blobs(), self.held.core_blobs());
-        let mut images = now.zip(was).enumerate();
+        put_header(out, 1, self.rank, self.start_tick, base, counts);
+        let was = old.chunks_exact(CORE_SNAPSHOT_BYTES);
+        let mut images = self.core_blobs().zip(was);
         let mut n_runs = 0u32;
-        for hosted in &cur.runs {
+        for hosted in &self.runs {
             // Offset and core count of the run being written: a slot that
             // stays home, or the end of a hosted run, closes it.
             let mut open: Option<(usize, u32)> = None;
             for core in hosted.clone() {
-                let (slot, (new, old)) = images.next().expect("the runs cover the blob");
-                let Some(mask) = slots.mask(slot, gap, new, old) else {
+                let (new, old) = images.next().expect("the runs cover the blob");
+                let Some(mask) = travels(gap, new, old) else {
                     open = None;
                     continue;
                 };
@@ -696,34 +702,29 @@ impl DeltaBase {
         out[RUN_COUNT_AT..RUN_COUNT_AT + 4].copy_from_slice(&n_runs.to_le_bytes());
         put_history(out, trace, fires);
     }
-
-    /// The receiver now holds tick `t` and the whole of `trace`/`fires`
-    /// (the caller installs the blob).
-    pub(crate) fn advance(&mut self, t: u32, trace: &[Spike], fires: &[u64]) {
-        self.held.start_tick = t;
-        self.ships += 1;
-        self.trace_len = trace.len();
-        self.fires_len = fires.len();
-    }
 }
 
 /// Test support, public only because `cfg(test)` items do not cross
-/// crates: the delta that brings a receiver holding `base` to `cur`, the
-/// slots `dirty` flags travelling (the buddy path), absorbed by a mirror
-/// of `base`. Returns the mirror's checkpoint.
+/// crates: the delta that brings a receiver holding `base` to `cur` (a
+/// later boundary of the same runs), absorbed by a mirror of `base`.
+/// Returns the runs the delta frame carried and the mirror's checkpoint.
 #[doc(hidden)]
 pub fn replay_delta(
     base: &RankCheckpoint,
     cur: &RankCheckpoint,
-    dirty: &dyn Fn(usize) -> bool,
-) -> Result<RankCheckpoint, CheckpointError> {
-    let mut sender = DeltaBase::over(base.rank, Vec::new());
+) -> Result<(Vec<Range<CoreId>>, RankCheckpoint), CheckpointError> {
+    let mut sender = DeltaBase::over(base.rank, base.runs.clone());
     sender.held.clone_from(base);
+    // Past the anchoring first ship, so the next one is a delta.
+    sender.ships = 1;
     let mut frame = Vec::new();
-    sender.payload_into(&mut frame, false, cur, DeltaSlots::Flagged(dirty), &[], &[]);
+    let mut blob = cur.blob.clone();
+    sender.ship(&mut frame, cur.start_tick, &mut blob, false, &[], &[]);
+    let delta = decode(&frame)?;
+    let travelled = delta.1.ckpt.runs.clone();
     let mut mirror = Some(decode(&base.to_bytes())?.1);
-    ReplicaPayload::absorb(&mut mirror, decode(&frame)?)?;
-    Ok(mirror.expect("absorbed").ckpt)
+    ReplicaPayload::absorb(&mut mirror, delta)?;
+    Ok((travelled, mirror.expect("absorbed").ckpt))
 }
 
 #[cfg(test)]
@@ -779,20 +780,20 @@ pub(crate) mod tests {
     }
 
     /// The delta frame written plainly, field by field — the reference
-    /// `payload_into` is held to. `dirty` are the local slots of `cur`
-    /// that travel, ascending; `old` is the blob the receiver holds at
-    /// `base_tick`.
+    /// `DeltaBase::ship` is held to. `travelling` are the local slots of
+    /// `cur` that travel, ascending; `old` is the blob the receiver holds
+    /// at `base_tick`.
     pub(crate) fn reference_delta(
         base_tick: u32,
         cur: &RankCheckpoint,
         old: &[u8],
-        dirty: &[usize],
+        travelling: &[usize],
         trace: &[Spike],
         fires: &[u64],
     ) -> Vec<u8> {
         let ids: Vec<CoreId> = cur.runs.iter().flat_map(Clone::clone).collect();
         let mut runs: Vec<Vec<usize>> = Vec::new();
-        for &k in dirty {
+        for &k in travelling {
             match runs.last_mut() {
                 Some(run) if run[run.len() - 1] + 1 == k && ids[k - 1] + 1 == ids[k] => run.push(k),
                 _ => runs.push(vec![k]),
@@ -1098,15 +1099,16 @@ pub(crate) mod tests {
         cur.blob[S + 16..S + 24].copy_from_slice(&2121u64.to_le_bytes());
         cur.blob[S + 200] = 0xAB;
 
-        let sender = DeltaBase {
+        let mut sender = DeltaBase {
             held: base.clone(),
             ships: 1,
             trace_len: 0,
             fires_len: 0,
         };
         let mut frame = Vec::new();
-        let hot = |k: usize| k == 1;
-        sender.payload_into(&mut frame, false, &cur, DeltaSlots::Flagged(&hot), &[], &[]);
+        let mut blob = cur.blob.clone();
+        assert!(!sender.ship(&mut frame, 21, &mut blob, false, &[], &[]));
+        assert_eq!((&sender.held, &blob), (&cur, &base.blob), "bases swapped");
         let chunks = 2 * DELTA_CHUNK_BYTES;
         assert_eq!(frame.len(), HEADER_BYTES + RUN_HEADER_BYTES + 8 + chunks);
         assert!(frame.len() < S / 2);
@@ -1120,12 +1122,12 @@ pub(crate) mod tests {
         });
         absorb(&mut mirror, &frame).unwrap();
         assert_eq!(mirror.unwrap().ckpt, cur);
-        assert_eq!(replay_delta(&sample(), &cur, &hot), Ok(cur));
+        assert_eq!(replay_delta(&sample(), &cur), Ok((vec![5..6], cur)));
     }
 
-    /// The dirty classification `DurableWriter::stage` made bytewise
-    /// before the builder fused it into its compare pass: the reference.
-    fn reference_dirty(base: &[u8], cur: &[u8], gap: u64) -> Vec<usize> {
+    /// The slots a delta carries, classified plainly: the reference
+    /// `travels` is held to.
+    fn reference_travelling(base: &[u8], cur: &[u8], gap: u64) -> Vec<usize> {
         let word = |b: &[u8]| u64::from_le_bytes(b[16..24].try_into().unwrap());
         let slots = cur.chunks_exact(S).zip(base.chunks_exact(S)).enumerate();
         slots
@@ -1164,16 +1166,17 @@ pub(crate) mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
 
-        /// `payload_into` is the reference encoders, byte for byte: the
-        /// full form against `ReplicaPayload::to_bytes`, the delta form
-        /// against `reference_delta` under both slot selections, into a
-        /// buffer that arrives dirty and over-long. `shape` 0 leaves every
-        /// slot clean, 1 dirties every chunk of every slot, the rest apply
-        /// `edits`: a flipped byte anywhere, a flipped byte at a chunk or
-        /// tick-word edge, the tick word off its exact advance by +1 or
-        /// -1, or every chunk of one slot.
+        /// `ship` is the reference encoders, byte for byte, into a buffer
+        /// that arrives stale and over-long: the full form, forced or at a
+        /// boundary at or before the base's (a rollback re-stage), against
+        /// `ReplicaPayload::to_bytes`, and the delta form against
+        /// `reference_delta` over the slots `reference_travelling` picks.
+        /// `shape` 0 changes no slot but for its tick word, 1 every chunk
+        /// of every slot, the rest apply `edits`: a flipped byte anywhere,
+        /// a flipped byte at a chunk or tick-word edge, the tick word off
+        /// its exact advance by +1 or -1, or every chunk of one slot.
         #[test]
-        fn payload_into_matches_the_reference_encoders(
+        fn ship_matches_the_reference_encoders(
             runs in 0u64..4,
             seed in proptest::num::u64::ANY,
             shape in 0u8..6,
@@ -1198,14 +1201,14 @@ pub(crate) mod tests {
             }
             // Either side of the tick word, of chunk 0, and of the short tail.
             const EDGES: [usize; 7] = [3, 15, 24, 63, 64, 127, S - 1];
-            let dirty_all = |image: &mut [u8]| {
+            let change_all = |image: &mut [u8]| {
                 for b in image.iter_mut().step_by(DELTA_CHUNK_BYTES) {
                     *b ^= 0x5A;
                 }
             };
             match shape {
                 0 => {}
-                1 => cur.chunks_exact_mut(S).for_each(dirty_all),
+                1 => cur.chunks_exact_mut(S).for_each(change_all),
                 _ => {
                     for &(slot, kind, at) in edits.iter().filter(|_| cores > 0) {
                         let slot = slot as usize % cores;
@@ -1215,7 +1218,7 @@ pub(crate) mod tests {
                             1 => image[EDGES[at as usize % EDGES.len()]] ^= 0x80,
                             2 => bump(image, 1),
                             3 => bump(image, u64::MAX), // -1
-                            _ => dirty_all(image),
+                            _ => change_all(image),
                         }
                     }
                 }
@@ -1224,54 +1227,52 @@ pub(crate) mod tests {
             let trace = spikes(trace_had + trace_new, base_tick);
             let fires: Vec<u64> = (0..fires_had + fires_new).map(|_| next()).collect();
             let held = RankCheckpoint::new(5, base_tick, runs.clone(), base.clone());
-            let db = DeltaBase { held, ships: 3, trace_len: trace_had, fires_len: fires_had };
+            let db = || DeltaBase {
+                held: held.clone(),
+                ships: 3,
+                trace_len: trace_had,
+                fires_len: fires_had,
+            };
             let mut stale = || vec![0xEE; next() as usize % (2 * cur.len() + 4096)];
 
-            // Full, at the boundary and as a rollback re-stage before it.
-            for at in [t, base_tick, base_tick.saturating_sub(1)] {
+            // Full: re-anchored at the boundary, and as a rollback
+            // re-stage at or before the base.
+            let before = base_tick.saturating_sub(1);
+            for (at, reanchor) in [(t, true), (base_tick, false), (before, false)] {
                 let ckpt = RankCheckpoint::new(5, at, runs.clone(), cur.clone());
                 let (history, fires_per_tick) = (trace.clone(), fires.clone());
                 let want = ReplicaPayload { ckpt: ckpt.clone(), trace: history, fires_per_tick };
                 let want = want.to_bytes();
                 let mut out = stale();
-                db.payload_into(&mut out, true, &ckpt, DeltaSlots::Compared, &trace, &fires);
+                let full = db().ship(&mut out, at, &mut cur.clone(), reanchor, &trace, &fires);
+                proptest::prop_assert!(full, "tick {} shipped a delta", at);
                 proptest::prop_assert_eq!(&out, &want, "full payload at tick {}", at);
             }
 
-            // Delta, slots classified bytewise (the durable path).
+            // Delta: the slots that changed beyond their tick word.
             let now = RankCheckpoint::new(5, t, runs.clone(), cur.clone());
-            let dirty = reference_dirty(&base, &cur, u64::from(gap));
+            let travelling = reference_travelling(&base, &cur, u64::from(gap));
             if shape == 0 {
-                proptest::prop_assert!(dirty.is_empty(), "all-clean case shipped {:?}", dirty);
+                proptest::prop_assert!(travelling.is_empty(), "shipped {:?}", travelling);
             }
             if shape == 1 {
-                proptest::prop_assert_eq!(dirty.len(), cores);
+                proptest::prop_assert_eq!(travelling.len(), cores);
             }
             let suffix = (&trace[trace_had..], &fires[fires_had..]);
-            let want = reference_delta(base_tick, &now, &base, &dirty, suffix.0, suffix.1);
-            let mut out = stale();
-            db.payload_into(&mut out, false, &now, DeltaSlots::Compared, &trace, &fires);
-            proptest::prop_assert_eq!(&out, &want, "compared delta");
-
-            // Delta, slots flagged by the caller (the buddy path), flags
-            // unrelated to the bytes: a flagged slot may ship an empty
-            // mask, an unflagged one is not looked at.
-            let flags: Vec<bool> = (0..cores).map(|_| next().is_multiple_of(3)).collect();
-            let flagged: Vec<usize> = (0..cores).filter(|&k| flags[k]).collect();
-            let want = reference_delta(base_tick, &now, &base, &flagged, suffix.0, suffix.1);
-            let is_flagged = |k: usize| flags[k];
-            let slots = DeltaSlots::Flagged(&is_flagged);
-            db.payload_into(&mut out, false, &now, slots, &trace, &fires);
-            proptest::prop_assert_eq!(&out, &want, "flagged delta");
+            let want = reference_delta(base_tick, &now, &base, &travelling, suffix.0, suffix.1);
+            let (mut out, mut blob, mut sender) = (stale(), cur.clone(), db());
+            proptest::prop_assert!(!sender.ship(&mut out, t, &mut blob, false, &trace, &fires));
+            proptest::prop_assert_eq!(&out, &want, "delta");
+            proptest::prop_assert_eq!((&sender.held, &blob), (&now, &base), "bases swapped");
         }
 
         /// One property over every frame kind, on random rank states of
         /// 1–4 runs with gaps: (a) the checkpoint, replica, migration
         /// and 1–3-lane batch frames round-trip; (b) a mirror decoded from
-        /// the previous full frame, absorbing `payload_into`'s delta under
-        /// both slot selections, equals the full frame of the current
-        /// state, clean slots advanced through `advance_ticks`, whether
-        /// no slot, every slot or some are dirty; (c) splicing the frames
+        /// the previous full frame, absorbing the delta `ship` writes next,
+        /// equals the full frame of the current state, unchanged slots
+        /// advanced through `advance_ticks`, whether no slot, every slot or
+        /// some changed; (c) splicing the frames
         /// of two complementary core sets gives back the checkpoint of
         /// their union.
         #[test]
@@ -1279,7 +1280,7 @@ pub(crate) mod tests {
             seed in proptest::num::u64::ANY,
             n_runs in 1u64..5,
             lanes in 1u16..4,
-            dirty_mode in 0u8..3,
+            change_mode in 0u8..3,
             ticks in (0u32..1000, 1u32..10),
             history in (0usize..4, 0usize..4, 0usize..5, 0usize..5),
         ) {
@@ -1319,16 +1320,16 @@ pub(crate) mod tests {
                 proptest::prop_assert_eq!(&batch.extract_lane(lane as u16), session);
             }
 
-            // (b) The state `gap` ticks on: clean slots only advanced their
-            // tick words; dirty ones changed anywhere.
-            let dirty: Vec<bool> = (0..cores)
-                .map(|_| match dirty_mode { 0 => false, 1 => true, _ => next().is_multiple_of(2) })
+            // (b) The state `gap` ticks on: unchanged slots only advanced
+            // their tick words; changed ones changed anywhere.
+            let changed: Vec<bool> = (0..cores)
+                .map(|_| match change_mode { 0 => false, 1 => true, _ => next().is_multiple_of(2) })
                 .collect();
             let mut now = was.clone();
             now.start_tick = t0 + gap;
             for (k, image) in now.blob.chunks_exact_mut(S).enumerate() {
                 snapshot::advance_ticks(image, gap.into());
-                if dirty[k] {
+                if changed[k] {
                     image[(next() as usize) % S] ^= 1 << (next() % 8);
                 }
             }
@@ -1336,19 +1337,16 @@ pub(crate) mod tests {
             let mut sender = DeltaBase::over(rank, runs.clone());
             let mut frame = Vec::new();
             let (was_trace, was_fires) = (&trace[..trace_had], &fires[..fires_had]);
-            sender.payload_into(&mut frame, true, &was, DeltaSlots::Compared, was_trace, was_fires);
-            sender.advance(t0, was_trace, was_fires);
-            sender.held.blob.clone_from(&was.blob);
-            let mut anchored = None;
-            proptest::prop_assert_eq!(absorb(&mut anchored, &frame), Ok(()));
-            let extra: Vec<bool> = (0..cores).map(|_| next().is_multiple_of(4)).collect();
-            let flagged = |k: usize| dirty[k] || extra[k];
-            for slots in [DeltaSlots::Compared, DeltaSlots::Flagged(&flagged)] {
-                sender.payload_into(&mut frame, false, &now, slots, &trace, &fires);
-                let mut mirror = anchored.clone();
-                proptest::prop_assert_eq!(absorb(&mut mirror, &frame), Ok(()));
-                proptest::prop_assert_eq!(mirror.as_ref(), Some(&want));
-            }
+            let mut blob = was.blob.clone();
+            let full = sender.ship(&mut frame, t0, &mut blob, false, was_trace, was_fires);
+            proptest::prop_assert!(full, "the first ship anchors");
+            let mut mirror = None;
+            proptest::prop_assert_eq!(absorb(&mut mirror, &frame), Ok(()));
+            blob.clone_from(&now.blob);
+            let full = sender.ship(&mut frame, t0 + gap, &mut blob, false, &trace, &fires);
+            proptest::prop_assert!(!full, "the second ship is a delta");
+            proptest::prop_assert_eq!(absorb(&mut mirror, &frame), Ok(()));
+            proptest::prop_assert_eq!(mirror.as_ref(), Some(&want));
 
             // (c) Two complementary core sets splice back into the whole.
             let (mut a, mut b) = (Vec::new(), Vec::new());

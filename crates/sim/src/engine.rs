@@ -87,9 +87,9 @@
 //!   owning thread drains its inbox, not when it is routed.
 //!
 //! Skipping leaves core state (potentials, PRNG stream, activity counters,
-//! snapshot bytes, the delta-replica dirty bitmap) bit-identical to the
-//! full phases. [`EngineConfig::quiescence`] off visits every core through
-//! the same two calls, for A/B verification, and
+//! snapshot bytes) bit-identical to the full phases.
+//! [`EngineConfig::quiescence`] off visits every core through the same two
+//! calls, for A/B verification, and
 //! [`RankReport::synapse_skips`] / [`RankReport::neuron_skips`] count the
 //! core-ticks not run: the range minus the cores that did.
 //!
@@ -99,7 +99,7 @@
 //! sequentially).
 
 use crate::checkpoint::{
-    decode, merged, DeltaBase, DeltaSlots, RankCheckpoint, ReplicaPayload, CHECKPOINT_MAGIC,
+    decode, merged, DeltaBase, RankCheckpoint, ReplicaPayload, CHECKPOINT_MAGIC,
 };
 use crate::model::ModelError;
 use crate::partition::{Partition, SurvivorView};
@@ -309,10 +309,6 @@ fn tick_tag(t: u32) -> Tag {
 /// `u32` tick-tag range and clear of the collective bit (`1 << 63`), so
 /// it can never match a tick's spike traffic.
 const FLUSH_TAG: Tag = 1 << 62;
-
-/// Re-anchor the buddy mirror with a full payload every this-many ships,
-/// so a (theoretically) lost delta cannot starve recovery forever.
-const FULL_EVERY: u64 = 8;
 
 /// Whether a layer with cadence `every` acts at the top of tick `t`: always
 /// at the segment's starting tick (so a rollback target, a mirror anchor
@@ -563,19 +559,6 @@ impl<'p> Shards<'p> {
                 .expect("in-memory checkpoint rejected by core restore");
         }
     }
-
-    /// Whether local core `k` was mutated since the last
-    /// [`Self::clear_dirty`].
-    fn dirty(&self, k: usize) -> bool {
-        let cores = &self.all[self.owner(k)].cores;
-        cores.dirty(k - cores.base())
-    }
-
-    fn clear_dirty(&mut self) {
-        for shard in &mut self.all {
-            shard.cores.clear_dirty();
-        }
-    }
 }
 
 /// `ck`'s core blobs in slot order, each checked to count the
@@ -617,10 +600,10 @@ struct Wire<'a> {
     rely: Option<&'a ReliableWorld>,
     /// The buddy mirror: the latest replica of the rank this one backs,
     /// materialized on receipt by [`ReplicaPayload::absorb`]. A full frame
-    /// replaces it wholesale; a delta patches it in place — dirty slots
-    /// overwritten, clean slots' tick counters advanced arithmetically (the
-    /// dirty-epoch invariant: a clean slot provably took the skip path
-    /// every tick). A Mutex because receive paths run inside team regions;
+    /// replaces it wholesale; a delta patches it in place — the chunks
+    /// that travelled overwritten, the other cores' tick counters advanced
+    /// by the gap, which the sender checked is all that changed in them.
+    /// A Mutex because receive paths run inside team regions;
     /// contention is nil — at most one replica frame arrives per boundary.
     mirror: Mutex<Option<ReplicaPayload>>,
     /// Collective wall-clock (Reduce-scatter / PGAS commit barrier): an
@@ -1216,10 +1199,11 @@ impl<'a> TickLoop<'a> {
     /// The pool's state at the top of this tick, as one flat blob. Tick
     /// t-1's Network phase fully drained on every rank, so the only
     /// simulation state outside the cores is what sits in the inboxes: land
-    /// it, and the core snapshots are then the complete state. Taken at
-    /// most once per tick — nothing a boundary consumer does afterwards
-    /// touches snapshotted bytes (the replica ship only clears dirty bits).
-    /// One bounded arena copy per field, not a per-core serializer.
+    /// it, and the core snapshots are then the complete state. Taken once
+    /// per tick and shared by the boundary's consumers — no consumer
+    /// touches core state — until one keeps the buffer (the replica ship,
+    /// the durable stage) and clears `snap_fresh`. One bounded arena copy
+    /// per field, not a per-core serializer.
     fn snapshot(&mut self) -> &[u8] {
         if !self.snap_fresh {
             self.shards.land_inboxes();
@@ -1355,8 +1339,9 @@ impl<'a> TickLoop<'a> {
     /// buddy over the ordinary tick-tagged reliable channel, so the
     /// replica enjoys the same CRC framing, dedup, and retransmit audit as
     /// spike traffic. Deliberately *not* guarded by the ring push: a
-    /// rollback replay re-sends the (identical) replica with fresh
-    /// sequence numbers, keeping send/expect counts symmetric across ranks.
+    /// rollback replay re-sends the replica (as a full frame: the boundary
+    /// is at or before the base's) with fresh sequence numbers, keeping
+    /// send/expect counts symmetric across ranks.
     fn ship_replica(&mut self) {
         let t = self.t;
         let me = self.wire.me;
@@ -1370,36 +1355,19 @@ impl<'a> TickLoop<'a> {
             return;
         }
         let rep_start = Instant::now();
-        let ck = self
-            .ring
-            .newest()
-            .expect("boundary snapshot precedes replication");
-        // Full payload whenever the mirror needs (re-)anchoring: the first
-        // ship of this engine call, a buddy change, the periodic fallback
-        // epoch, or deltas disabled by policy. Otherwise only the cores
-        // dirtied since the previous ship travel: the pool state equals
-        // the boundary checkpoint (nothing mutates cores in between), so
-        // diffing `ck`'s blob against the last-shipped blob is diffing
-        // live state against the buddy's mirror, and clean cores provably
-        // took the skip path every tick.
+        // The boundary snapshot is the state the ring just took (or, on a
+        // replay, restored). The buddy mirror is re-anchored with a full
+        // payload when the buddy changed; `DeltaBase::ship` decides the
+        // rest. The ship keeps the snapshot as its next base.
+        self.snapshot();
+        self.snap_fresh = false;
         let (ship_buddy, base) = &mut self.ship;
-        let full = !pol.delta_replicas || *ship_buddy != buddy || base.ships % FULL_EVERY == 0;
-        let shards = &self.shards;
-        let dirty = |k: usize| shards.dirty(k);
         let (trace, fires) = (&self.report.trace, &self.report.fires_per_tick);
         // The mailbox takes the payload by value, so this buffer is new
         // every ship (the durable path's come back; see `DurableWriter`).
         let mut payload = Vec::new();
-        base.payload_into(
-            &mut payload,
-            full,
-            ck,
-            DeltaSlots::Flagged(&dirty),
-            trace,
-            fires,
-        );
-        base.advance(t, trace, fires);
-        base.held.blob.clone_from(&ck.blob);
+        let reanchor = *ship_buddy != buddy;
+        let full = base.ship(&mut payload, t, &mut self.snap, reanchor, trace, fires);
         *ship_buddy = buddy;
         if full {
             self.report.full_replica_ships += 1;
@@ -1417,9 +1385,6 @@ impl<'a> TickLoop<'a> {
             }
             Backend::Pgas => self.ctx.pgas().put(buddy, &payload),
         }
-        // Dirty bits now mean "mutated since this ship": the next delta's
-        // base is exactly the state the buddy mirrors.
-        self.shards.clear_dirty();
         self.report.replication_time += rep_start.elapsed();
     }
 
@@ -2743,8 +2708,8 @@ mod tests {
     /// spike delivered alone. The runs cross every cut: consecutive runs
     /// hit the two cores either side of each thread's share of the cores,
     /// and one run spans each cut between two threads' chunks of the
-    /// records. Both give the same delay lanes, in-flight counts and dirty
-    /// bits, and the same `inbox_routed`.
+    /// records. Both give the same delay lanes and in-flight counts, and
+    /// the same `inbox_routed`.
     #[test]
     fn local_spikes_landed_by_run_equal_spikes_landed_one_at_a_time() {
         let n = 11;
@@ -2754,7 +2719,6 @@ mod tests {
             for id in 0..n as u64 {
                 pool.push(CoreConfig::blank(id, 3)).unwrap();
             }
-            pool.clear_dirty();
             pool
         };
         for threads in 2..=4 {
@@ -2824,7 +2788,6 @@ mod tests {
                         want.spikes_in_flight(k),
                         "{what}: core {k}"
                     );
-                    assert_eq!(got.dirty(k), want.dirty(k), "{what}: core {k}");
                 }
             }
         }

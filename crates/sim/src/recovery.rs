@@ -46,13 +46,6 @@ pub struct RecoveryPolicy {
     /// run. Costs replication bandwidth on every boundary, so it is off
     /// by default.
     pub survive_crashes: bool,
-    /// Ship *delta* replica payloads when armed: only cores dirtied since
-    /// the previous boundary travel to the buddy (plus the trace/fires
-    /// suffix), with a periodic full-payload fallback epoch re-anchoring
-    /// the mirror. Cuts steady-state replication bandwidth on mostly-
-    /// quiescent models; `false` restores the PR 5 full-payload behavior
-    /// (the bench baseline).
-    pub delta_replicas: bool,
 }
 
 impl Default for RecoveryPolicy {
@@ -61,7 +54,6 @@ impl Default for RecoveryPolicy {
             auto_checkpoint_every: 4,
             max_rollbacks: 64,
             survive_crashes: false,
-            delta_replicas: true,
         }
     }
 }

@@ -152,15 +152,15 @@ pub struct RankReport {
     pub replication_bytes: u64,
     /// Wall-clock spent serializing and shipping those replicas.
     pub replication_time: Duration,
-    /// Delta replica payloads shipped (only dirtied cores travelled; see
-    /// [`crate::RecoveryPolicy::delta_replicas`]).
+    /// Delta replica payloads shipped (only the cores that changed beyond
+    /// their tick counters travelled).
     pub delta_replica_ships: u64,
     /// Full replica payloads shipped (first boundary per segment, buddy
-    /// changes, and periodic re-anchoring epochs).
+    /// changes, rollback replays and periodic re-anchoring epochs).
     pub full_replica_ships: u64,
     /// Measured per-core tick cost, in EWMA-smoothed nanoseconds, indexed
     /// like [`RankReport::fires_per_core`] — the elastic rebalancer's
-    /// input signal (empty unless an elastic run requested it).
+    /// input signal, filled at the end of every engine call.
     pub core_tick_ns: Vec<u64>,
     /// Cores this rank shipped to or received from peers at elastic
     /// boundaries (joins, leaves, and rebalances).

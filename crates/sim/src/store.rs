@@ -42,12 +42,11 @@
 //! generation, so restoring generation `g` walks the manifest `base`
 //! pointers back to the nearest full generation and absorbs the deltas in
 //! order into the materialized mirror (`ReplicaPayload::absorb`). Writers
-//! emit a full generation first and every [`DURABLE_FULL_EVERY`]-th
-//! boundary after that, bounding every rebuild chain.
+//! emit a full generation first and every `FULL_EVERY`-th boundary after
+//! that (the constant buddy replication shares), bounding every rebuild
+//! chain.
 
-use crate::checkpoint::{
-    decode, CheckpointError, DeltaBase, DeltaSlots, RankCheckpoint, ReplicaPayload,
-};
+use crate::checkpoint::{decode, CheckpointError, DeltaBase, ReplicaPayload};
 use compass_comm::crc32;
 use std::collections::BTreeMap;
 use std::fs::{self, File};
@@ -70,11 +69,6 @@ const MANIFEST_BYTES: usize = 32;
 
 /// CRC/length footer size appended to every store file.
 const FOOTER_BYTES: usize = 8;
-
-/// Every `DURABLE_FULL_EVERY`-th generation a writer emits is a full
-/// [`ReplicaPayload`] rather than a delta, bounding the rebuild chain a
-/// restart must walk (and the garbage a delta chain pins).
-pub const DURABLE_FULL_EVERY: u64 = 8;
 
 /// How and where a run persists checkpoints
 /// (see [`crate::RunOptions::durability`]).
@@ -806,39 +800,32 @@ impl DurableWriter {
 
     /// Stages `snap`, the rank's boundary snapshot at tick `t`, as the
     /// next generation (`trace`/`fires` are the rank's recorded history up
-    /// to `t`). The first generation of this writer and every
-    /// [`DURABLE_FULL_EVERY`]-th after it is a self-contained full payload;
-    /// the rest ship only the 64-byte chunks that changed since the
-    /// previous generation, classified bytewise against it (independent of
-    /// the buddy path's shared dirty bits). A rollback replay re-stages
-    /// boundaries it already passed (`t <= base.tick`), which forces a full
-    /// payload — the store just overwrites those generations with
-    /// re-anchored state. The writer keeps the blob as its next diff base
-    /// and leaves its old base behind in `snap` as a buffer to reuse.
+    /// to `t`), in the frame [`DeltaBase::ship`] writes: a self-contained
+    /// full payload for the first generation of this writer and every
+    /// [`FULL_EVERY`](crate::checkpoint::FULL_EVERY)-th after it, else
+    /// only the 64-byte chunks that changed since the previous generation.
+    /// A rollback replay re-stages
+    /// boundaries it already passed, which ships full — the store just
+    /// overwrites those generations with re-anchored state. The writer
+    /// keeps the blob as its next diff base and leaves its old base behind
+    /// in `snap` as a buffer to reuse.
     ///
     /// Blocks while every payload buffer is still with the writer thread:
     /// a disk slower than the tick loop slows the run, it does not grow it.
     pub(crate) fn stage(&mut self, t: u32, snap: &mut Vec<u8>, trace: &[Spike], fires: &[u64]) {
-        let held = &self.base.held;
-        let full = self.base.ships.is_multiple_of(DURABLE_FULL_EVERY) || t <= held.start_tick;
-        let base = u64::from(if full { t } else { held.start_tick });
-        let cur = RankCheckpoint::new(held.rank, t, held.runs.clone(), std::mem::take(snap));
+        let since = self.base.held.start_tick;
         // A closed channel means the writer thread died; its failure
         // surfaces at join time, and until then a fresh buffer keeps the
         // tick loop moving.
         let mut payload = self.free.recv().unwrap_or_default();
-        let slots = DeltaSlots::Compared;
-        self.base
-            .payload_into(&mut payload, full, &cur, slots, trace, fires);
+        let full = self.base.ship(&mut payload, t, snap, false, trace, fires);
         let manifest = Manifest {
             gen: u64::from(t),
             kind: if full { GenKind::Full } else { GenKind::Delta },
-            base,
+            base: u64::from(if full { t } else { since }),
             ranks: self.ranks,
         };
         let _ = self.tx.send((manifest, payload));
-        self.base.advance(t, trace, fires);
-        *snap = std::mem::replace(&mut self.base.held.blob, cur.blob);
     }
 
     /// Closes the channel so the writer finishes the queued generations,
@@ -861,6 +848,7 @@ mod tests {
 
     use super::*;
     use crate::checkpoint::tests::reference_delta;
+    use crate::checkpoint::RankCheckpoint;
     use tn_core::CORE_SNAPSHOT_BYTES;
 
     fn scratch(name: &str) -> PathBuf {
@@ -1351,10 +1339,10 @@ mod tests {
             let reference = match &prev {
                 Some((base_tick, base)) if t > *base_tick => {
                     let had = *base_tick as usize;
-                    let dirty: &[usize] = if base[300] == cur[300] { &[] } else { &[0] };
+                    let travelling: &[usize] = if base[300] == cur[300] { &[] } else { &[0] };
                     let now = RankCheckpoint::new(2, t, runs(2), cur.clone());
                     let delta =
-                        reference_delta(*base_tick, &now, base, dirty, &[], &history[had..]);
+                        reference_delta(*base_tick, &now, base, travelling, &[], &history[had..]);
                     let m = Manifest {
                         gen: u64::from(t),
                         kind: GenKind::Delta,

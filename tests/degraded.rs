@@ -7,7 +7,9 @@
 //! and everyone rolls back to the common boundary and replays.
 
 use compass::comm::{CrashPlan, FaultPlan, WorldConfig};
-use compass::sim::{run_surviving, Backend, NetworkModel, Partition, RecoveryPolicy, RunReport};
+use compass::sim::{
+    run_recovering, run_surviving, Backend, NetworkModel, Partition, RecoveryPolicy, RunReport,
+};
 
 mod common;
 use common::{engine, fires_per_tick, solo_oracle};
@@ -80,6 +82,34 @@ fn rank_kill_matrix_matches_the_solo_oracle() {
                 }
             }
         }
+    }
+}
+
+/// The replica stream of a fault-free surviving run, pinned: three ranks
+/// each ship a full anchor at tick 0 and a delta at each of the seven
+/// later boundaries, and the bytes those frames carry are golden on
+/// both backends (the frames do not depend on the transport).
+#[test]
+fn fault_free_replica_stream_is_golden() {
+    let model = NetworkModel::relay_ring(8, 8, 1);
+    let ticks = 30u32;
+    let (oracle, _) = solo_oracle(&model, ticks);
+    for backend in [Backend::Mpi, Backend::Pgas] {
+        let report = run_recovering(
+            &model,
+            WorldConfig::new(3, 2),
+            &engine(ticks, backend),
+            None,
+            Some(RecoveryPolicy::surviving(4)),
+        )
+        .expect("test model must be valid");
+        assert_eq!(report.sorted_trace(), oracle, "{backend:?}: trace diverged");
+        let stream = (
+            report.total_replication_bytes(),
+            report.total_full_replica_ships(),
+            report.total_delta_replica_ships(),
+        );
+        assert_eq!(stream, (38_336, 3, 21), "{backend:?}: replica stream moved");
     }
 }
 

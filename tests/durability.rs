@@ -417,8 +417,8 @@ fn store_bytes_match_the_golden_digest() {
 }
 
 /// The boundary every snapshot consumer shares: the explicit checkpoint,
-/// the recovery ring (and the buddy replica cut from it) and the durable
-/// generation all fall on tick 10 of a 2x2 world, while the relay ring's
+/// the recovery ring, the buddy replica and the durable generation all
+/// fall on tick 10 of a 2x2 world, while the relay ring's
 /// whole wavefront sits in a cross-thread inbox (core 0 fired at tick 9
 /// into core 1; the worker thread routed it, thread 0 owns core 1). The
 /// three consumers must hold byte-identical core blobs, and a restart from
