@@ -505,10 +505,7 @@ const KERNEL_PROBE_SECTIONS: [(&str, &[&str]); 4] = [
             "auto_drawing_ns",
         ],
     ),
-    (
-        "draw_ahead",
-        &["chains", "baseline_ns", "avx2_ns", "avx2_bmi2_ns"],
-    ),
+    ("draw_ahead", &["chains", "portable_ns", "avx2_ns"]),
     ("take_due", &["due", "vector_ns", "scalar_ns", "speedup"]),
     (
         "lane_step",

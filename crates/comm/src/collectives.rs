@@ -154,25 +154,26 @@ impl Communicator {
     /// and rank `r` receives `Σ_s contrib_s[r]`.
     ///
     /// Power-of-two worlds use recursive halving (`log₂ P` rounds, halving
-    /// payloads); other sizes use direct pairwise exchange. Both cost more
-    /// as `P` grows, which is the scaling effect the paper measures.
+    /// payloads); other sizes use direct pairwise exchange
+    /// ([`Communicator::reduce_scatter_sum_among`] over every rank). Both
+    /// cost more as `P` grows, which is the scaling effect the paper
+    /// measures. Either way the call is one collective episode.
     ///
     /// # Panics
     /// Panics if `contrib.len() != P`.
     pub fn reduce_scatter_sum(&self, contrib: &[u64]) -> u64 {
         let p = self.size();
         assert_eq!(contrib.len(), p, "contribution vector must have P entries");
+        if !p.is_power_of_two() {
+            let every: Vec<Rank> = (0..p).collect();
+            return self.reduce_scatter_sum_among(&every, contrib);
+        }
         let base = self.next_tags();
         if p == 1 {
             self.mail.metrics().record_collective(0);
             return contrib[0];
         }
-
-        if p.is_power_of_two() {
-            self.reduce_scatter_halving(contrib, base)
-        } else {
-            self.reduce_scatter_direct(contrib, base)
-        }
+        self.reduce_scatter_halving(contrib, base)
     }
 
     /// Recursive halving: my responsible block halves each round; I send the
@@ -213,28 +214,6 @@ impl Communicator {
         debug_assert_eq!(len, 1);
         self.mail.metrics().record_collective(msgs);
         v[lo]
-    }
-
-    /// Direct pairwise exchange for non-power-of-two worlds: send
-    /// `contrib[d]` to every other rank `d`, then fold in `P - 1` receipts.
-    fn reduce_scatter_direct(&self, contrib: &[u64], base: Tag) -> u64 {
-        let p = self.size();
-        let mut msgs = 0u64;
-        for d in 0..p {
-            if d != self.me {
-                self.send(d, base, encode_u64s(&contrib[d..d + 1]));
-                msgs += 1;
-            }
-        }
-        let mut acc = contrib[self.me];
-        for s in 0..p {
-            if s != self.me {
-                let vals = decode_u64s(&self.recv(s, base));
-                acc = acc.wrapping_add(vals[0]);
-            }
-        }
-        self.mail.metrics().record_collective(msgs);
-        acc
     }
 
     /// All-reduce of one `u64` per rank with an arbitrary associative,
@@ -642,11 +621,14 @@ mod tests {
             let got = run_world(p, move |c| {
                 let contrib: Vec<u64> =
                     (0..p as u64).map(|d| 7 * c.rank() as u64 + d * d).collect();
-                c.reduce_scatter_sum(&contrib)
+                (c.reduce_scatter_sum(&contrib), c.seq())
             });
-            for (d, v) in got.iter().enumerate() {
+            for (d, (v, seq)) in got.iter().enumerate() {
                 let expect: u64 = (0..p as u64).map(|s| 7 * s + (d as u64) * (d as u64)).sum();
                 assert_eq!(*v, expect, "p={p} d={d}");
+                // One collective episode, which an elastic joiner's
+                // `sync_seq` counts on.
+                assert_eq!(*seq, 1, "p={p} d={d}: sequence number");
             }
         }
     }
