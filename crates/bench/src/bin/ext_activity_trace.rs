@@ -27,12 +27,7 @@ fn main() {
     let object = Arc::new(net.object);
     let reports = World::run(WorldConfig::flat(2), |ctx| {
         let compiled = compile(ctx, &object, cores).expect("realizable");
-        let engine = EngineConfig {
-            ticks,
-            backend: Backend::Mpi,
-            tick_stats: true,
-            ..EngineConfig::default()
-        };
+        let engine = EngineConfig::new(ticks, Backend::Mpi);
         let partition = compiled.plan.partition.clone();
         run_rank(ctx, &partition, compiled.configs, &[], &engine)
     });

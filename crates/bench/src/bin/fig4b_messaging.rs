@@ -16,8 +16,9 @@
 //! These are *counting* results, independent of host speed — the axis
 //! levels shrink but the shapes are the paper's.
 
+use compass_bench::torus::{LinkLoads, Torus};
 use compass_bench::{banner, cocomac_run};
-use compass_comm::{LinkLoads, Torus, WorldConfig};
+use compass_comm::WorldConfig;
 use compass_sim::Backend;
 use tn_core::SPIKE_WIRE_BYTES;
 

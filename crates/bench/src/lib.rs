@@ -29,6 +29,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 pub mod json;
+pub mod torus;
 
 /// Summary of one compile-and-simulate run of the CoCoMac model.
 #[derive(Debug, Clone)]

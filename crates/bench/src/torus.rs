@@ -15,7 +15,7 @@
 //! accounting needed for bandwidth-headroom claims (contention and
 //! adaptive routing would only *lower* per-link peaks on a real torus).
 
-use crate::Rank;
+use compass_comm::Rank;
 
 /// A d-dimensional torus with fixed per-dimension extents.
 #[derive(Debug, Clone, PartialEq, Eq)]

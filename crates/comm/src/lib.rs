@@ -46,7 +46,6 @@ pub mod pgas;
 pub mod reliable;
 pub mod sync;
 pub mod team;
-pub mod torus;
 pub mod world;
 
 pub use barrier::CentralizedBarrier;
@@ -57,7 +56,6 @@ pub use metrics::{MetricsSnapshot, TransportMetrics};
 pub use pgas::PgasWorld;
 pub use reliable::{crc32, AuditOutcome, Crc32, ReliableConfig, ReliableWorld, RelyCounts};
 pub use team::ThreadTeam;
-pub use torus::{LinkLoads, Torus};
 pub use world::{Membership, RankCtx, RankFailure, World, WorldConfig};
 
 /// A rank index in `0..P`, the in-process equivalent of an MPI rank.

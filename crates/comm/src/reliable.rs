@@ -73,6 +73,10 @@ pub const RELY_MAGIC: [u8; 4] = *b"RELY";
 /// Size of the frame header preceding each payload.
 pub const RELY_HEADER_BYTES: usize = 24;
 
+/// Virtual-time timeout (in ticks) before the first retransmission;
+/// doubles on every further attempt.
+const BACKOFF_BASE_TICKS: u64 = 1;
+
 /// Slicing-by-8 tables for the reflected IEEE polynomial `0xEDB8_8320`,
 /// built at compile time. `CRC_TABLES[0]` is the classic bytewise table;
 /// `CRC_TABLES[k][b]` is the CRC state after byte `b` followed by `k`
@@ -280,9 +284,6 @@ pub struct ReliableConfig {
     /// Recovery attempts per missing frame before the gap is declared
     /// unrecoverable. Zero turns every gap into an immediate rollback.
     pub max_retransmits: u32,
-    /// Virtual-time timeout (in ticks) before the first retransmission;
-    /// doubles on every further attempt.
-    pub backoff_base_ticks: u32,
     /// Retained frames per (src, dst) pair. The ring is pruned after every
     /// audited tick, so this only needs to cover one tick's traffic; an
     /// evicted frame makes its gap unrecoverable.
@@ -297,7 +298,6 @@ impl Default for ReliableConfig {
     fn default() -> Self {
         Self {
             max_retransmits: 4,
-            backoff_base_ticks: 1,
             ring_capacity: 1024,
             interference: None,
         }
@@ -613,7 +613,7 @@ impl ReliableWorld {
                 .retransmits
                 .fetch_add(1, Ordering::Relaxed);
             self.metrics.record_retransmit();
-            out.backoff_ticks += u64::from(self.cfg.backoff_base_ticks) << attempt.min(32) as u64;
+            out.backoff_ticks += BACKOFF_BASE_TICKS << attempt.min(32) as u64;
             if let Some((iseed, irate)) = self.cfg.interference {
                 let salt = iseed.wrapping_add(u64::from(attempt).wrapping_mul(0x9E37_79B9));
                 if fault_hash(salt, src, me, seq) % 1000 < u64::from(irate) {

@@ -103,7 +103,7 @@ use crate::checkpoint::{
 };
 use crate::model::ModelError;
 use crate::partition::{Partition, SurvivorView};
-use crate::recovery::{CheckpointRing, RecoveryPolicy};
+use crate::recovery::{CheckpointRing, RecoveryPolicy, MAX_ROLLBACKS};
 use crate::route::{self, Delivery, Landing, Routes, Runs};
 use crate::stats::RankReport;
 use crate::store::{DurabilityPolicy, DurableWriter};
@@ -145,9 +145,6 @@ pub struct EngineConfig {
     /// Aggregate all spikes for one destination rank into a single message
     /// (paper default: on). Ablation: off = one message per spike.
     pub aggregate: bool,
-    /// Record per-tick fire counts in the rank report (cheap; one counter
-    /// per tick) — the "studying TrueNorth dynamics" observability hook.
-    pub tick_stats: bool,
     /// Serialize message receives through the team critical section, as
     /// Compass must ("due to thread-safety issues in the MPI library",
     /// §III — the Fig. 6 serial bottleneck). Off = concurrent receives,
@@ -176,7 +173,6 @@ impl Default for EngineConfig {
             record_trace: false,
             overlap: true,
             aggregate: true,
-            tick_stats: false,
             critical_recv: true,
             quiescence: true,
             kernels: true,
@@ -246,9 +242,8 @@ pub struct RunOptions {
     /// observable history (so a later crash hands the buddy everything),
     /// but a resumed engine only records the segment it executes. The
     /// fires vector must cover exactly the ticks before
-    /// [`RankCheckpoint::start_tick`] (or be empty when per-tick stats
-    /// are off); rollback and death-verdict truncations preserve the
-    /// seeded prefix.
+    /// [`RankCheckpoint::start_tick`]; rollback and death-verdict
+    /// truncations preserve the seeded prefix.
     pub seed_history: Option<(Vec<Spike>, Vec<u64>)>,
     /// Durable persistence: snapshot at the policy's cadence (same
     /// inbox-drained tick boundaries as the recovery ring) and hand the
@@ -689,32 +684,26 @@ impl Wire<'_> {
         out
     }
 
-    // Degraded-mode collectives: with an identity view these are the
-    // ordinary full-world operations (bit-identical to the fault-free
-    // engine); after a death they run among the survivors only. A rank
-    // alone runs none: the sum or the maximum over one member is its own
-    // contribution.
+    // The segment's collectives run among the view's members: every rank
+    // with an identity view (the world forms' traffic, message for
+    // message), the survivors after a death, an elastic segment's active
+    // ranks. A rank alone runs none: the sum or the maximum over one
+    // member is its own contribution.
 
     fn rs_sum(&self, contrib: &[u64]) -> u64 {
         if self.alone {
             return contrib[self.me];
         }
         self.timed_collective(|| {
-            if self.view.is_identity() {
-                self.ctx.comm().reduce_scatter_sum(contrib)
-            } else {
-                self.ctx
-                    .comm()
-                    .reduce_scatter_sum_among(self.view.members(), contrib)
-            }
+            self.ctx
+                .comm()
+                .reduce_scatter_sum_among(self.view.members(), contrib)
         })
     }
 
     fn ar_max(&self, v: u64) -> u64 {
         if self.alone {
             v
-        } else if self.view.is_identity() {
-            self.ctx.comm().allreduce_max(v)
         } else {
             self.ctx.comm().allreduce_max_among(self.view.members(), v)
         }
@@ -855,10 +844,13 @@ pub(crate) fn agree(
 ) -> Result<(), Refused> {
     let v = mine.as_ref().map_or(0, |r| u64::MAX - r.core);
     let comm = ctx.comm();
-    let lowest = if fresh && ctx.world_size() > 1 {
-        comm.allreduce_max(v)
-    } else if !fresh && view.members().len() > 1 {
-        comm.allreduce_max_among(view.members(), v)
+    let members = if fresh {
+        comm.every_rank()
+    } else {
+        view.members()
+    };
+    let lowest = if members.len() > 1 {
+        comm.allreduce_max_among(members, v)
     } else {
         v
     };
@@ -1133,7 +1125,7 @@ impl<'a> TickLoop<'a> {
         let seed_fires = match &opts.seed_history {
             Some((trace, fires)) => {
                 assert!(
-                    fires.is_empty() || fires.len() == start_tick as usize,
+                    fires.len() == start_tick as usize,
                     "rank {me}: seeded fires must cover exactly the ticks before the resume point"
                 );
                 report.trace = trace.clone();
@@ -1591,10 +1583,8 @@ impl<'a> TickLoop<'a> {
         }
         report.spikes_local += local_spikes;
         report.spikes_remote += remote_spikes;
-        if self.cfg.tick_stats {
-            // Emitted spikes this tick (== fires for fully wired models).
-            report.fires_per_tick.push(local_spikes + remote_spikes);
-        }
+        // Emitted spikes this tick (== fires for fully wired models).
+        report.fires_per_tick.push(local_spikes + remote_spikes);
 
         // PGAS puts happen in the Network phase region, overlapped with
         // local delivery.
@@ -1808,7 +1798,7 @@ impl<'a> TickLoop<'a> {
             return false;
         }
 
-        let Some(pol) = &self.opts.recovery else {
+        if self.opts.recovery.is_none() {
             assert!(
                 outcome.clean(),
                 "rank {me}: unrecoverable delivery gap at tick {t} with no \
@@ -1817,7 +1807,7 @@ impl<'a> TickLoop<'a> {
             );
             self.t += 1;
             return true;
-        };
+        }
         // Collective verdict: one bit per rank, max-reduced, so either
         // every rank rolls back or none does. This is the whole per-tick
         // overhead of enabling the policy.
@@ -1828,7 +1818,7 @@ impl<'a> TickLoop<'a> {
         let rb_start = Instant::now();
         self.report.rollbacks += 1;
         assert!(
-            self.report.rollbacks <= u64::from(pol.max_rollbacks),
+            self.report.rollbacks <= u64::from(MAX_ROLLBACKS),
             "rank {me}: rollback budget exhausted after {} rollbacks at tick {t} — \
              fault rate outruns recovery",
             self.report.rollbacks
@@ -2229,7 +2219,6 @@ mod tests {
         let mk = |quiescence| EngineConfig {
             ticks: 40,
             record_trace: true,
-            tick_stats: true,
             quiescence,
             ..Default::default()
         };

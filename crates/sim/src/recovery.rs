@@ -22,6 +22,10 @@
 use crate::checkpoint::RankCheckpoint;
 use std::collections::VecDeque;
 
+/// Hard cap on rollbacks in one run; exceeding it panics, because a run
+/// that cannot outrun its fault rate will never terminate.
+pub const MAX_ROLLBACKS: u32 = 64;
+
 /// Rollback-recovery controls for one [`crate::RunOptions`].
 ///
 /// When set, the engine keeps an in-memory ring of recent
@@ -36,9 +40,6 @@ pub struct RecoveryPolicy {
     /// more frequent snapshots; `0` means only the starting-tick
     /// checkpoint is taken (a rollback then replays from the start).
     pub auto_checkpoint_every: u32,
-    /// Hard cap on rollbacks in one run; exceeding it panics, because a
-    /// run that cannot outrun its fault rate will never terminate.
-    pub max_rollbacks: u32,
     /// Arms rank-crash survival: every rank replicates its newest
     /// checkpoint (plus its recorded trace) to its ring buddy at each
     /// checkpoint boundary, heartbeats open every tick, and a death
@@ -52,7 +53,6 @@ impl Default for RecoveryPolicy {
     fn default() -> Self {
         Self {
             auto_checkpoint_every: 4,
-            max_rollbacks: 64,
             survive_crashes: false,
         }
     }
@@ -68,8 +68,7 @@ impl RecoveryPolicy {
         }
     }
 
-    /// A policy checkpointing every `n` ticks with the default rollback
-    /// budget.
+    /// A policy checkpointing every `n` ticks.
     pub fn every(n: u32) -> Self {
         Self {
             auto_checkpoint_every: n,
@@ -83,7 +82,6 @@ impl RecoveryPolicy {
         Self {
             auto_checkpoint_every: n,
             survive_crashes: true,
-            ..Self::default()
         }
     }
 }
@@ -190,7 +188,6 @@ mod tests {
     fn policy_defaults_are_sane() {
         let p = RecoveryPolicy::default();
         assert!(p.auto_checkpoint_every > 0);
-        assert!(p.max_rollbacks > 0);
         assert_eq!(RecoveryPolicy::every(7).auto_checkpoint_every, 7);
     }
 

@@ -20,6 +20,7 @@ use crate::partition::{intersect_blocks, Partition, SurvivorView};
 use crate::recovery::RecoveryPolicy;
 use crate::stats::{RankReport, RunReport};
 use crate::store::{CheckpointStore, DurabilityPolicy, ResumePoint, StoreError};
+use compass_comm::collectives::{decode_u64s, encode_u64s};
 use compass_comm::{
     CrashPlan, FaultInjector, FaultPlan, Rank, RankCtx, ReliableConfig, ReliableWorld,
     TransportMetrics, World, WorldConfig,
@@ -352,8 +353,8 @@ impl From<StoreError> for DurableError {
 /// # Errors
 /// [`DurableError::Model`] for an inconsistent model (as [`run`]; an id or
 /// delivery error opens no store), [`DurableError::Store`] when the store
-/// cannot be opened or names a
-/// different world size, and [`DurableError::Write`] when the simulation
+/// cannot be opened, names a different world size or resumes a generation
+/// without per-tick fire counts, and [`DurableError::Write`] when the simulation
 /// finished but some rank's writer could not persist its generations.
 ///
 /// # Panics
@@ -372,6 +373,7 @@ pub fn run_durable(
     model.validate_ids_and_deliveries()?;
     let store = CheckpointStore::open(&policy.dir, policy.sync)?;
     let resume = store.recover(world.ranks as u32)?;
+    let resume = resume.map(ResumePoint::with_fire_history).transpose()?;
     // A committed generation never postdates a planned crash (the victim
     // stops writing when it dies), so a pending crash always re-fires on
     // restart; filter only guards a plan from an already-survived past.
@@ -567,18 +569,6 @@ const ELASTIC_WELCOME: u8 = 1;
 const ELASTIC_COST: u8 = 2;
 const ELASTIC_MIG: u8 = 3;
 const ELASTIC_DONE: u8 = 4;
-
-/// Control-channel payloads are little-endian `u64` words.
-fn le_bytes(words: &[u64]) -> Vec<u8> {
-    words.iter().flat_map(|w| w.to_le_bytes()).collect()
-}
-
-fn le_words(bytes: &[u8]) -> Vec<u64> {
-    bytes
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-        .collect()
-}
 
 /// A rank's recorded past — its trace and per-tick fire counts — moved into
 /// each segment the rank runs (which extends it) and back out of the
@@ -780,14 +770,7 @@ impl<'a> RankRun<'a> {
         parts.extend(int.adopted.as_ref().map(|rp| &rp.ckpt));
         let tick = int.resume.start_tick();
         let merged = RankCheckpoint::splice(me as u32, tick, &parts, &self.view.blocks_of(me));
-        let seed = (
-            take(&mut rep1.trace),
-            if self.cfg.tick_stats {
-                take(&mut rep1.fires_per_tick)
-            } else {
-                Vec::new()
-            },
-        );
+        let seed = (take(&mut rep1.trace), take(&mut rep1.fires_per_tick));
         let mut out = self.engine(Some(merged), seed, None, seg_end)?;
         assert!(
             out.interrupt.is_none(),
@@ -839,14 +822,14 @@ impl<'a> RankRun<'a> {
             if me == leader {
                 let words = [ctx.comm().seq(), ctx.pgas().epoch()];
                 ctx.comm()
-                    .ctrl_send(j, ELASTIC_WELCOME, b, le_bytes(&words));
+                    .ctrl_send(j, ELASTIC_WELCOME, b, encode_u64s(&words));
             }
             if me == j {
                 let w = ctx
                     .comm()
                     .ctrl_recv_until(leader, ELASTIC_WELCOME, b, ctx.membership())
                     .expect("the welcoming leader died before the join boundary");
-                let words = le_words(&w);
+                let words = decode_u64s(&w);
                 ctx.comm().sync_seq(words[0]);
                 ctx.pgas().set_epoch(words[1]);
                 // Collective admission: fresh pair state on the reliable
@@ -859,9 +842,7 @@ impl<'a> RankRun<'a> {
                 ctx.membership().admit(me);
                 ctx.pgas().attach(me);
                 // Parked ticks observed no fires.
-                if self.cfg.tick_stats {
-                    self.history.1.resize(b as usize, 0);
-                }
+                self.history.1.resize(b as usize, 0);
             }
         }
 
@@ -871,33 +852,35 @@ impl<'a> RankRun<'a> {
         // then assemble the identical global cost vector and compute the
         // identical layout.
         let costs = matches!(step.event, ElasticEvent::Rebalance).then(|| {
-            let mine: &[u64] = if old_members.contains(&me) {
+            let active = old_members.contains(&me);
+            let mine: &[u64] = if active {
                 let rep = self.acc.as_ref().expect("active ranks have a report");
                 assert_eq!(
                     rep.core_tick_ns.len() as u64,
                     self.view.count(me),
                     "rank {me}: cost vector does not cover the hosted cores"
                 );
-                let payload = le_bytes(&rep.core_tick_ns);
-                for dst in (0..n_world).filter(|&d| d != me && Some(d) != self.dead) {
-                    ctx.comm().ctrl_send(dst, ELASTIC_COST, b, payload.clone());
-                }
                 &rep.core_tick_ns
             } else {
                 &[]
             };
             let mut global = vec![0u64; total as usize];
-            for &o in &old_members {
-                let theirs = if o == me {
-                    mine.to_vec()
-                } else {
-                    le_words(&ctx.comm().ctrl_recv(o, ELASTIC_COST, b))
-                };
+            let mut place = |o: Rank, costs: &[u64]| {
                 let cores = self.view.blocks_of(o).into_iter().flatten();
-                for (core, cost) in cores.zip(theirs) {
+                for (core, &cost) in cores.zip(costs) {
                     global[core as usize] = cost;
                 }
-            }
+            };
+            let payload = encode_u64s(mine);
+            ctx.comm().ctrl_round(
+                ELASTIC_COST,
+                b,
+                (0..n_world).filter(|&d| active && Some(d) != self.dead),
+                |_| payload.clone(),
+                old_members.iter().copied(),
+                |o, bytes| place(o, &decode_u64s(&bytes)),
+            );
+            place(me, mine);
             global
         });
         let new_part = Partition::among(total, n_world, &new_members, costs.as_deref());
@@ -944,12 +927,9 @@ impl<'a> RankRun<'a> {
             // participant passes until every other has finished migrating,
             // so no rank can leak traffic from the next segment into this
             // boundary.
-            for &p in participants.iter().filter(|&&p| p != me) {
-                ctx.comm().ctrl_send(p, ELASTIC_DONE, b, Vec::new());
-            }
-            for &p in participants.iter().filter(|&&p| p != me) {
-                let _ = ctx.comm().ctrl_recv(p, ELASTIC_DONE, b);
-            }
+            let all = || participants.iter().copied();
+            ctx.comm()
+                .ctrl_round(ELASTIC_DONE, b, all(), |_| Vec::new(), all(), |_, _| {});
             if leaver == Some(me) {
                 ctx.pgas().detach(me);
             }
@@ -1089,7 +1069,6 @@ mod tests {
         for backend in [Backend::Mpi, Backend::Pgas] {
             let engine = EngineConfig {
                 record_trace: true,
-                tick_stats: true,
                 ..EngineConfig::new(ticks, backend)
             };
             let pair = run(&model, WorldConfig::flat(2), &engine).unwrap();

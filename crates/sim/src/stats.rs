@@ -76,8 +76,7 @@ pub struct RankReport {
     /// observability hook behind per-region activity analysis (the paper
     /// uses Compass for "studying TrueNorth dynamics").
     pub fires_per_core: Vec<u64>,
-    /// Fires on this rank per simulated tick (index = tick), populated
-    /// when [`crate::EngineConfig::tick_stats`] is on.
+    /// Fires on this rank per simulated tick (index = tick).
     pub fires_per_tick: Vec<u64>,
     /// Spike-payload bytes shipped to each destination rank (indexed by
     /// rank), for mapping traffic onto an interconnect model.

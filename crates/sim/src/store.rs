@@ -132,6 +132,13 @@ pub enum StoreError {
         /// The version it carries.
         found: u16,
     },
+    /// A resume point's payloads do not carry one fire count per tick
+    /// before it, so it cannot seed a resumed report: an earlier build,
+    /// which recorded per-tick fires only on request, wrote it.
+    NoFireHistory {
+        /// The generation.
+        gen: u64,
+    },
     /// A payload is too long for the footer's 32-bit length field. Nothing
     /// was written: the generation is skipped and earlier ones stay valid
     /// — a truncated length would seal a file no reader ever accepts.
@@ -163,6 +170,11 @@ impl std::fmt::Display for StoreError {
                  the store was written by another build and is left as it is",
                 path.display()
             ),
+            StoreError::NoFireHistory { gen } => write!(
+                f,
+                "generation {gen} holds no per-tick fire counts (an earlier build wrote it); \
+                 resume cannot continue its history"
+            ),
             StoreError::PayloadTooLarge { name, len } => write!(
                 f,
                 "payload of {len} bytes for {name} exceeds the store's 32-bit length field"
@@ -177,6 +189,7 @@ impl std::error::Error for StoreError {
             StoreError::Io { source, .. } => Some(source),
             StoreError::RankMismatch { .. }
             | StoreError::UnsupportedVersion { .. }
+            | StoreError::NoFireHistory { .. }
             | StoreError::PayloadTooLarge { .. } => None,
         }
     }
@@ -259,6 +272,21 @@ pub struct ResumePoint {
     /// Per-rank state, indexed by rank: checkpoint plus the recorded
     /// trace/fires history the previous process had already produced.
     pub payloads: Vec<ReplicaPayload>,
+}
+
+impl ResumePoint {
+    /// This point, if every payload holds one fire count per tick before
+    /// it — what a resumed engine's seeded history must cover.
+    pub(crate) fn with_fire_history(self) -> Result<Self, StoreError> {
+        if self
+            .payloads
+            .iter()
+            .any(|p| p.fires_per_tick.len() != self.tick as usize)
+        {
+            return Err(StoreError::NoFireHistory { gen: self.gen });
+        }
+        Ok(self)
+    }
 }
 
 /// One generation's verdict from [`CheckpointStore::fsck`].
@@ -933,6 +961,26 @@ mod tests {
         assert_eq!(rp.payloads.len(), 2);
         assert_eq!(rp.payloads[1], payload(1, 8, 3));
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_point_without_per_tick_fires_cannot_seed_a_resume() {
+        let point = |payloads| ResumePoint {
+            tick: 8,
+            gen: 8,
+            payloads,
+        };
+        let whole = payload(1, 8, 3);
+        let mut bare = whole.clone();
+        bare.fires_per_tick.clear();
+        assert!(matches!(
+            point(vec![whole.clone(), bare]).with_fire_history(),
+            Err(StoreError::NoFireHistory { gen: 8 })
+        ));
+        assert_eq!(
+            point(vec![whole.clone()]).with_fire_history().unwrap(),
+            point(vec![whole])
+        );
     }
 
     #[test]

@@ -456,7 +456,6 @@ proptest! {
         let engine = EngineConfig {
             ticks: 16,
             record_trace: true,
-            tick_stats: true,
             ..Default::default()
         };
         let oracle = run(&model, world, &engine).unwrap();

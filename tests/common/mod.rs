@@ -52,7 +52,6 @@ pub fn engine(ticks: u32, backend: Backend) -> EngineConfig {
         ticks,
         backend,
         record_trace: true,
-        tick_stats: true,
         ..EngineConfig::default()
     }
 }

@@ -71,7 +71,6 @@ fn run_with(
             ticks: 60,
             backend: Backend::Mpi,
             record_trace: true,
-            tick_stats: true,
             kernels,
             quiescence,
             ..EngineConfig::default()

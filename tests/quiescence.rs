@@ -21,7 +21,6 @@ fn run_with(model: &NetworkModel, world: WorldConfig, quiescence: bool) -> RunRe
             ticks: 60,
             backend: Backend::Mpi,
             record_trace: true,
-            tick_stats: true,
             quiescence,
             ..EngineConfig::default()
         },
@@ -140,7 +139,6 @@ fn awake_set_skips_exactly_the_idle_core_ticks() {
                     ticks: ticks as u32,
                     backend,
                     record_trace: true,
-                    tick_stats: true,
                     quiescence,
                     ..EngineConfig::default()
                 };

@@ -60,7 +60,6 @@ fn engine_oracle(
             ticks,
             backend,
             record_trace: true,
-            tick_stats: true,
             ..EngineConfig::default()
         },
     )

@@ -217,7 +217,6 @@ mod macaque_at_scale {
                 ticks: MTICKS,
                 backend,
                 record_trace: true,
-                tick_stats: true,
                 ..EngineConfig::default()
             },
         )
