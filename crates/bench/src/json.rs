@@ -414,6 +414,8 @@ const KERNEL_ARRAY_SECTIONS: [(&str, &[&str]); 6] = [
             "scalar_ns",
             "bitsliced_ns",
             "speedup",
+            "scalar_portable_ns",
+            "bitsliced_portable_ns",
         ],
     ),
     (
