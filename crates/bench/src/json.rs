@@ -455,14 +455,10 @@ const KERNEL_ARRAY_SECTIONS: [(&str, &[&str]); 6] = [
         &[
             "cores",
             "ranks",
-            "armed_ns_per_tick",
-            "replicating_delta_ns_per_tick",
-            "delta_overhead",
             "delta_bytes_per_boundary",
             "full_bytes_per_boundary",
             "delta_reduction",
             "migrated_cores",
-            "migration_ns_per_core",
             "migration_bytes_per_core",
         ],
     ),

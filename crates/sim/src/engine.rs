@@ -250,7 +250,7 @@ pub struct RunOptions {
     /// staged copy to a per-rank background writer that persists it into
     /// a [`CheckpointStore`] — the tick loop never blocks on I/O. Every
     /// rank of a world must carry the same policy; a restarted job
-    /// resumes from the store via [`crate::runner::run_durable`].
+    /// resumes from the store via [`crate::runner::Job::run`].
     ///
     /// [`CheckpointStore`]: crate::store::CheckpointStore
     pub durability: Option<DurabilityPolicy>,

@@ -12,7 +12,8 @@
 //!   optimizations (per-destination aggregation, collective/delivery
 //!   overlap) available as ablation switches.
 //! * [`runner::run`] — one-call convenience: world launch + partition +
-//!   per-rank engine + report merge.
+//!   per-rank engine + report merge. [`runner::Job`] is the same call with
+//!   the resilience layers below armed, one field each.
 //! * [`stats`] — per-phase timings, spike/message accounting, slowdown
 //!   factor, and mean firing rate, matching the quantities the paper
 //!   reports.
@@ -45,7 +46,7 @@
 //! lost; with a [`recovery::RecoveryPolicy`] it additionally answers
 //! unrecoverable gaps by rolling every rank back to the newest in-memory
 //! auto-checkpoint and replaying — the run completes with a trace
-//! bit-identical to the fault-free oracle ([`runner::run_recovering`]).
+//! bit-identical to the fault-free oracle (`recovery` on a [`runner::Job`]).
 //!
 //! ## Degraded mode — surviving rank crashes
 //!
@@ -58,7 +59,7 @@
 //! rebuild the core-to-rank map as a [`partition::SurvivorView`] in which
 //! the buddy adopts the victim's cores, roll back to the common boundary,
 //! and replay to completion — the final trace is bit-identical to a run
-//! that never crashed ([`runner::run_surviving`]).
+//! that never crashed (`crash` on a [`runner::Job`]).
 
 // Team threads own their cores by construction (`engine`'s `Shard`s, cut
 // by `tn_core::CorePool::split`), so nothing here needs `unsafe`.
@@ -86,8 +87,7 @@ pub use model::{ModelError, NetworkModel};
 pub use partition::{Partition, SurvivorView};
 pub use recovery::RecoveryPolicy;
 pub use runner::{
-    check_fits, run, run_durable, run_elastic, run_recovering, run_surviving, DurableError,
-    ElasticEvent, ElasticPlan, ElasticStep,
+    check_fits, run, run_durable, ElasticEvent, ElasticPlan, ElasticStep, Job, JobError,
 };
 pub use solo::SoloSimulation;
 pub use stats::{trace_digest, PhaseTimes, RankReport, RunReport};

@@ -1,12 +1,13 @@
 //! Whole-world runners.
 //!
-//! Every public entry point here is a front over one driver, `launch`:
-//! it builds the world once, walks each rank through the segments of the
-//! job (one, unless an [`ElasticPlan`] cuts the run at membership
-//! boundaries), and folds the per-rank reports plus transport metrics into
-//! a [`RunReport`]. [`run`] is the driver with nothing armed; the other
-//! fronts add the reliable layer, rollback recovery, crash survival,
-//! durable checkpoints and elastic membership. The Parallel Compass
+//! Every run goes through one driver, `launch`: it builds the world once,
+//! walks each rank through the segments of the job (one, unless an
+//! [`ElasticPlan`] cuts the run at membership boundaries), and folds the
+//! per-rank reports plus transport metrics into a [`RunReport`]. [`run`]
+//! is the driver with nothing armed; a [`Job`] arms the reliable layer,
+//! rollback recovery, crash survival, durable checkpoints and elastic
+//! membership, and [`Job::check`] refuses a plan no run can satisfy
+//! before any rank starts. The Parallel Compass
 //! Compiler path bypasses all of this and calls [`crate::engine::run_rank`]
 //! inside its own world, as the paper's in-situ compile-then-simulate flow
 //! does.
@@ -31,28 +32,254 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tn_core::Spike;
 
-/// What a front asks of the driver. The default is [`run`]: no faults, no
-/// reliable layer, no recovery, every rank a member from start to finish.
-#[derive(Default)]
-pub(crate) struct Job<'a> {
-    /// Seeded message faults ([`ReliableConfig::against`] tunes the
-    /// reliable layer's retransmission path to the same loss rate).
-    faults: Option<FaultPlan>,
-    /// Install the reliable-delivery layer (framing, per-tick audit).
-    reliable: bool,
-    recovery: Option<RecoveryPolicy>,
+/// One armed run: which layers a run of a model carries beyond plain
+/// [`run`]. Each field switches one layer on; [`Job::run`] composes them,
+/// and [`Job::check`] refuses the one pair that does not compose before
+/// any rank starts.
+///
+/// - `faults`: seeded message faults on the transport. The reliable
+///   layer's retransmission path suffers the same loss rate
+///   ([`ReliableConfig::against`]).
+/// - `reliable`: the reliable-delivery layer (framing, checksums, a
+///   per-tick expected-vs-received audit). Every other field arms it too;
+///   set alone it prices the layer's fault-free cost.
+/// - `recovery`: a gap the retransmit budget cannot close rolls every
+///   rank back to the newest in-memory checkpoint and replays, instead of
+///   panicking.
+/// - `crash`: one planned rank death. At the top of `crash.at_tick` the
+///   victim publishes its death and terminates; the survivors reach a
+///   unanimous verdict at that tick's heartbeat, retire the dead rank
+///   from the reliable layer and the PGAS barrier, and rebuild a degraded
+///   [`SurvivorView`] in which the ring buddy adopts the victim's cores
+///   from its replicated checkpoint; every rank rolls back to the common
+///   boundary and replays. The victim's slot in the report stays empty
+///   (the buddy accounts its pre-crash history), and the crash is counted
+///   in [`RunReport::total_death_verdicts`].
+/// - `durability`: durable on-disk checkpoints. The store under
+///   `policy.dir` is scanned first ([`CheckpointStore::recover`]): an
+///   empty (or entirely torn) store starts the job at tick 0, and a store
+///   an earlier process left behind, even one killed mid-write, resumes
+///   every rank from the newest committed generation, with the history
+///   seeded so the report equals an uninterrupted run's. Each rank hands
+///   its snapshots to a background writer; the tick loop never blocks on
+///   I/O. A crash the store does not yet cover re-fires on restart, and
+///   one at or past the run's last tick is legal here: a prefix run (a
+///   job that dies before the victim does) never reaches it.
+/// - `elastic`: a schedule of live membership transitions. At each
+///   boundary the active ranks exit their segment with a checkpoint and
+///   run the admission protocol over the control channel: WELCOME (a
+///   joiner aligns its collective sequence number and PGAS epoch with the
+///   incumbents'), COST (rebalance only: every member publishes its
+///   measured per-core tick cost, so all ranks compute the same
+///   [`Partition::by_cost`] layout), MIG (each old owner ships the
+///   checkpoint runs that intersect each new owner's block) and DONE (an
+///   all-to-all no participant passes until every other has finished
+///   migrating).
+///
+/// A `crash` or an `elastic` plan forces `survive_crashes` on (buddy
+/// replication and per-tick heartbeats), over the default cadence when
+/// `recovery` is `None`. Every combination [`Job::check`] accepts runs
+/// bit-identical (trace, fires per tick) to the fault-free run, but for
+/// one hazard the check cannot foresee: with `faults` and no rollback
+/// armed, a gap the retransmit budget cannot close panics the rank.
+#[derive(Debug, Clone, Default)]
+pub struct Job {
+    /// Seeded message faults.
+    pub faults: Option<FaultPlan>,
+    /// Install the reliable-delivery layer with nothing else armed.
+    pub reliable: bool,
+    /// Rollback recovery.
+    pub recovery: Option<RecoveryPolicy>,
     /// One planned rank death; every rank carries the same plan.
-    crash: Option<CrashPlan>,
-    /// Durable checkpoints, and the committed generation to resume from.
-    durability: Option<DurabilityPolicy>,
-    resume: Option<ResumePoint>,
+    pub crash: Option<CrashPlan>,
+    /// Durable checkpoints, and a restart from the store's newest
+    /// committed generation.
+    pub durability: Option<DurabilityPolicy>,
     /// The membership schedule; `None` keeps every rank a member.
-    elastic: Option<&'a ElasticPlan>,
+    pub elastic: Option<ElasticPlan>,
+}
+
+/// Returns `Err(reason)` from the enclosing plan check unless `cond`.
+macro_rules! ensure {
+    ($cond:expr, $($why:tt)+) => {
+        if !$cond {
+            return Err(format!($($why)+));
+        }
+    };
+}
+
+impl Job {
+    /// Simulates `model` on a world of shape `world` with engine options
+    /// `cfg` and the layers this job arms. The model's ids and deliveries
+    /// are checked first, then the plan ([`Job::check`]); only then is a
+    /// store opened and the world built.
+    ///
+    /// # Errors
+    /// [`JobError::Model`] for an inconsistent model (as [`run`]; an id or
+    /// delivery error opens no store), [`JobError::Plan`] for a plan
+    /// [`Job::check`] refuses, [`JobError::Store`] when the store cannot be
+    /// opened, names a different world size or resumes a generation
+    /// without per-tick fire counts, and [`JobError::Write`] when the
+    /// simulation finished but some rank's writer could not persist its
+    /// generations.
+    pub fn run(
+        &self,
+        model: &NetworkModel,
+        world: WorldConfig,
+        cfg: &EngineConfig,
+    ) -> Result<RunReport, JobError> {
+        model.validate_ids_and_deliveries()?;
+        self.check(world, cfg)?;
+        let resume = match &self.durability {
+            Some(policy) => {
+                let store = CheckpointStore::open(&policy.dir, policy.sync)?;
+                let resume = store.recover(world.ranks as u32)?;
+                resume.map(ResumePoint::with_fire_history).transpose()?
+            }
+            None => None,
+        };
+        // A committed generation never postdates a planned crash (the
+        // victim stops writing when it dies), so a pending crash always
+        // re-fires on restart; the filter only drops a plan from an
+        // already-survived past.
+        let crash = self
+            .crash
+            .filter(|c| resume.as_ref().is_none_or(|rp| c.at_tick >= rp.tick));
+        let survive = crash.is_some() || self.elastic.is_some();
+        let armed = Job {
+            reliable: self.reliable
+                || self.faults.is_some()
+                || self.recovery.is_some()
+                || self.crash.is_some()
+                || self.durability.is_some()
+                || self.elastic.is_some(),
+            recovery: if survive {
+                Some(self.recovery.unwrap_or_default().surviving_crashes())
+            } else {
+                self.recovery
+            },
+            crash,
+            ..self.clone()
+        };
+        match launch(model, world, cfg, &armed, resume.as_ref())? {
+            (_, Some(e)) => Err(JobError::Write(e)),
+            (report, None) => Ok(report),
+        }
+    }
+
+    /// Refuses a plan no run can satisfy, before any rank starts: a crash
+    /// outside the world, in a one-rank world, at tick 0, or at or past
+    /// the last tick without durability; durability together with an
+    /// elastic plan; and an elastic plan whose members, boundaries or
+    /// transitions do not fit the world, the run or the crash.
+    ///
+    /// # Errors
+    /// [`JobError::Plan`] with the reason.
+    pub fn check(&self, world: WorldConfig, cfg: &EngineConfig) -> Result<(), JobError> {
+        self.refusal(world.ranks, cfg.ticks).map_err(JobError::Plan)
+    }
+
+    fn refusal(&self, world: usize, ticks: u32) -> Result<(), String> {
+        if let Some(cp) = self.crash {
+            ensure!(
+                world >= 2,
+                "crash survival needs at least one survivor, and the world has one rank"
+            );
+            ensure!(
+                cp.rank < world,
+                "crash plan names rank {} outside a {world}-rank world",
+                cp.rank
+            );
+            ensure!(
+                cp.at_tick > 0,
+                "a crash at tick 0 precedes the first checkpoint boundary"
+            );
+            ensure!(
+                cp.at_tick < ticks || self.durability.is_some(),
+                "the crash at tick {} falls outside a {ticks}-tick run",
+                cp.at_tick
+            );
+        }
+        let Some(plan) = &self.elastic else {
+            return Ok(());
+        };
+        ensure!(
+            self.durability.is_none(),
+            "durability under a changing member set is not supported: the store \
+             records no member set, so a restart would resume the wrong layout \
+             (ROADMAP item 3(c))"
+        );
+        ensure!(!plan.initial.is_empty(), "need at least one initial rank");
+        ensure!(
+            plan.initial.windows(2).all(|w| w[0] < w[1]),
+            "initial members must be ascending and unique"
+        );
+        ensure!(
+            plan.initial.iter().all(|&r| r < world),
+            "initial member outside the world"
+        );
+        let crash = self.crash;
+        let mut members = plan.initial.clone();
+        // The membership over the segment containing the crash tick.
+        let mut at_crash: Option<Vec<Rank>> = None;
+        let mut last = 0u32;
+        for step in &plan.steps {
+            ensure!(
+                step.at_tick > last,
+                "boundaries must be strictly ascending and nonzero"
+            );
+            ensure!(step.at_tick < ticks, "boundary outside the run");
+            last = step.at_tick;
+            if let Some(cp) = crash {
+                ensure!(
+                    cp.at_tick != step.at_tick,
+                    "a crash cannot fall exactly on an elastic boundary"
+                );
+                if step.at_tick > cp.at_tick {
+                    at_crash.get_or_insert_with(|| members.clone());
+                }
+            }
+            match step.event {
+                ElasticEvent::Join(r) => {
+                    ensure!(r < world, "joining rank outside the world");
+                    ensure!(!members.contains(&r), "rank {r} is already a member");
+                    ensure!(
+                        crash.is_none_or(|cp| cp.rank != r || cp.at_tick >= step.at_tick),
+                        "rank {r} crashed before its join boundary"
+                    );
+                    members.push(r);
+                    members.sort_unstable();
+                }
+                ElasticEvent::Leave(r) => {
+                    ensure!(members.contains(&r), "rank {r} is not a member");
+                    ensure!(members.len() > 1, "the last member cannot leave");
+                    ensure!(
+                        crash.is_none_or(|cp| cp.rank != r || cp.at_tick < step.at_tick),
+                        "the crash victim must still be active at its crash tick"
+                    );
+                    members.retain(|&m| m != r);
+                }
+                ElasticEvent::Rebalance => {}
+            }
+        }
+        if let Some(cp) = crash {
+            // The victim must be active there, with at least one buddy.
+            let m = at_crash.unwrap_or(members);
+            ensure!(
+                m.contains(&cp.rank),
+                "the crash victim is parked at its crash tick"
+            );
+            ensure!(m.len() >= 2, "the crash victim needs a surviving buddy");
+        }
+        Ok(())
+    }
 }
 
 /// The one driver: builds the world `job` describes, runs every rank
-/// through the job's segments, and merges the results. The second value is
-/// the first durable-write failure any rank reported.
+/// through the job's segments from `resume` (or tick 0), and merges the
+/// results. `job` is armed as [`Job::run`] leaves it: nothing is derived
+/// here. The second value is the first durable-write failure any rank
+/// reported.
 ///
 /// Each rank validates the configs it pushes (`run_rank_view`); a refused
 /// one stops every rank before tick 0, and the error is the refusing
@@ -64,7 +291,8 @@ pub(crate) fn launch(
     model: &NetworkModel,
     world: WorldConfig,
     cfg: &EngineConfig,
-    job: &Job<'_>,
+    job: &Job,
+    resume: Option<&ResumePoint>,
 ) -> Result<(RunReport, Option<String>), ModelError> {
     let metrics = Arc::new(TransportMetrics::new());
     let faults = job
@@ -81,7 +309,7 @@ pub(crate) fn launch(
     });
     let started = Instant::now();
     let results = World::try_run_with_recovery(world, Arc::clone(&metrics), faults, rely, |ctx| {
-        RankRun::new(ctx, model, cfg, job).run()
+        RankRun::new(ctx, model, cfg, job, resume).run()
     });
     let wall = started.elapsed();
 
@@ -183,111 +411,12 @@ pub fn run(
     cfg: &EngineConfig,
 ) -> Result<RunReport, ModelError> {
     model.validate_ids_and_deliveries()?;
-    Ok(launch(model, world, cfg, &Job::default())?.0)
+    Ok(launch(model, world, cfg, &Job::default(), None)?.0)
 }
 
-/// Simulates `model` under a reliable-delivery layer, optionally with
-/// seeded communication faults and an automatic rollback-recovery policy.
-///
-/// This is the self-healing configuration: every application payload is
-/// framed/checksummed, each tick ends with an expected-vs-received audit
-/// whose retransmission path suffers the same loss rate as `plan`
-/// ([`ReliableConfig::against`]), and — when `policy` is set — gaps the
-/// retransmit budget cannot close trigger a collective rollback to the
-/// newest in-memory checkpoint instead of a panic. With `plan = None`
-/// this measures the reliable layer's fault-free overhead; the trace is
-/// unchanged either way.
-///
-/// # Errors
-/// As [`run`].
-pub fn run_recovering(
-    model: &NetworkModel,
-    world: WorldConfig,
-    cfg: &EngineConfig,
-    plan: Option<FaultPlan>,
-    policy: Option<RecoveryPolicy>,
-) -> Result<RunReport, ModelError> {
-    model.validate_ids_and_deliveries()?;
-    let job = Job {
-        faults: plan,
-        reliable: true,
-        recovery: policy,
-        ..Job::default()
-    };
-    Ok(launch(model, world, cfg, &job)?.0)
-}
-
-/// Simulates `model` while one rank is killed mid-run, and drives the full
-/// survival protocol to a bit-exact finish.
-///
-/// Every rank runs recovery-armed (`policy.survive_crashes` is forced on,
-/// so buddy replication and per-tick heartbeats are active) with the same
-/// `crash` plan. At the top of `crash.at_tick` the victim publishes its
-/// death and terminates; the survivors reach a unanimous verdict at that
-/// tick's heartbeat, retire the dead rank from the reliable layer and the
-/// PGAS barrier, rebuild a degraded [`SurvivorView`] in which the ring
-/// buddy adopts the victim's cores from its replicated checkpoint, roll
-/// back to the common boundary, and replay to completion. Optional seeded
-/// message faults (`plan`) compose with the crash exactly as in
-/// [`run_recovering`].
-///
-/// The merged [`RunReport`] is bit-identical (trace, fires-per-tick) to a
-/// fault-free run of the same model; the victim's rank slot is empty (its
-/// thread died — its pre-crash fires are accounted by the adopting buddy)
-/// and carries the planned crash as evidence via
-/// [`RunReport::total_death_verdicts`].
-///
-/// # Errors
-/// As [`run`].
-///
-/// # Panics
-/// Panics when the crash plan is unsatisfiable (victim outside the world,
-/// no survivor, crash after the last tick) or when a rank other than the
-/// planned victim dies.
-pub fn run_surviving(
-    model: &NetworkModel,
-    world: WorldConfig,
-    cfg: &EngineConfig,
-    plan: Option<FaultPlan>,
-    crash: CrashPlan,
-    policy: RecoveryPolicy,
-) -> Result<RunReport, ModelError> {
-    model.validate_ids_and_deliveries()?;
-    assert_crash_fits(&crash, world);
-    assert!(
-        crash.at_tick < cfg.ticks,
-        "the victim must die before the run ends"
-    );
-    let job = Job {
-        faults: plan,
-        reliable: true,
-        recovery: Some(policy.surviving_crashes()),
-        crash: Some(crash),
-        ..Job::default()
-    };
-    Ok(launch(model, world, cfg, &job)?.0)
-}
-
-fn assert_crash_fits(crash: &CrashPlan, world: WorldConfig) {
-    assert!(
-        world.ranks >= 2,
-        "crash survival needs at least one survivor"
-    );
-    assert!(
-        crash.rank < world.ranks,
-        "crash plan names rank {} outside a {}-rank world",
-        crash.rank,
-        world.ranks
-    );
-}
-
-// ---------------------------------------------------------------------------
-// Durable checkpoints: whole-job restart from an on-disk store.
-// ---------------------------------------------------------------------------
-
-/// Everything that can go wrong launching or finishing a durable run.
+/// Why a [`Job`] did not run, or did not finish durably.
 #[derive(Debug)]
-pub enum DurableError {
+pub enum JobError {
     /// The model failed validation.
     Model(ModelError),
     /// The checkpoint store could not be opened or scanned at startup.
@@ -295,113 +424,66 @@ pub enum DurableError {
     /// The simulation completed, but a rank's background writer failed to
     /// persist its generations — the store may lag the run's final state.
     Write(String),
+    /// [`Job::check`] refused the plan; no rank started.
+    Plan(String),
 }
 
-impl fmt::Display for DurableError {
+impl fmt::Display for JobError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DurableError::Model(e) => write!(f, "model error: {e}"),
-            DurableError::Store(e) => write!(f, "checkpoint store: {e}"),
-            DurableError::Write(e) => write!(f, "durable write failed: {e}"),
+            JobError::Model(e) => write!(f, "model error: {e}"),
+            JobError::Store(e) => write!(f, "checkpoint store: {e}"),
+            JobError::Write(e) => write!(f, "durable write failed: {e}"),
+            JobError::Plan(e) => write!(f, "unsatisfiable plan: {e}"),
         }
     }
 }
 
-impl std::error::Error for DurableError {
+impl std::error::Error for JobError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            DurableError::Model(e) => Some(e),
-            DurableError::Store(e) => Some(e),
-            DurableError::Write(_) => None,
+            JobError::Model(e) => Some(e),
+            JobError::Store(e) => Some(e),
+            JobError::Write(_) | JobError::Plan(_) => None,
         }
     }
 }
 
-impl From<ModelError> for DurableError {
+impl From<ModelError> for JobError {
     fn from(e: ModelError) -> Self {
-        DurableError::Model(e)
+        JobError::Model(e)
     }
 }
 
-impl From<StoreError> for DurableError {
+impl From<StoreError> for JobError {
     fn from(e: StoreError) -> Self {
-        DurableError::Store(e)
+        JobError::Store(e)
     }
 }
 
-/// Simulates `model` with durable on-disk checkpoints, resuming from the
-/// newest fully-committed generation if the store already holds one.
-///
-/// At startup the store under `policy.dir` is scanned
-/// ([`CheckpointStore::recover`]): an empty (or entirely torn) store
-/// starts the job from tick 0, while a store left behind by an earlier
-/// process — even one killed mid-write — resumes every rank from the
-/// newest generation whose manifest committed, with the trace and
-/// per-tick fire counts seeded so the merged report is indistinguishable
-/// from an uninterrupted run. During the run each rank snapshots at the
-/// policy's cadence and hands the staged bytes to a background writer;
-/// the tick loop never blocks on I/O.
-///
-/// Seeded message faults (`plan`), rollback recovery (`recovery`), and a
-/// planned rank crash (`crash`) compose exactly as in
-/// [`run_recovering`] / [`run_surviving`]: a pending crash forces
-/// `survive_crashes` on, the survivors adopt and replay the degraded
-/// segment (without durability — generations past the victim's death can
-/// never commit anyway), and a restart after the crash re-fires the plan
-/// so the trace stays bit-identical to the fault-free oracle.
+/// `model` run durably under `policy` with optional message faults,
+/// rollback recovery and a planned crash: the [`Job`] with those fields
+/// set.
 ///
 /// # Errors
-/// [`DurableError::Model`] for an inconsistent model (as [`run`]; an id or
-/// delivery error opens no store), [`DurableError::Store`] when the store
-/// cannot be opened, names a different world size or resumes a generation
-/// without per-tick fire counts, and [`DurableError::Write`] when the simulation
-/// finished but some rank's writer could not persist its generations.
-///
-/// # Panics
-/// Panics when a pending crash plan is unsatisfiable (victim outside the
-/// world, no survivor, crash after the last tick) or a rank dies that no
-/// plan named.
+/// As [`Job::run`].
 pub fn run_durable(
     model: &NetworkModel,
     world: WorldConfig,
     cfg: &EngineConfig,
     policy: DurabilityPolicy,
-    plan: Option<FaultPlan>,
+    faults: Option<FaultPlan>,
     recovery: Option<RecoveryPolicy>,
     crash: Option<CrashPlan>,
-) -> Result<RunReport, DurableError> {
-    model.validate_ids_and_deliveries()?;
-    let store = CheckpointStore::open(&policy.dir, policy.sync)?;
-    let resume = store.recover(world.ranks as u32)?;
-    let resume = resume.map(ResumePoint::with_fire_history).transpose()?;
-    // A committed generation never postdates a planned crash (the victim
-    // stops writing when it dies), so a pending crash always re-fires on
-    // restart; filter only guards a plan from an already-survived past.
-    let crash = crash.filter(|c| resume.as_ref().is_none_or(|rp| c.at_tick >= rp.tick));
-    // Unlike `run_surviving`, a crash at or past `cfg.ticks` is legal here:
-    // a prefix run (a job that dies before the victim does) simply never
-    // reaches the planned tick, and the relaunch re-fires the still-pending
-    // plan.
-    let recovery = match crash {
-        Some(c) => {
-            assert_crash_fits(&c, world);
-            Some(recovery.unwrap_or_default().surviving_crashes())
-        }
-        None => recovery,
-    };
+) -> Result<RunReport, JobError> {
     let job = Job {
-        faults: plan,
-        reliable: true,
+        faults,
         recovery,
         crash,
         durability: Some(policy),
-        resume,
         ..Job::default()
     };
-    match launch(model, world, cfg, &job)? {
-        (_, Some(e)) => Err(DurableError::Write(e)),
-        (report, None) => Ok(report),
-    }
+    job.run(model, world, cfg)
 }
 
 // ---------------------------------------------------------------------------
@@ -477,89 +559,6 @@ impl ElasticPlan {
     pub fn new(initial: Vec<Rank>, steps: Vec<ElasticStep>) -> Self {
         Self { initial, steps }
     }
-
-    /// Validates the plan against a world of `world` ranks, `ticks` ticks
-    /// and an optional crash, returning the membership after every step.
-    ///
-    /// # Panics
-    /// Panics on an unsatisfiable plan: unknown or duplicate ranks,
-    /// non-monotonic boundaries, joining an active or crashed rank,
-    /// removing the last member, or a crash that falls on a boundary or
-    /// on a parked/buddyless victim.
-    fn validate(&self, world: usize, ticks: u32, crash: Option<&CrashPlan>) {
-        assert!(!self.initial.is_empty(), "need at least one initial rank");
-        assert!(
-            self.initial.windows(2).all(|w| w[0] < w[1]),
-            "initial members must be ascending and unique"
-        );
-        assert!(
-            self.initial.iter().all(|&r| r < world),
-            "initial member outside the world"
-        );
-        let mut members = self.initial.clone();
-        // The membership over the segment containing the crash tick.
-        let mut at_crash: Option<Vec<Rank>> = None;
-        let mut last = 0u32;
-        for (i, step) in self.steps.iter().enumerate() {
-            assert!(
-                step.at_tick > last || (i == 0 && step.at_tick > 0),
-                "boundaries must be strictly ascending and nonzero"
-            );
-            assert!(
-                step.at_tick > 0 && step.at_tick < ticks,
-                "boundary outside the run"
-            );
-            last = step.at_tick;
-            if let Some(cp) = crash {
-                assert_ne!(
-                    cp.at_tick, step.at_tick,
-                    "a crash cannot fall exactly on an elastic boundary"
-                );
-                if step.at_tick > cp.at_tick {
-                    at_crash.get_or_insert_with(|| members.clone());
-                }
-            }
-            match step.event {
-                ElasticEvent::Join(r) => {
-                    assert!(r < world, "joining rank outside the world");
-                    assert!(!members.contains(&r), "rank {r} is already a member");
-                    if let Some(cp) = crash {
-                        assert!(
-                            !(cp.rank == r && cp.at_tick < step.at_tick),
-                            "rank {r} crashed before its join boundary"
-                        );
-                    }
-                    members.push(r);
-                    members.sort_unstable();
-                }
-                ElasticEvent::Leave(r) => {
-                    assert!(members.contains(&r), "rank {r} is not a member");
-                    assert!(members.len() > 1, "the last member cannot leave");
-                    if let Some(cp) = crash {
-                        assert!(
-                            !(cp.rank == r && cp.at_tick >= step.at_tick),
-                            "the crash victim must still be active at its crash tick"
-                        );
-                    }
-                    members.retain(|&m| m != r);
-                }
-                ElasticEvent::Rebalance => {}
-            }
-        }
-        if let Some(cp) = crash {
-            assert!(
-                cp.at_tick > 0 && cp.at_tick < ticks,
-                "crash outside the run"
-            );
-            // The victim must be active there, with at least one buddy.
-            let m = at_crash.unwrap_or(members);
-            assert!(
-                m.contains(&cp.rank),
-                "the crash victim is parked at its crash tick"
-            );
-            assert!(m.len() >= 2, "the crash victim needs a surviving buddy");
-        }
-    }
 }
 
 /// Control-message kinds on the elastic channel (`ctrl_send`/`ctrl_recv`
@@ -581,7 +580,7 @@ struct RankRun<'a> {
     ctx: &'a RankCtx,
     model: &'a NetworkModel,
     cfg: &'a EngineConfig,
-    job: &'a Job<'a>,
+    job: &'a Job,
     /// The active ranks and the core layout they host.
     view: SurvivorView,
     dead: Option<Rank>,
@@ -602,10 +601,11 @@ impl<'a> RankRun<'a> {
         ctx: &'a RankCtx,
         model: &'a NetworkModel,
         cfg: &'a EngineConfig,
-        job: &'a Job<'a>,
+        job: &'a Job,
+        resume: Option<&ResumePoint>,
     ) -> Self {
         let me = ctx.rank();
-        let members = match job.elastic {
+        let members = match &job.elastic {
             Some(plan) => plan.initial.clone(),
             None => (0..ctx.world_size()).collect(),
         };
@@ -618,7 +618,7 @@ impl<'a> RankRun<'a> {
         }
         // A resumed rank restores its own slice of the generation and
         // seeds the history the dead process had already recorded.
-        let mine = job.resume.as_ref().map(|rp| &rp.payloads[me]);
+        let mine = resume.map(|rp| &rp.payloads[me]);
         Self {
             ctx,
             model,
@@ -640,7 +640,11 @@ impl<'a> RankRun<'a> {
     /// Walks the job's segments; a refusal before tick 0 ends the walk
     /// on every rank (the first segment's agreement told them all).
     fn run(mut self) -> Result<(RankReport, Option<String>), Refused> {
-        let steps = self.job.elastic.map_or(&[][..], |plan| &plan.steps[..]);
+        let steps = self
+            .job
+            .elastic
+            .as_ref()
+            .map_or(&[][..], |plan| &plan.steps[..]);
         let mut start = 0;
         for step in steps {
             self.segment(start, Some(step.at_tick))?;
@@ -679,9 +683,10 @@ impl<'a> RankRun<'a> {
             seed_history: Some(seed),
             // A durable generation commits only once every rank's file is
             // visible, so durability is armed only while every rank of the
-            // world is a member: degraded and elastic segments run without
-            // it, and a restart resumes from before them (re-firing the
-            // crash plan deterministically).
+            // world is a member: a degraded segment runs without it, and a
+            // restart resumes from before it (re-firing the crash plan
+            // deterministically). `Job::check` refuses durability with an
+            // elastic plan.
             durability: self.job.durability.clone().filter(|_| view.is_identity()),
         };
         run_rank_view(
@@ -785,7 +790,7 @@ impl<'a> RankRun<'a> {
         Ok(out)
     }
 
-    /// The admission protocol at an elastic boundary (see [`run_elastic`]):
+    /// The admission protocol at an elastic boundary (see [`Job`]):
     /// WELCOME, COST, MIG, DONE over the control channel, after which
     /// `members`, `view` and `resume` describe the next segment.
     fn boundary(&mut self, step: &ElasticStep) {
@@ -939,56 +944,6 @@ impl<'a> RankRun<'a> {
     }
 }
 
-/// Simulates `model` under a deterministic schedule of live membership
-/// transitions: ranks join and leave the running world at tick
-/// boundaries, cores migrate between ranks over checkpoint splices, and
-/// the spike trace stays bit-identical to a run that never scaled.
-///
-/// Every segment runs crash-survival-armed (`policy.survive_crashes` is
-/// forced on), so buddy replication is live throughout and an optional
-/// `crash` composes with the schedule: the victim's cores are adopted
-/// mid-segment exactly as in [`run_surviving`], and later transitions
-/// proceed among the survivors. Optional message faults (`plan`) compose
-/// as in [`run_recovering`].
-///
-/// At each boundary the active ranks exit their segment holding a
-/// checkpoint of that boundary, then run the admission protocol over the
-/// control channel: WELCOME (a joiner aligns its collective sequence
-/// number and PGAS epoch with the incumbents'), COST (rebalance only —
-/// every member publishes its measured per-core tick cost so all ranks
-/// compute the identical [`Partition::by_cost`] layout), MIG (each old
-/// owner ships the checkpoint runs that intersect each new owner's
-/// block), and DONE (the collective admission verdict — an all-to-all
-/// barrier no rank passes until every participant finished migrating).
-///
-/// # Errors
-/// As [`run`].
-///
-/// # Panics
-/// Panics when the plan is unsatisfiable (see [`ElasticPlan`]) or a rank
-/// other than the planned crash victim dies.
-pub fn run_elastic(
-    model: &NetworkModel,
-    world: WorldConfig,
-    cfg: &EngineConfig,
-    plan: Option<FaultPlan>,
-    crash: Option<CrashPlan>,
-    elastic: &ElasticPlan,
-    policy: RecoveryPolicy,
-) -> Result<RunReport, ModelError> {
-    model.validate_ids_and_deliveries()?;
-    elastic.validate(world.ranks, cfg.ticks, crash.as_ref());
-    let job = Job {
-        faults: plan,
-        reliable: true,
-        recovery: Some(policy.surviving_crashes()),
-        crash,
-        elastic: Some(elastic),
-        ..Job::default()
-    };
-    Ok(launch(model, world, cfg, &job)?.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1073,16 +1028,21 @@ mod tests {
             };
             let pair = run(&model, WorldConfig::flat(2), &engine).unwrap();
             assert!(pair.transport.collective_ops + pair.transport.barriers >= u64::from(ticks));
-            let policy = Some(RecoveryPolicy::every(4));
+            let rollback = Job {
+                recovery: Some(RecoveryPolicy::every(4)),
+                ..Job::default()
+            };
             for (alone, how) in [
-                (run(&model, WorldConfig::flat(1), &engine), "run"),
-                (run(&model, WorldConfig::new(1, 2), &engine), "two threads"),
+                (run(&model, WorldConfig::flat(1), &engine).unwrap(), "run"),
                 (
-                    run_recovering(&model, WorldConfig::flat(1), &engine, None, policy),
+                    run(&model, WorldConfig::new(1, 2), &engine).unwrap(),
+                    "two threads",
+                ),
+                (
+                    rollback.run(&model, WorldConfig::flat(1), &engine).unwrap(),
                     "reliable, rollback policy",
                 ),
             ] {
-                let alone = alone.unwrap();
                 let at = format!("{backend:?}, {how}");
                 assert_eq!(alone.transport.collective_ops, 0, "{at}");
                 assert_eq!(alone.transport.barriers, 0, "{at}");
@@ -1147,7 +1107,7 @@ mod tests {
             None,
             None,
         );
-        assert!(matches!(durable, Err(DurableError::Model(e)) if e == want));
+        assert!(matches!(durable, Err(JobError::Model(e)) if e == want));
         assert!(!dir.exists(), "no store is opened for a refused model");
         assert_eq!(
             crate::SoloSimulation::new(&model).err(),

@@ -19,8 +19,8 @@
 use compass_comm::{CrashPlan, World, WorldConfig};
 use compass_sim::checkpoint::{replay_delta, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
 use compass_sim::{
-    run, run_rank_with, run_surviving, Backend, EngineConfig, NetworkModel, Partition,
-    RankCheckpoint, RankReport, RecoveryPolicy, RunOptions, RunOutcome, SoloSimulation,
+    run, run_rank_with, Backend, EngineConfig, Job, NetworkModel, Partition, RankCheckpoint,
+    RankReport, RecoveryPolicy, RunOptions, RunOutcome, SoloSimulation,
 };
 use proptest::prelude::*;
 use tn_core::snapshot::{CORE_SNAPSHOT_MAGIC, CORE_SNAPSHOT_VERSION};
@@ -459,15 +459,12 @@ proptest! {
             ..Default::default()
         };
         let oracle = run(&model, world, &engine).unwrap();
-        let survived = run_surviving(
-            &model,
-            world,
-            &engine,
-            None,
-            CrashPlan::new(victim, at_tick),
-            RecoveryPolicy::every(every),
-        )
-        .unwrap();
+        let job = Job {
+            recovery: Some(RecoveryPolicy::every(every)),
+            crash: Some(CrashPlan::new(victim, at_tick)),
+            ..Job::default()
+        };
+        let survived = job.run(&model, world, &engine).unwrap();
 
         prop_assert_eq!(sorted_trace(&survived.ranks), sorted_trace(&oracle.ranks));
         let fires = |r: &compass_sim::RunReport| r.ranks.iter().map(|x| x.fires).sum::<u64>();

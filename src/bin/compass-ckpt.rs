@@ -10,11 +10,11 @@
 //!                                     (default 2; 0 keeps everything)
 //! ```
 //!
-//! The store is the directory `compass-run --checkpoint-dir` (or
-//! [`compass::sim::run_durable`]) writes. All three subcommands are safe
-//! to run against a live store: readers only ever see committed
-//! generations, and `gc` never removes the newest one or a delta anchor
-//! it still needs. None of them creates a store: a `DIR` that is not an
+//! The store is the directory `compass-run --checkpoint-dir` (or a
+//! [`compass::sim::Job`] with `durability` set) writes. All three
+//! subcommands are safe to run against a live store: readers only ever
+//! see committed generations, and `gc` never removes the newest one or a
+//! delta anchor it still needs. None of them creates a store: a `DIR` that is not an
 //! existing directory is a usage error (exit 2), and nothing is written.
 
 use compass::sim::{CheckpointStore, GenKind};

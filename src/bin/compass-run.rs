@@ -27,8 +27,8 @@ use compass::comm::{World, WorldConfig};
 use compass::pcc::{compile, expanded, region_activity};
 use compass::sim::route::{MAX_CORES_PER_RANK, MAX_RANKS};
 use compass::sim::{
-    check_fits, run, run_durable, run_rank, Backend, CheckpointStore, DurabilityPolicy,
-    EngineConfig, NetworkModel, RunReport,
+    check_fits, run_rank, Backend, CheckpointStore, DurabilityPolicy, EngineConfig, Job,
+    NetworkModel, RunReport,
 };
 use std::process::ExitCode;
 use std::time::Instant;
@@ -186,36 +186,26 @@ fn execute(
         eprintln!("compass-run: {e}");
         ExitCode::FAILURE
     };
-    let report = match &opts.checkpoint_dir {
-        Some(dir) => {
-            if !opts.resume {
-                // A fresh job must not silently graft itself onto another
-                // job's generations; `--resume` is the explicit opt-in.
-                let store = CheckpointStore::open(dir.as_str(), false).map_err(|e| fail(&e))?;
-                let manifests = store.manifests().map_err(|e| fail(&e))?;
-                if !manifests.is_empty() {
-                    eprintln!(
-                        "compass-run: {dir} already holds {} committed generation(s); \
-                         pass --resume to continue that job, or point \
-                         --checkpoint-dir at an empty directory",
-                        manifests.len()
-                    );
-                    return Err(ExitCode::FAILURE);
-                }
-            }
-            run_durable(
-                model,
-                world,
-                engine,
-                DurabilityPolicy::new(dir),
-                None,
-                None,
-                None,
-            )
-            .map_err(|e| fail(&e))?
+    if let (Some(dir), false) = (&opts.checkpoint_dir, opts.resume) {
+        // A fresh job must not silently graft itself onto another job's
+        // generations; `--resume` is the explicit opt-in.
+        let store = CheckpointStore::open(dir.as_str(), false).map_err(|e| fail(&e))?;
+        let manifests = store.manifests().map_err(|e| fail(&e))?;
+        if !manifests.is_empty() {
+            eprintln!(
+                "compass-run: {dir} already holds {} committed generation(s); \
+                 pass --resume to continue that job, or point \
+                 --checkpoint-dir at an empty directory",
+                manifests.len()
+            );
+            return Err(ExitCode::FAILURE);
         }
-        None => run(model, world, engine).map_err(|e| fail(&e))?,
+    }
+    let job = Job {
+        durability: opts.checkpoint_dir.as_deref().map(DurabilityPolicy::new),
+        ..Job::default()
     };
+    let report = job.run(model, world, engine).map_err(|e| fail(&e))?;
     print_report(&report);
     if opts.checkpoint_dir.is_some() {
         println!(

@@ -7,9 +7,7 @@
 //! and everyone rolls back to the common boundary and replays.
 
 use compass::comm::{CrashPlan, FaultPlan, WorldConfig};
-use compass::sim::{
-    run_recovering, run_surviving, Backend, NetworkModel, Partition, RecoveryPolicy, RunReport,
-};
+use compass::sim::{Backend, Job, NetworkModel, Partition, RecoveryPolicy, RunReport};
 
 mod common;
 use common::{engine, fires_per_tick, solo_oracle};
@@ -59,15 +57,18 @@ fn rank_kill_matrix_matches_the_solo_oracle() {
                         "{backend:?} ranks {ranks} threads {threads} \
                          victim {victim} tick {kill_tick}"
                     );
-                    let report = run_surviving(
-                        &model,
-                        WorldConfig::new(ranks, threads),
-                        &engine(ticks, backend),
-                        None,
-                        CrashPlan::new(victim, kill_tick),
-                        RecoveryPolicy::every(4),
-                    )
-                    .expect("test model must be valid");
+                    let job = Job {
+                        recovery: Some(RecoveryPolicy::every(4)),
+                        crash: Some(CrashPlan::new(victim, kill_tick)),
+                        ..Job::default()
+                    };
+                    let report = job
+                        .run(
+                            &model,
+                            WorldConfig::new(ranks, threads),
+                            &engine(ticks, backend),
+                        )
+                        .expect("test model must be valid");
                     assert_eq!(report.sorted_trace(), oracle, "{ctx}: trace diverged");
                     assert_eq!(
                         fires_per_tick(&report, ticks),
@@ -95,14 +96,13 @@ fn fault_free_replica_stream_is_golden() {
     let ticks = 30u32;
     let (oracle, _) = solo_oracle(&model, ticks);
     for backend in [Backend::Mpi, Backend::Pgas] {
-        let report = run_recovering(
-            &model,
-            WorldConfig::new(3, 2),
-            &engine(ticks, backend),
-            None,
-            Some(RecoveryPolicy::surviving(4)),
-        )
-        .expect("test model must be valid");
+        let job = Job {
+            recovery: Some(RecoveryPolicy::surviving(4)),
+            ..Job::default()
+        };
+        let report = job
+            .run(&model, WorldConfig::new(3, 2), &engine(ticks, backend))
+            .expect("test model must be valid");
         assert_eq!(report.sorted_trace(), oracle, "{backend:?}: trace diverged");
         let stream = (
             report.total_replication_bytes(),
@@ -124,15 +124,15 @@ fn crash_composes_with_message_faults() {
 
     for backend in [Backend::Mpi, Backend::Pgas] {
         let ctx = format!("{backend:?} mixed faults + crash");
-        let report = run_surviving(
-            &model,
-            WorldConfig::new(3, 2),
-            &engine(ticks, backend),
-            Some(FaultPlan::all(1213, 150)),
-            CrashPlan::new(1, 11),
-            RecoveryPolicy::every(4),
-        )
-        .expect("test model must be valid");
+        let job = Job {
+            faults: Some(FaultPlan::all(1213, 150)),
+            recovery: Some(RecoveryPolicy::every(4)),
+            crash: Some(CrashPlan::new(1, 11)),
+            ..Job::default()
+        };
+        let report = job
+            .run(&model, WorldConfig::new(3, 2), &engine(ticks, backend))
+            .expect("test model must be valid");
         assert_eq!(report.sorted_trace(), oracle, "{ctx}: trace diverged");
         assert_eq!(
             fires_per_tick(&report, ticks),
@@ -158,16 +158,15 @@ fn repeated_recoveries_are_byte_identical() {
     let model = NetworkModel::relay_ring(6, 8, 1);
     let ticks = 24u32;
     for backend in [Backend::Mpi, Backend::Pgas] {
+        let job = Job {
+            faults: Some(FaultPlan::all(77, 100)),
+            recovery: Some(RecoveryPolicy::every(4)),
+            crash: Some(CrashPlan::new(2, 9)),
+            ..Job::default()
+        };
         let one_run = || {
-            run_surviving(
-                &model,
-                WorldConfig::new(3, 2),
-                &engine(ticks, backend),
-                Some(FaultPlan::all(77, 100)),
-                CrashPlan::new(2, 9),
-                RecoveryPolicy::every(4),
-            )
-            .expect("test model must be valid")
+            job.run(&model, WorldConfig::new(3, 2), &engine(ticks, backend))
+                .expect("test model must be valid")
         };
         let a = one_run();
         let b = one_run();
@@ -224,15 +223,15 @@ fn soak_random_rank_kills_on_four_ranks() {
                  faults {}",
                 plan.is_some()
             );
-            let report = run_surviving(
-                &model,
-                WorldConfig::new(4, 2),
-                &engine(ticks, backend),
-                plan,
-                CrashPlan::new(victim, kill_tick),
-                RecoveryPolicy::every(5),
-            )
-            .expect("valid");
+            let job = Job {
+                faults: plan,
+                recovery: Some(RecoveryPolicy::every(5)),
+                crash: Some(CrashPlan::new(victim, kill_tick)),
+                ..Job::default()
+            };
+            let report = job
+                .run(&model, WorldConfig::new(4, 2), &engine(ticks, backend))
+                .expect("valid");
             assert_eq!(report.sorted_trace(), oracle, "{ctx}: trace diverged");
             assert_eq!(
                 fires_per_tick(&report, ticks),

@@ -2,7 +2,7 @@
 //! mid-write, or by losing a rank — and is relaunched over the same store
 //! must finish with a spike trace bit-identical to the solo oracle.
 //!
-//! The "kill" is modeled by running `run_durable` for a prefix of the
+//! The "kill" is modeled by running a durable `Job` for a prefix of the
 //! ticks (exactly what a job that died at that tick leaves on disk) and
 //! then relaunching with the full tick count; torn writes are modeled by
 //! corrupting the store between the two launches with the same primitives
@@ -17,7 +17,7 @@ use compass::comm::{
     WorldConfig,
 };
 use compass::sim::{
-    run_durable, run_rank_with, Backend, CheckpointStore, DurabilityPolicy, GenKind, NetworkModel,
+    run_rank_with, Backend, CheckpointStore, DurabilityPolicy, GenKind, Job, NetworkModel,
     Partition, RankCheckpoint, RecoveryPolicy, RunOptions, RunOutcome, RunReport,
 };
 use compass::tn::Spike;
@@ -113,15 +113,13 @@ fn restart_matrix_matches_the_solo_oracle() {
 
             // Phase 1: the job dies at tick `kill`; its partial trace is
             // lost with the process, only the store survives.
-            let dead = run_durable(
-                &model,
-                world(),
-                &engine(kill, backend),
-                policy(&dir),
-                plan,
-                pol,
-                None,
-            )
+            let dead = Job {
+                faults: plan,
+                recovery: pol,
+                durability: Some(policy(&dir)),
+                ..Job::default()
+            }
+            .run(&model, world(), &engine(kill, backend))
             .expect("phase 1 must persist cleanly");
             assert_durable_evidence(&dead, &dir, &format!("{ctx} phase 1"));
 
@@ -138,15 +136,13 @@ fn restart_matrix_matches_the_solo_oracle() {
             );
 
             // Phase 2: relaunch over the same store, run to completion.
-            let report = run_durable(
-                &model,
-                world(),
-                &engine(ticks, backend),
-                policy(&dir),
-                plan,
-                pol,
-                None,
-            )
+            let report = Job {
+                faults: plan,
+                recovery: pol,
+                durability: Some(policy(&dir)),
+                ..Job::default()
+            }
+            .run(&model, world(), &engine(ticks, backend))
             .expect("restart must persist cleanly");
             assert_eq!(report.sorted_trace(), oracle, "{ctx}: trace diverged");
             assert_eq!(
@@ -210,15 +206,11 @@ fn torn_writes_degrade_to_the_previous_generation() {
         for (name, corrupt) in &variants {
             let ctx = format!("{backend:?} {name}");
             let dir = scratch(&format!("torn-{backend:?}-{name}"));
-            run_durable(
-                &model,
-                WorldConfig::new(2, 2),
-                &engine(kill, backend),
-                policy(&dir),
-                None,
-                None,
-                None,
-            )
+            Job {
+                durability: Some(policy(&dir)),
+                ..Job::default()
+            }
+            .run(&model, WorldConfig::new(2, 2), &engine(kill, backend))
             .expect("phase 1 must persist cleanly");
             let before = CheckpointStore::open(&dir, false)
                 .expect("reopen")
@@ -251,15 +243,11 @@ fn torn_writes_degrade_to_the_previous_generation() {
                 );
             }
 
-            let report = run_durable(
-                &model,
-                WorldConfig::new(2, 2),
-                &engine(ticks, backend),
-                policy(&dir),
-                None,
-                None,
-                None,
-            )
+            let report = Job {
+                durability: Some(policy(&dir)),
+                ..Job::default()
+            }
+            .run(&model, WorldConfig::new(2, 2), &engine(ticks, backend))
             .expect("restart over a torn store must succeed");
             assert_eq!(report.sorted_trace(), oracle, "{ctx}: trace diverged");
             assert_eq!(
@@ -288,15 +276,14 @@ fn crash_composes_with_durable_restart() {
         // One-shot: empty store, crash mid-run, survivors finish durable.
         let ctx = format!("{backend:?} one-shot crash");
         let dir = scratch(&format!("crash-{backend:?}"));
-        let report = run_durable(
-            &model,
-            WorldConfig::new(3, 2),
-            &engine(ticks, backend),
-            policy(&dir),
-            Some(FaultPlan::all(1213, 100)),
-            Some(RecoveryPolicy::every(4)),
-            Some(crash),
-        )
+        let report = Job {
+            faults: Some(FaultPlan::all(1213, 100)),
+            recovery: Some(RecoveryPolicy::every(4)),
+            crash: Some(crash),
+            durability: Some(policy(&dir)),
+            ..Job::default()
+        }
+        .run(&model, WorldConfig::new(3, 2), &engine(ticks, backend))
         .expect("crash run must complete");
         assert_eq!(report.sorted_trace(), oracle, "{ctx}: trace diverged");
         assert_eq!(
@@ -312,25 +299,22 @@ fn crash_composes_with_durable_restart() {
         // crash plan and survive it again.
         let ctx = format!("{backend:?} restart + crash");
         let dir2 = scratch(&format!("crash-restart-{backend:?}"));
-        run_durable(
-            &model,
-            WorldConfig::new(3, 2),
-            &engine(9, backend),
-            policy(&dir2),
-            None,
-            Some(RecoveryPolicy::every(4)),
-            Some(crash), // pending: tick 11 is past this prefix
-        )
+        Job {
+            recovery: Some(RecoveryPolicy::every(4)),
+            crash: Some(crash), // pending: tick 11 is past this prefix
+            durability: Some(policy(&dir2)),
+            ..Job::default()
+        }
+        .run(&model, WorldConfig::new(3, 2), &engine(9, backend))
         .expect("pre-crash prefix must persist");
-        let report = run_durable(
-            &model,
-            WorldConfig::new(3, 2),
-            &engine(ticks, backend),
-            policy(&dir2),
-            Some(FaultPlan::all(77, 100)),
-            Some(RecoveryPolicy::every(4)),
-            Some(crash),
-        )
+        let report = Job {
+            faults: Some(FaultPlan::all(77, 100)),
+            recovery: Some(RecoveryPolicy::every(4)),
+            crash: Some(crash),
+            durability: Some(policy(&dir2)),
+            ..Job::default()
+        }
+        .run(&model, WorldConfig::new(3, 2), &engine(ticks, backend))
         .expect("restarted crash run must complete");
         assert_eq!(report.sorted_trace(), oracle, "{ctx}: trace diverged");
         assert_eq!(
@@ -355,15 +339,11 @@ fn completed_job_relaunch_is_idempotent() {
     // Real fsync discipline on this one.
     let pol = DurabilityPolicy::new(&dir);
     for round in 0..2 {
-        let report = run_durable(
-            &model,
-            WorldConfig::new(2, 2),
-            &engine(ticks, Backend::Mpi),
-            pol.clone(),
-            None,
-            None,
-            None,
-        )
+        let report = Job {
+            durability: Some(pol.clone()),
+            ..Job::default()
+        }
+        .run(&model, WorldConfig::new(2, 2), &engine(ticks, Backend::Mpi))
         .unwrap_or_else(|e| panic!("round {round}: {e}"));
         assert_eq!(report.sorted_trace(), oracle, "round {round}");
         assert_durable_evidence(&report, &dir, &format!("round {round}"));
@@ -384,15 +364,11 @@ fn store_bytes_match_the_golden_digest() {
         retain: 0, // keep every generation: all of them are digested
         ..policy(&dir)
     };
-    let report = run_durable(
-        &model,
-        WorldConfig::new(2, 1),
-        &engine(24, Backend::Mpi),
-        pol,
-        None,
-        None,
-        None,
-    )
+    let report = Job {
+        durability: Some(pol),
+        ..Job::default()
+    }
+    .run(&model, WorldConfig::new(2, 1), &engine(24, Backend::Mpi))
     .expect("clean run");
     assert_durable_evidence(&report, &dir, "golden");
     let mut files: Vec<PathBuf> = fs::read_dir(&dir)
@@ -544,18 +520,14 @@ fn coinciding_boundary_consumers_share_one_snapshot() {
             assert_eq!(trace, suffix, "{backend:?}: restart from the {name} blobs");
         }
         // ... and the store relaunches the whole job, history included.
-        let relaunched = run_durable(
-            &model,
-            world,
-            &engine(ticks, backend),
-            DurabilityPolicy {
+        let relaunched = Job {
+            durability: Some(DurabilityPolicy {
                 every: boundary,
                 ..policy(&dir_a)
-            },
-            None,
-            None,
-            None,
-        )
+            }),
+            ..Job::default()
+        }
+        .run(&model, world, &engine(ticks, backend))
         .expect("restart must persist cleanly");
         assert_eq!(
             relaunched.sorted_trace(),
@@ -592,15 +564,13 @@ fn soak_randomized_torn_writes() {
             let kill = 6 + draw(u64::from(ticks) - 12) as u32;
             let ctx = format!("{backend:?} seed {seed:#x} kill {kill}");
             let dir = scratch(&format!("soak-{backend:?}-{seed:x}"));
-            run_durable(
-                &model,
-                WorldConfig::new(3, 2),
-                &engine(kill, backend),
-                policy(&dir),
-                Some(FaultPlan::all(seed, 100)),
-                Some(RecoveryPolicy::every(4)),
-                None,
-            )
+            Job {
+                faults: Some(FaultPlan::all(seed, 100)),
+                recovery: Some(RecoveryPolicy::every(4)),
+                durability: Some(policy(&dir)),
+                ..Job::default()
+            }
+            .run(&model, WorldConfig::new(3, 2), &engine(kill, backend))
             .expect("phase 1 must persist cleanly");
 
             // Wound 1..=3 files: torn temp, truncation, or bit flip at a
@@ -627,15 +597,13 @@ fn soak_randomized_torn_writes() {
                 }
             }
 
-            let report = run_durable(
-                &model,
-                WorldConfig::new(3, 2),
-                &engine(ticks, backend),
-                policy(&dir),
-                Some(FaultPlan::all(seed ^ 0xFF, 100)),
-                Some(RecoveryPolicy::every(4)),
-                None,
-            )
+            let report = Job {
+                faults: Some(FaultPlan::all(seed ^ 0xFF, 100)),
+                recovery: Some(RecoveryPolicy::every(4)),
+                durability: Some(policy(&dir)),
+                ..Job::default()
+            }
+            .run(&model, WorldConfig::new(3, 2), &engine(ticks, backend))
             .expect("restart over the wounded store must succeed");
             assert_eq!(report.sorted_trace(), oracle, "{ctx}: trace diverged");
             assert_eq!(

@@ -8,8 +8,8 @@
 
 use compass::comm::{CrashPlan, FaultPlan, WorldConfig};
 use compass::sim::{
-    run, run_durable, run_elastic, run_recovering, Backend, DurabilityPolicy, ElasticPlan,
-    ElasticStep, NetworkModel, RecoveryPolicy, RunReport,
+    run, Backend, DurabilityPolicy, ElasticPlan, ElasticStep, Job, NetworkModel, RecoveryPolicy,
+    RunReport,
 };
 use compass::tn::Spike;
 use proptest::prelude::*;
@@ -77,14 +77,15 @@ fn single_transition_matrix_matches_the_solo_oracle() {
                     continue;
                 }
                 let ctx = format!("{backend:?} {name} world {world} threads {threads}");
-                let report = run_elastic(
+                let report = Job {
+                    recovery: Some(RecoveryPolicy::every(4)),
+                    elastic: Some(plan),
+                    ..Job::default()
+                }
+                .run(
                     &model,
                     WorldConfig::new(world, threads),
                     &engine(ticks, backend),
-                    None,
-                    None,
-                    &plan,
-                    RecoveryPolicy::every(4),
                 )
                 .expect("test model must be valid");
                 check_against_oracle(&model, ticks, &oracle, &oracle_fires, &report, &ctx);
@@ -107,11 +108,11 @@ fn single_transition_matrix_matches_the_solo_oracle() {
     }
 }
 
-/// The driver ladder: every front with nothing beyond its own layer armed —
-/// `run_elastic` with an empty schedule and full membership (the identity
-/// the one driver rests on), `run_recovering` with a policy and no faults,
-/// `run_durable` on a fresh store — must equal plain `run`, and the solo
-/// oracle, on the trace, the per-tick fires and the spike totals.
+/// The driver ladder: every `Job` with one idle layer armed — an elastic
+/// plan with an empty schedule and full membership (the identity the one
+/// driver rests on), a recovery policy and no faults, durability on a
+/// fresh store — must equal plain `run`, and the solo oracle, on the
+/// trace, the per-tick fires and the spike totals.
 #[test]
 fn every_front_with_an_idle_layer_equals_run() {
     let model = NetworkModel::relay_ring(8, 8, 1);
@@ -149,19 +150,32 @@ fn every_front_with_an_idle_layer_equals_run() {
             let idle = ElasticPlan::new((0..world).collect(), Vec::new());
             let ladder = [
                 (
-                    "run_elastic",
-                    run_elastic(&model, shape(), &cfg, None, None, &idle, policy)
-                        .expect("test model must be valid"),
+                    "elastic",
+                    Job {
+                        recovery: Some(policy),
+                        elastic: Some(idle),
+                        ..Job::default()
+                    }
+                    .run(&model, shape(), &cfg)
+                    .expect("test model must be valid"),
                 ),
                 (
-                    "run_recovering",
-                    run_recovering(&model, shape(), &cfg, None, Some(policy))
-                        .expect("test model must be valid"),
+                    "recovery",
+                    Job {
+                        recovery: Some(policy),
+                        ..Job::default()
+                    }
+                    .run(&model, shape(), &cfg)
+                    .expect("test model must be valid"),
                 ),
                 (
-                    "run_durable",
-                    run_durable(&model, shape(), &cfg, durability, None, None, None)
-                        .expect("a fresh store must persist cleanly"),
+                    "durability",
+                    Job {
+                        durability: Some(durability),
+                        ..Job::default()
+                    }
+                    .run(&model, shape(), &cfg)
+                    .expect("a fresh store must persist cleanly"),
                 ),
             ];
             let _ = std::fs::remove_dir_all(&dir);
@@ -201,14 +215,17 @@ fn scale_out_crash_and_scale_in_compose() {
                 vec![ElasticStep::join(7, 2), ElasticStep::leave(17, 2)],
             );
             let ctx = format!("{backend:?} threads {threads} 2->3->2 with crash");
-            let report = run_elastic(
+            let report = Job {
+                faults: Some(FaultPlan::all(0xE1A5, 120)),
+                recovery: Some(RecoveryPolicy::every(4)),
+                crash: Some(CrashPlan::new(1, 10)),
+                elastic: Some(plan),
+                ..Job::default()
+            }
+            .run(
                 &model,
                 WorldConfig::new(3, threads),
                 &engine(ticks, backend),
-                Some(FaultPlan::all(0xE1A5, 120)),
-                Some(CrashPlan::new(1, 10)),
-                &plan,
-                RecoveryPolicy::every(4),
             )
             .expect("test model must be valid");
             check_against_oracle(&model, ticks, &oracle, &oracle_fires, &report, &ctx);
@@ -245,15 +262,13 @@ fn crash_then_scale_out_then_scale_in() {
             vec![ElasticStep::join(9, 2), ElasticStep::leave(17, 2)],
         );
         let ctx = format!("{backend:?} crash tick 5 then 2->3->2");
-        let report = run_elastic(
-            &model,
-            WorldConfig::new(3, 2),
-            &engine(ticks, backend),
-            None,
-            Some(CrashPlan::new(1, 5)),
-            &plan,
-            RecoveryPolicy::every(4),
-        )
+        let report = Job {
+            recovery: Some(RecoveryPolicy::every(4)),
+            crash: Some(CrashPlan::new(1, 5)),
+            elastic: Some(plan),
+            ..Job::default()
+        }
+        .run(&model, WorldConfig::new(3, 2), &engine(ticks, backend))
         .expect("test model must be valid");
         check_against_oracle(&model, ticks, &oracle, &oracle_fires, &report, &ctx);
         assert_eq!(report.total_death_verdicts(), 1, "{ctx}: one verdict");
@@ -280,15 +295,12 @@ fn leave_then_rejoin_round_trips() {
             ],
         );
         let ctx = format!("{backend:?} leave/rebalance/rejoin");
-        let report = run_elastic(
-            &model,
-            WorldConfig::new(3, 2),
-            &engine(ticks, backend),
-            None,
-            None,
-            &plan,
-            RecoveryPolicy::every(4),
-        )
+        let report = Job {
+            recovery: Some(RecoveryPolicy::every(4)),
+            elastic: Some(plan),
+            ..Job::default()
+        }
+        .run(&model, WorldConfig::new(3, 2), &engine(ticks, backend))
         .expect("test model must be valid");
         check_against_oracle(&model, ticks, &oracle, &oracle_fires, &report, &ctx);
         assert!(report.total_migrated_cores() > 0, "{ctx}: migration ran");
@@ -346,14 +358,14 @@ proptest! {
         let backend = if mpi { Backend::Mpi } else { Backend::Pgas };
         let plan = plan_from_decisions(world, &decisions);
         let ctx = format!("{backend:?} world {world} threads {threads} plan {plan:?}");
-        let report = run_elastic(
+        let report = Job {
+            recovery: Some(RecoveryPolicy::every(4)),
+            elastic: Some(plan),
+            ..Job::default()
+        }.run(
             &model,
             WorldConfig::new(world, threads),
             &engine(ticks, backend),
-            None,
-            None,
-            &plan,
-            RecoveryPolicy::every(4),
         )
         .expect("test model must be valid");
         prop_assert_eq!(report.sorted_trace(), oracle.clone(), "{}: trace diverged", ctx);
@@ -390,15 +402,13 @@ fn cocomac_1k_elastic_soak() {
             ],
         );
         let ctx = format!("{backend:?} cocomac 1k 2->3->4->3->2 with crash");
-        let report = run_elastic(
-            &model,
-            WorldConfig::new(4, 2),
-            &engine(ticks, backend),
-            None,
-            Some(CrashPlan::new(1, 21)),
-            &plan,
-            RecoveryPolicy::every(8),
-        )
+        let report = Job {
+            recovery: Some(RecoveryPolicy::every(8)),
+            crash: Some(CrashPlan::new(1, 21)),
+            elastic: Some(plan),
+            ..Job::default()
+        }
+        .run(&model, WorldConfig::new(4, 2), &engine(ticks, backend))
         .expect("test model must be valid");
         check_against_oracle(&model, ticks, &oracle, &oracle_fires, &report, &ctx);
         assert_eq!(report.total_death_verdicts(), 1, "{ctx}: one verdict");

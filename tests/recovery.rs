@@ -10,8 +10,8 @@ use compass::comm::{
     WorldConfig,
 };
 use compass::sim::{
-    run, run_rank_with, run_recovering, Backend, EngineConfig, NetworkModel, Partition,
-    RecoveryPolicy, RunOptions, RunOutcome,
+    run, run_rank_with, Backend, EngineConfig, Job, NetworkModel, Partition, RecoveryPolicy,
+    RunOptions, RunOutcome,
 };
 use compass::tn::{CoreConfig, Spike};
 use std::sync::Arc;
@@ -41,19 +41,20 @@ fn recovery_matrix_matches_the_solo_oracle() {
         for (ranks, threads) in [(1, 4), (2, 3), (3, 2), (4, 1)] {
             for (i, (name, plan)) in plans.iter().enumerate() {
                 let every = [1, 3, 7][i % 3];
-                let report = run_recovering(
-                    &model,
-                    WorldConfig::new(ranks, threads),
-                    &EngineConfig {
-                        ticks,
-                        backend,
-                        record_trace: true,
-                        ..EngineConfig::default()
-                    },
-                    Some(*plan),
-                    Some(RecoveryPolicy::every(every)),
-                )
-                .expect("test model must be valid");
+                let job = Job {
+                    faults: Some(*plan),
+                    recovery: Some(RecoveryPolicy::every(every)),
+                    ..Job::default()
+                };
+                let engine = EngineConfig {
+                    ticks,
+                    backend,
+                    record_trace: true,
+                    ..EngineConfig::default()
+                };
+                let report = job
+                    .run(&model, WorldConfig::new(ranks, threads), &engine)
+                    .expect("test model must be valid");
                 assert_eq!(
                     report.sorted_trace(),
                     oracle,
@@ -189,9 +190,14 @@ fn fault_free_reliable_runs_change_nothing() {
         };
         let world = WorldConfig::new(2, 2);
         let plain = run(&model, world, &engine).expect("valid");
-        for policy in [None, Some(RecoveryPolicy::every(5))] {
-            let has_policy = policy.is_some();
-            let healed = run_recovering(&model, world, &engine, None, policy).expect("valid");
+        for recovery in [None, Some(RecoveryPolicy::every(5))] {
+            let has_policy = recovery.is_some();
+            let job = Job {
+                reliable: true,
+                recovery,
+                ..Job::default()
+            };
+            let healed = job.run(&model, world, &engine).expect("valid");
             assert_eq!(
                 healed.sorted_trace(),
                 plain.sorted_trace(),
@@ -272,19 +278,20 @@ fn soak_mixed_faults_at_300_permille_on_four_ranks() {
     let oracle = solo_trace(&model, ticks);
     assert!(!oracle.is_empty());
     for backend in [Backend::Mpi, Backend::Pgas] {
-        let report = run_recovering(
-            &model,
-            WorldConfig::new(4, 2),
-            &EngineConfig {
-                ticks,
-                backend,
-                record_trace: true,
-                ..EngineConfig::default()
-            },
-            Some(FaultPlan::all(4242, 300)),
-            Some(RecoveryPolicy::every(3)),
-        )
-        .expect("valid");
+        let job = Job {
+            faults: Some(FaultPlan::all(4242, 300)),
+            recovery: Some(RecoveryPolicy::every(3)),
+            ..Job::default()
+        };
+        let engine = EngineConfig {
+            ticks,
+            backend,
+            record_trace: true,
+            ..EngineConfig::default()
+        };
+        let report = job
+            .run(&model, WorldConfig::new(4, 2), &engine)
+            .expect("valid");
         assert_eq!(report.sorted_trace(), oracle, "{backend:?} soak diverged");
         assert!(
             report.total_retransmits() > 0,

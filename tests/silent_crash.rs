@@ -4,9 +4,7 @@
 //! so this file holds one test and no other test shares its process.
 
 use compass::comm::{CrashPlan, WorldConfig};
-use compass::sim::{
-    run_surviving, Backend, EngineConfig, NetworkModel, RecoveryPolicy, SoloSimulation,
-};
+use compass::sim::{Backend, EngineConfig, Job, NetworkModel, RecoveryPolicy, SoloSimulation};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -23,20 +21,20 @@ fn a_planned_crash_calls_no_panic_hook_and_keeps_the_trace() {
     std::panic::set_hook(Box::new(move |_| {
         counted.fetch_add(1, Ordering::SeqCst);
     }));
-    let report = run_surviving(
-        &model,
-        WorldConfig::new(2, 1),
-        &EngineConfig {
-            ticks,
-            backend: Backend::Mpi,
-            record_trace: true,
-            ..EngineConfig::default()
-        },
-        None,
-        CrashPlan::new(1, 9),
-        RecoveryPolicy::every(4),
-    )
-    .expect("valid model");
+    let job = Job {
+        recovery: Some(RecoveryPolicy::every(4)),
+        crash: Some(CrashPlan::new(1, 9)),
+        ..Job::default()
+    };
+    let engine = EngineConfig {
+        ticks,
+        backend: Backend::Mpi,
+        record_trace: true,
+        ..EngineConfig::default()
+    };
+    let report = job
+        .run(&model, WorldConfig::new(2, 1), &engine)
+        .expect("valid model");
     let _ = std::panic::take_hook();
 
     assert_eq!(report.total_death_verdicts(), 1, "the crash never happened");

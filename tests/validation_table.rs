@@ -4,22 +4,32 @@
 //! ids and the deliveries themselves and leave each core to the pool that
 //! pushes it, so a fault on a rank other than 0 must still stop every
 //! rank before tick 0, an elastic standby included, and no front may hang.
+//!
+//! One bad plan, one check: every plan no run can satisfy is refused by
+//! `Job::check` with `JobError::Plan` before any rank starts, and every
+//! `Job` the composition matrix draws either runs bit-identical to the
+//! solo oracle or is refused that way.
 
-use compass::comm::{CrashPlan, WorldConfig};
+use compass::comm::{CrashPlan, FaultPlan, WorldConfig};
 use compass::sim::{
-    run, run_durable, run_elastic, run_recovering, run_surviving, Backend, BatchRunError,
-    BatchedSimulation, DurabilityPolicy, DurableError, ElasticPlan, ElasticStep, EngineConfig,
-    ModelError, NetworkModel, RecoveryPolicy, SoloSimulation,
+    run, Backend, BatchRunError, BatchedSimulation, DurabilityPolicy, ElasticPlan, ElasticStep,
+    EngineConfig, Job, JobError, ModelError, NetworkModel, RecoveryPolicy, SoloSimulation,
 };
-use compass::tn::SpikeTarget;
-use std::sync::mpsc;
+use compass::tn::{Spike, SpikeTarget};
+use proptest::prelude::*;
+use proptest::test_runner::run_proptest;
+use std::cell::Cell;
+use std::path::{Path, PathBuf};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
+
+mod common;
+use common::{engine, fires_per_tick, solo_oracle};
 
 type Fault = fn(&mut NetworkModel);
 
-/// One front, called on a model with the engine options and the recovery
-/// policy the armed fronts take.
-type Front = fn(NetworkModel, EngineConfig, RecoveryPolicy) -> Result<(), ModelError>;
+/// One unarmed front, called on a model with the engine options.
+type Front = fn(NetworkModel, EngineConfig) -> Result<(), ModelError>;
 
 /// The single-fault models: the rows of `model.rs`'s tests and the three
 /// out-of-field targets. Every per-core fault sits on core 3, which a
@@ -71,17 +81,28 @@ fn within_a_minute<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send +
         let _ = tx.send(f());
     });
     rx.recv_timeout(Duration::from_secs(60))
-        .unwrap_or_else(|_| panic!("{what}: no answer within a minute"))
+        .unwrap_or_else(|e| match e {
+            RecvTimeoutError::Timeout => panic!("{what}: no answer within a minute"),
+            RecvTimeoutError::Disconnected => panic!("{what}: panicked"),
+        })
 }
 
-fn scratch_dir(tag: &str) -> std::path::PathBuf {
+fn scratch_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("compass-validation-{tag}-{}", std::process::id()))
+}
+
+/// A durability policy over `dir` that trusts the page cache.
+fn durable(dir: &Path) -> DurabilityPolicy {
+    DurabilityPolicy {
+        sync: false,
+        ..DurabilityPolicy::new(dir)
+    }
 }
 
 #[test]
 fn every_front_returns_validates_error_for_each_single_fault() {
     let engine = EngineConfig::new(6, Backend::Mpi);
-    let policy = RecoveryPolicy::every(2);
+    let policy = Some(RecoveryPolicy::every(2));
     for (k, (name, fault)) in faults().into_iter().enumerate() {
         let mut model = NetworkModel::relay_ring(4, 2, 1);
         fault(&mut model);
@@ -96,38 +117,28 @@ fn every_front_returns_validates_error_for_each_single_fault() {
             assert_eq!(got, Err(want.clone()), "{name}: {front}");
         };
         let fronts: Vec<(&str, Front)> = vec![
-            ("run, 1 rank", |m, e, _| {
+            ("run, 1 rank", |m, e| {
                 run(&m, WorldConfig::flat(1), &e).map(drop)
             }),
-            ("run, 2 ranks", |m, e, _| {
+            ("run, 2 ranks", |m, e| {
                 run(&m, WorldConfig::flat(2), &e).map(drop)
             }),
-            ("run, 2 ranks of 2 threads", |m, e, _| {
+            ("run, 2 ranks of 2 threads", |m, e| {
                 run(&m, WorldConfig::new(2, 2), &e).map(drop)
             }),
-            ("run, 2 ranks, PGAS", |m, e, _| {
+            ("run, 2 ranks, PGAS", |m, e| {
                 let e = EngineConfig {
                     backend: Backend::Pgas,
                     ..e
                 };
                 run(&m, WorldConfig::flat(2), &e).map(drop)
             }),
-            ("run_recovering, 2 ranks", |m, e, p| {
-                run_recovering(&m, WorldConfig::flat(2), &e, None, Some(p)).map(drop)
-            }),
-            ("run_surviving, 2 ranks", |m, e, p| {
-                run_surviving(&m, WorldConfig::flat(2), &e, None, CrashPlan::new(1, 3), p).map(drop)
-            }),
-            ("run_elastic, a standby joining", |m, e, p| {
-                let plan = ElasticPlan::new(vec![0, 1], vec![ElasticStep::join(3, 2)]);
-                run_elastic(&m, WorldConfig::flat(3), &e, None, None, &plan, p).map(drop)
-            }),
-            ("SoloSimulation::new", |m, _, _| {
+            ("SoloSimulation::new", |m, _| {
                 SoloSimulation::new(&m).map(drop)
             }),
             (
                 "BatchedSimulation::new",
-                |m, _, _| match BatchedSimulation::new(&m, &[Vec::new(), Vec::new()]) {
+                |m, _| match BatchedSimulation::new(&m, &[Vec::new(), Vec::new()]) {
                     Ok(_) => Ok(()),
                     Err(BatchRunError::Model(e)) => Err(e),
                     Err(e) => panic!("not a model error: {e}"),
@@ -136,29 +147,60 @@ fn every_front_returns_validates_error_for_each_single_fault() {
         ];
         for (front, call) in fronts {
             let m = model.clone();
-            let got = within_a_minute(front, move || call(m, engine, policy));
+            let got = within_a_minute(front, move || call(m, engine));
             check(front, got);
+        }
+        let jobs = [
+            (
+                "recovery, 2 ranks",
+                2,
+                Job {
+                    recovery: policy,
+                    ..Job::default()
+                },
+            ),
+            (
+                "crash, 2 ranks",
+                2,
+                Job {
+                    recovery: policy,
+                    crash: Some(CrashPlan::new(1, 3)),
+                    ..Job::default()
+                },
+            ),
+            (
+                "elastic, a standby joining",
+                3,
+                Job {
+                    recovery: policy,
+                    elastic: Some(ElasticPlan::new(vec![0, 1], vec![ElasticStep::join(3, 2)])),
+                    ..Job::default()
+                },
+            ),
+        ];
+        for (front, ranks, job) in jobs {
+            let m = model.clone();
+            let got = within_a_minute(front, move || {
+                job.run(&m, WorldConfig::flat(ranks), &engine).map(drop)
+            });
+            match got {
+                Err(JobError::Model(e)) => check(front, Err(e)),
+                other => panic!("{name}: {front} gave {other:?}"),
+            }
         }
         for ranks in [1, 2] {
             let dir = scratch_dir(&format!("{k}-{ranks}"));
+            let job = Job {
+                durability: Some(DurabilityPolicy::new(&dir)),
+                ..Job::default()
+            };
             let m = model.clone();
-            let d = dir.clone();
-            let got = within_a_minute("run_durable", move || {
-                let policy = DurabilityPolicy::new(&d);
-                run_durable(
-                    &m,
-                    WorldConfig::flat(ranks),
-                    &engine,
-                    policy,
-                    None,
-                    None,
-                    None,
-                )
-                .map(drop)
+            let got = within_a_minute("durability", move || {
+                job.run(&m, WorldConfig::flat(ranks), &engine).map(drop)
             });
             match got {
-                Err(DurableError::Model(e)) => check("run_durable", Err(e)),
-                other => panic!("{name}: run_durable at {ranks} ranks gave {other:?}"),
+                Err(JobError::Model(e)) => check("durability", Err(e)),
+                other => panic!("{name}: durability at {ranks} ranks gave {other:?}"),
             }
             if !per_core {
                 assert!(
@@ -187,5 +229,498 @@ fn the_lowest_refused_core_names_the_error() {
             run(&m, WorldConfig::flat(ranks), &engine).map(drop)
         });
         assert_eq!(got, Err(want.clone()), "{ranks} ranks");
+    }
+}
+
+/// Every plan no run can satisfy, one row each: `Job::run` returns
+/// `JobError::Plan` with the reason `Job::check` gives, promptly and
+/// without starting a rank, and a durable row opens no store.
+#[test]
+fn every_unsatisfiable_plan_is_refused_before_any_rank_starts() {
+    let ticks = 12u32;
+    let crash = |rank, at_tick| Some(CrashPlan { rank, at_tick });
+    let elastic = |initial: &[usize], steps: Vec<ElasticStep>| {
+        Some(ElasticPlan::new(initial.to_vec(), steps))
+    };
+    let (join, leave, rebalance) = (
+        ElasticStep::join,
+        ElasticStep::leave,
+        ElasticStep::rebalance,
+    );
+    // (row, ranks, durable, job, a phrase of the reason)
+    let rows: Vec<(&str, usize, bool, Job, &str)> = vec![
+        (
+            "victim outside the world",
+            2,
+            false,
+            Job {
+                crash: crash(5, 3),
+                ..Job::default()
+            },
+            "outside a 2-rank world",
+        ),
+        (
+            "victim outside the world, durable",
+            2,
+            true,
+            Job {
+                crash: crash(2, 3),
+                ..Job::default()
+            },
+            "outside a 2-rank world",
+        ),
+        (
+            "crash in a one-rank world",
+            1,
+            false,
+            Job {
+                crash: crash(0, 3),
+                ..Job::default()
+            },
+            "one rank",
+        ),
+        (
+            "crash at tick 0",
+            2,
+            false,
+            Job {
+                crash: crash(1, 0),
+                ..Job::default()
+            },
+            "tick 0",
+        ),
+        (
+            "crash at tick 0, durable",
+            2,
+            true,
+            Job {
+                crash: crash(1, 0),
+                ..Job::default()
+            },
+            "tick 0",
+        ),
+        (
+            "crash at tick 0, elastic",
+            2,
+            false,
+            Job {
+                crash: crash(1, 0),
+                elastic: elastic(&[0, 1], Vec::new()),
+                ..Job::default()
+            },
+            "tick 0",
+        ),
+        (
+            "crash at the last tick",
+            2,
+            false,
+            Job {
+                crash: crash(1, ticks),
+                ..Job::default()
+            },
+            "outside a 12-tick run",
+        ),
+        (
+            "crash past the last tick",
+            2,
+            false,
+            Job {
+                recovery: Some(RecoveryPolicy::every(4)),
+                crash: crash(1, ticks + 8),
+                ..Job::default()
+            },
+            "outside a 12-tick run",
+        ),
+        (
+            "empty initial member set",
+            2,
+            false,
+            Job {
+                elastic: elastic(&[], Vec::new()),
+                ..Job::default()
+            },
+            "at least one initial rank",
+        ),
+        (
+            "unsorted initial member set",
+            2,
+            false,
+            Job {
+                elastic: elastic(&[1, 0], Vec::new()),
+                ..Job::default()
+            },
+            "ascending and unique",
+        ),
+        (
+            "out-of-world initial member",
+            2,
+            false,
+            Job {
+                elastic: elastic(&[0, 2], Vec::new()),
+                ..Job::default()
+            },
+            "initial member outside the world",
+        ),
+        (
+            "zero boundary",
+            2,
+            false,
+            Job {
+                elastic: elastic(&[0, 1], vec![rebalance(0)]),
+                ..Job::default()
+            },
+            "strictly ascending and nonzero",
+        ),
+        (
+            "non-ascending boundaries",
+            2,
+            false,
+            Job {
+                elastic: elastic(&[0, 1], vec![rebalance(6), rebalance(6)]),
+                ..Job::default()
+            },
+            "strictly ascending and nonzero",
+        ),
+        (
+            "past-the-end boundary",
+            2,
+            false,
+            Job {
+                elastic: elastic(&[0, 1], vec![rebalance(ticks)]),
+                ..Job::default()
+            },
+            "boundary outside the run",
+        ),
+        (
+            "join of an out-of-world rank",
+            2,
+            false,
+            Job {
+                elastic: elastic(&[0, 1], vec![join(4, 2)]),
+                ..Job::default()
+            },
+            "joining rank outside the world",
+        ),
+        (
+            "join of an active rank",
+            2,
+            false,
+            Job {
+                elastic: elastic(&[0, 1], vec![join(4, 1)]),
+                ..Job::default()
+            },
+            "already a member",
+        ),
+        (
+            "join of a crashed rank",
+            3,
+            false,
+            Job {
+                crash: crash(2, 5),
+                elastic: elastic(&[0, 1, 2], vec![leave(7, 2), join(9, 2)]),
+                ..Job::default()
+            },
+            "crashed before its join boundary",
+        ),
+        (
+            "leave by a non-member",
+            3,
+            false,
+            Job {
+                elastic: elastic(&[0, 1], vec![leave(4, 2)]),
+                ..Job::default()
+            },
+            "not a member",
+        ),
+        (
+            "leave by the last member",
+            2,
+            false,
+            Job {
+                elastic: elastic(&[0], vec![leave(4, 0)]),
+                ..Job::default()
+            },
+            "last member cannot leave",
+        ),
+        (
+            "leave by the victim before its crash",
+            3,
+            false,
+            Job {
+                crash: crash(2, 6),
+                elastic: elastic(&[0, 1, 2], vec![leave(4, 2)]),
+                ..Job::default()
+            },
+            "still be active at its crash tick",
+        ),
+        (
+            "crash on a boundary",
+            3,
+            false,
+            Job {
+                crash: crash(1, 6),
+                elastic: elastic(&[0, 1], vec![join(6, 2)]),
+                ..Job::default()
+            },
+            "exactly on an elastic boundary",
+        ),
+        (
+            "parked victim",
+            3,
+            false,
+            Job {
+                crash: crash(2, 4),
+                elastic: elastic(&[0, 1], Vec::new()),
+                ..Job::default()
+            },
+            "parked at its crash tick",
+        ),
+        (
+            "buddyless victim",
+            2,
+            false,
+            Job {
+                crash: crash(0, 4),
+                elastic: elastic(&[0], Vec::new()),
+                ..Job::default()
+            },
+            "surviving buddy",
+        ),
+        (
+            "durability with an elastic plan",
+            2,
+            true,
+            Job {
+                elastic: elastic(&[0, 1], Vec::new()),
+                ..Job::default()
+            },
+            "3(c)",
+        ),
+    ];
+    let model = NetworkModel::relay_ring(4, 2, 1);
+    for (k, (row, ranks, is_durable, mut job, phrase)) in rows.into_iter().enumerate() {
+        let dir = scratch_dir(&format!("plan-{k}"));
+        if is_durable {
+            job.durability = Some(durable(&dir));
+        }
+        let world = WorldConfig::flat(ranks);
+        let cfg = engine(ticks, Backend::Mpi);
+        let checked = job.check(world, &cfg);
+        let m = model.clone();
+        let got = within_a_minute(row, move || job.run(&m, world, &cfg).map(drop));
+        match (&checked, &got) {
+            (Err(JobError::Plan(why)), Err(JobError::Plan(ran))) => {
+                assert_eq!(why, ran, "{row}: the run refuses with the check's reason");
+                assert!(why.contains(phrase), "{row}: {why}");
+            }
+            _ => panic!("{row}: check gave {checked:?}, run gave {got:?}"),
+        }
+        assert!(!dir.exists(), "{row}: a refused plan opens no store");
+    }
+}
+
+/// The composition matrix's run: 24 ticks, the durable restart cut at 13.
+const MATRIX_TICKS: u32 = 24;
+const PREFIX_TICKS: u32 = 13;
+
+/// How a drawn job persists: not at all, durably, or durably with the
+/// job killed after `PREFIX_TICKS` and relaunched over its store.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Durable {
+    Off,
+    On,
+    Restart,
+}
+
+/// The member-set change a drawn job makes at its boundary.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Members {
+    Fixed,
+    ScaleOut,
+    ScaleIn,
+    Rebalance,
+}
+
+/// One point of the composition matrix.
+#[derive(Debug, Clone, Copy)]
+struct Draw {
+    faults: bool,
+    recovery: bool,
+    /// The victim (taken modulo the world) and its crash tick.
+    crash: Option<(usize, u32)>,
+    durable: Durable,
+    members: Members,
+    boundary: u32,
+    backend: Backend,
+    ranks: usize,
+}
+
+impl Draw {
+    /// The job this point describes, persisting under `dir`.
+    fn job(&self, dir: &Path) -> Job {
+        let last = self.ranks - 1;
+        let all: Vec<usize> = (0..self.ranks).collect();
+        let b = self.boundary;
+        let elastic = match self.members {
+            Members::Fixed => None,
+            Members::ScaleOut => Some(ElasticPlan::new(
+                all[..last].to_vec(),
+                vec![ElasticStep::join(b, last)],
+            )),
+            Members::ScaleIn => Some(ElasticPlan::new(all, vec![ElasticStep::leave(b, last)])),
+            Members::Rebalance => Some(ElasticPlan::new(all, vec![ElasticStep::rebalance(b)])),
+        };
+        Job {
+            faults: self.faults.then(|| FaultPlan::all(0xC0DE, 100)),
+            recovery: self.recovery.then(|| RecoveryPolicy::every(4)),
+            crash: (self.crash).map(|(victim, at)| CrashPlan::new(victim % self.ranks, at)),
+            durability: (self.durable != Durable::Off).then(|| durable(dir)),
+            elastic,
+            ..Job::default()
+        }
+    }
+}
+
+/// What the composition rule found for one drawn job.
+enum Composed {
+    Ran,
+    Refused(String),
+}
+
+/// Runs `draw`'s job (killed at `PREFIX_TICKS` and relaunched when it
+/// restarts) and holds it to the rule: bit-identical to the solo oracle,
+/// or refused by `Job::check` with the reason the run returns and no
+/// store opened. A rank that panics, or waits on one that did, fails the
+/// case within a minute instead of hanging the suite.
+fn compose(draw: Draw, tag: &str, oracle: &(Vec<Spike>, Vec<u64>)) -> Composed {
+    let (dir, oracle) = (scratch_dir(&format!("matrix-{tag}")), oracle.clone());
+    within_a_minute(&format!("{draw:?}"), move || {
+        let model = NetworkModel::relay_ring(8, 8, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+        let job = draw.job(&dir);
+        let world = WorldConfig::flat(draw.ranks);
+        let cfg = engine(MATRIX_TICKS, draw.backend);
+        if let Err(refused) = job.check(world, &cfg) {
+            let JobError::Plan(why) = refused else {
+                panic!("{draw:?}: check returned {refused:?}")
+            };
+            match job.run(&model, world, &cfg) {
+                Err(JobError::Plan(ran)) => assert_eq!(ran, why, "{draw:?}"),
+                other => panic!("{draw:?}: refused by the check, but the run gave {other:?}"),
+            }
+            assert!(!dir.exists(), "{draw:?}: a refused plan opens no store");
+            return Composed::Refused(why);
+        }
+        if draw.durable == Durable::Restart {
+            let prefix = engine(PREFIX_TICKS, draw.backend);
+            job.run(&model, world, &prefix)
+                .unwrap_or_else(|e| panic!("{draw:?}: the prefix run failed: {e}"));
+        }
+        let report = job
+            .run(&model, world, &cfg)
+            .unwrap_or_else(|e| panic!("{draw:?}: the run failed: {e}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(report.sorted_trace(), oracle.0, "{draw:?}: trace diverged");
+        assert_eq!(
+            fires_per_tick(&report, MATRIX_TICKS),
+            oracle.1,
+            "{draw:?}: per-tick fire counts diverged"
+        );
+        Composed::Ran
+    })
+}
+
+/// The composition matrix: jobs drawn from every combination of message
+/// faults, rollback recovery, a crash, durability (with or without a
+/// restart mid-run) and a member-set change, on both backends and 2..=4
+/// ranks. Each one runs bit-identical to the solo oracle or is refused
+/// by `Job::check`, and the draw reaches both outcomes.
+#[test]
+fn every_drawn_job_runs_bit_identical_or_is_refused() {
+    let oracle = solo_oracle(&NetworkModel::relay_ring(8, 8, 1), MATRIX_TICKS);
+    let draws = (
+        proptest::bool::ANY,
+        proptest::bool::ANY,
+        (0u8..2, 0usize..4, 1u32..MATRIX_TICKS),
+        0u8..3,
+        0u8..4,
+        4u32..20,
+        proptest::bool::ANY,
+        2usize..5,
+    )
+        .prop_map(
+            |(faults, recovery, crash, durable, members, boundary, mpi, ranks)| Draw {
+                faults,
+                recovery,
+                crash: (crash.0 == 1).then_some((crash.1, crash.2)),
+                durable: [Durable::Off, Durable::On, Durable::Restart][usize::from(durable)],
+                members: [
+                    Members::Fixed,
+                    Members::ScaleOut,
+                    Members::ScaleIn,
+                    Members::Rebalance,
+                ][usize::from(members)],
+                boundary,
+                backend: if mpi { Backend::Mpi } else { Backend::Pgas },
+                ranks,
+            },
+        );
+    let (ran, refused, case) = (Cell::new(0u32), Cell::new(0u32), Cell::new(0u32));
+    // A failing job can cost the minute a waiting rank takes to time out,
+    // so the failure is reported as drawn (the panic names the job)
+    // rather than shrunk.
+    let config = ProptestConfig {
+        max_shrink_iters: 0,
+        ..ProptestConfig::with_cases(96)
+    };
+    run_proptest("composition_matrix", &config, &draws, |draw| {
+        case.set(case.get() + 1);
+        match compose(draw, &case.get().to_string(), &oracle) {
+            Composed::Ran => ran.set(ran.get() + 1),
+            Composed::Refused(_) => refused.set(refused.get() + 1),
+        }
+        Ok(())
+    });
+    assert!(ran.get() > 0, "no drawn job ran");
+    assert!(refused.get() > 0, "no drawn job was refused");
+}
+
+/// The matrix's pinned corners: a crash survived and then restarted from
+/// the store runs bit-identical, and a scale-out or a scale-in under
+/// durability is refused for the store's fixed member set.
+#[test]
+fn pinned_compositions() {
+    let oracle = solo_oracle(&NetworkModel::relay_ring(8, 8, 1), MATRIX_TICKS);
+    let base = Draw {
+        faults: false,
+        recovery: false,
+        crash: None,
+        durable: Durable::Restart,
+        members: Members::Fixed,
+        boundary: 9,
+        backend: Backend::Mpi,
+        ranks: 3,
+    };
+    for backend in [Backend::Mpi, Backend::Pgas] {
+        let crashed = Draw {
+            crash: Some((1, 5)),
+            backend,
+            ..base
+        };
+        assert!(matches!(
+            compose(crashed, &format!("pinned-crash-{backend:?}"), &oracle),
+            Composed::Ran
+        ));
+        for members in [Members::ScaleOut, Members::ScaleIn] {
+            let scaled = Draw {
+                members,
+                backend,
+                ..base
+            };
+            match compose(scaled, &format!("pinned-{members:?}-{backend:?}"), &oracle) {
+                Composed::Refused(why) => assert!(why.contains("3(c)"), "{members:?}: {why}"),
+                Composed::Ran => panic!("{members:?} under durability ran"),
+            }
+        }
     }
 }
