@@ -9,6 +9,8 @@
 //! unbounded sequence of episodes, one per simulated tick.
 
 use crate::sync::{Condvar, Mutex};
+use crate::world::WaitStopped;
+use crate::Rank;
 
 /// Mutex + condvar generation barrier.
 ///
@@ -26,6 +28,9 @@ struct CentralState {
     n: usize,
     arrived: usize,
     generation: u64,
+    /// The participant whose failure stops every wait (see
+    /// [`CentralizedBarrier::fail`]).
+    failed: Option<Rank>,
 }
 
 impl CentralizedBarrier {
@@ -40,6 +45,7 @@ impl CentralizedBarrier {
                 n,
                 arrived: 0,
                 generation: 0,
+                failed: None,
             }),
             cv: Condvar::new(),
         }
@@ -74,9 +80,23 @@ impl CentralizedBarrier {
         st.n += 1;
     }
 
+    /// Stops every episode that has not completed: its waiters, and any
+    /// participant that arrives later and would wait, unwind with
+    /// [`WaitStopped`] naming `failed` — a participant that will never
+    /// arrive. The first failure recorded is the one named.
+    pub fn fail(&self, failed: Rank) {
+        let mut st = self.state.lock();
+        st.failed.get_or_insert(failed);
+        self.cv.notify_all();
+    }
+
     /// Blocks until all participants have called `wait` for the current
     /// episode. Returns `true` on exactly one participant per episode (the
     /// "leader", by analogy with [`std::sync::BarrierWaitResult`]).
+    ///
+    /// # Panics
+    /// Unwinds with [`WaitStopped`] instead of waiting once a participant
+    /// has failed ([`CentralizedBarrier::fail`]).
     pub fn wait(&self) -> bool {
         let mut st = self.state.lock();
         st.arrived += 1;
@@ -88,6 +108,10 @@ impl CentralizedBarrier {
         } else {
             let gen = st.generation;
             while st.generation == gen {
+                if let Some(failed) = st.failed {
+                    drop(st);
+                    WaitStopped { failed }.unwind()
+                }
                 self.cv.wait(&mut st);
             }
             false

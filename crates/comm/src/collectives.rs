@@ -18,7 +18,7 @@
 //!
 //! The world forms (`reduce_scatter_sum`, `allreduce_sum`, `allreduce_max`)
 //! are these over every rank. Every direct round — the direct
-//! Reduce-scatter, both liveness rounds, `alltoallv` and the elastic
+//! Reduce-scatter, the heartbeat round, `alltoallv` and the elastic
 //! control rounds — is one private loop.
 //!
 //! Each rank owns one `Communicator`; collective calls must be made by all
@@ -41,11 +41,6 @@ pub const COLLECTIVE_TAG_BIT: Tag = 1 << 63;
 /// tags and the per-episode collective tags, and combined with the tick
 /// number so replayed ticks cannot cross-match with later ones.
 pub const HEARTBEAT_TAG_BIT: Tag = 1 << 61;
-
-/// Tag-space bit for the fused flags + liveness-verdict exchange (see
-/// [`Communicator::reduce_scatter_flags_verdict`]), combined with the
-/// tick number like heartbeats.
-pub const VERDICT_TAG_BIT: Tag = 1 << 60;
 
 /// Tag-space bit for elastic-membership control traffic exchanged at
 /// segment boundaries (see [`Communicator::ctrl_send`]). The message
@@ -244,7 +239,7 @@ impl Communicator {
         if members.len().is_power_of_two() {
             self.reduce_scatter_halving(members, contrib, base)
         } else {
-            self.reduce_scatter_direct(members, contrib, base, None).0
+            self.reduce_scatter_direct(members, contrib, base)
         }
     }
 
@@ -280,22 +275,15 @@ impl Communicator {
     }
 
     /// Direct exchange: every member sends each other member its word of
-    /// `contrib` and sums the words it receives, under `tag`; with `watch`
-    /// it gives up on dead members (see [`Communicator::direct_round`]).
-    fn reduce_scatter_direct(
-        &self,
-        members: &[Rank],
-        contrib: &[u64],
-        tag: Tag,
-        watch: Option<&Membership>,
-    ) -> (u64, Option<Rank>) {
+    /// `contrib` and sums the words it receives, under `tag`.
+    fn reduce_scatter_direct(&self, members: &[Rank], contrib: &[u64], tag: Tag) -> u64 {
         let mut acc = contrib[self.me];
         let peers = || members.iter().copied();
         let word = |d: Rank| encode_u64s(&contrib[d..=d]);
         let add = |_, bytes: Vec<u8>| acc = acc.wrapping_add(decode_u64s(&bytes)[0]);
-        let (msgs, dead) = self.direct_round(tag, peers(), word, peers(), watch, add);
+        let (msgs, _) = self.direct_round(tag, peers(), word, peers(), None, add);
         self.mail.metrics().record_collective(msgs);
-        (acc, dead)
+        acc
     }
 
     /// All-reduce of one `u64` per member under the associative,
@@ -356,8 +344,7 @@ impl Communicator {
     }
 
     /// Maximum of one `u64` contribution per member, returned on every
-    /// member — the rollback vote, the survivor fence and a segment's
-    /// agreement before tick 0.
+    /// member — the rollback vote and a segment's agreement before tick 0.
     ///
     /// # Panics
     /// Panics if this rank is not a member.
@@ -388,25 +375,6 @@ impl Communicator {
         let tag = HEARTBEAT_TAG_BIT | Tag::from(tick);
         self.direct_round(tag, peers(), |_| Vec::new(), peers(), watch, |_, _| {})
             .1
-    }
-
-    /// The fused flags + liveness round: the direct Reduce-scatter among
-    /// `members` (`contrib` indexed by *absolute* rank) with the heartbeat
-    /// verdict piggybacked onto the same exchange, replacing the dedicated
-    /// [`Communicator::heartbeat_round`] on the MPI tick path. Each
-    /// member's single-word contribution doubles as its heartbeat, and
-    /// the verdict is deterministic for the same reasons. Returns `(sum
-    /// over answering members, lowest dead member or None)`.
-    pub fn reduce_scatter_flags_verdict(
-        &self,
-        members: &[Rank],
-        contrib: &[u64],
-        tick: u32,
-        membership: &Membership,
-    ) -> (u64, Option<Rank>) {
-        assert_eq!(contrib.len(), self.size(), "one contribution per rank");
-        let tag = VERDICT_TAG_BIT | Tag::from(tick);
-        self.reduce_scatter_direct(members, contrib, tag, Some(membership))
     }
 
     /// Sends one elastic-membership control message for boundary `tick`.
@@ -841,69 +809,6 @@ mod tests {
         for h in handles {
             assert!(h.join().unwrap().iter().all(|d| d.is_none()));
         }
-    }
-
-    #[test]
-    fn flags_verdict_matches_reduce_scatter_when_all_alive() {
-        use crate::world::Membership;
-        let membership = Arc::new(Membership::new(4));
-        let mail = MailboxSet::new(4, Arc::new(TransportMetrics::new()));
-        let members = vec![0usize, 1, 2, 3];
-        let handles: Vec<_> = (0..4)
-            .map(|r| {
-                let mail = mail.clone();
-                let mship = Arc::clone(&membership);
-                let members = members.clone();
-                std::thread::spawn(move || {
-                    let c = Communicator::new(r, mail);
-                    (0..6u32)
-                        .map(|t| {
-                            let contrib: Vec<u64> =
-                                (0..4).map(|d| 10 * r as u64 + d + u64::from(t)).collect();
-                            c.reduce_scatter_flags_verdict(&members, &contrib, t, &mship)
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        let got: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        for (me, rounds) in got.iter().enumerate() {
-            for (t, (sum, dead)) in rounds.iter().enumerate() {
-                let expect: u64 = (0..4).map(|s| 10 * s + me as u64 + t as u64).sum();
-                assert_eq!(*sum, expect, "rank {me} tick {t}");
-                assert_eq!(*dead, None);
-            }
-        }
-    }
-
-    #[test]
-    fn flags_verdict_detects_the_silent_rank_and_sums_survivors() {
-        use crate::world::Membership;
-        let membership = Arc::new(Membership::new(3));
-        let mail = MailboxSet::new(3, Arc::new(TransportMetrics::new()));
-        let members = vec![0usize, 1, 2];
-        let handles: Vec<_> = (0..3)
-            .map(|r| {
-                let mail = mail.clone();
-                let mship = Arc::clone(&membership);
-                let members = members.clone();
-                std::thread::spawn(move || {
-                    let c = Communicator::new(r, mail.clone());
-                    if r == 1 {
-                        // The victim: dies before contributing at tick 7.
-                        mship.mark_dead(1);
-                        mail.wake_all();
-                        return (0, None);
-                    }
-                    let contrib: Vec<u64> = (0..3).map(|d| 100 * r as u64 + d).collect();
-                    c.reduce_scatter_flags_verdict(&members, &contrib, 7, &mship)
-                })
-            })
-            .collect();
-        let got: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        // Survivors 0 and 2 hear only each other: sum over {0, 2}.
-        assert_eq!(got[0], (200, Some(1)));
-        assert_eq!(got[2], (2 + 202, Some(1)));
     }
 
     #[test]

@@ -51,12 +51,12 @@ pub mod world;
 pub use barrier::CentralizedBarrier;
 pub use collectives::Communicator;
 pub use fault::{CrashPlan, FaultInjector, FaultKind, FaultPlan, RankCrash};
-pub use mailbox::{Envelope, Mailbox, MailboxSet, RecvRequest, Tag};
+pub use mailbox::{Envelope, Mailbox, MailboxSet, Tag};
 pub use metrics::{MetricsSnapshot, TransportMetrics};
 pub use pgas::PgasWorld;
 pub use reliable::{crc32, AuditOutcome, Crc32, ReliableConfig, ReliableWorld, RelyCounts};
 pub use team::ThreadTeam;
-pub use world::{Membership, RankCtx, RankFailure, World, WorldConfig};
+pub use world::{Membership, RankCtx, RankFailure, WaitStopped, World, WorldConfig};
 
 /// A rank index in `0..P`, the in-process equivalent of an MPI rank.
 pub type Rank = usize;

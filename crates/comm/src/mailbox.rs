@@ -14,8 +14,10 @@ use crate::fault::FaultInjector;
 use crate::metrics::TransportMetrics;
 use crate::reliable::ReliableWorld;
 use crate::sync::{Condvar, Mutex};
+use crate::world::WaitStopped;
 use crate::Rank;
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Message tag, separating application traffic from collective-internal
@@ -70,53 +72,15 @@ impl Match {
     }
 }
 
-/// A posted (nonblocking) receive — the `MPI_Irecv` stand-in.
-///
-/// Created by [`Mailbox::irecv`]. A matching arrival (or an already-queued
-/// matching envelope at post time) completes it; poll with
-/// [`RecvRequest::test`] or block with [`RecvRequest::wait`]. Posted
-/// receives take priority over later [`Mailbox::recv`]/[`Mailbox::try_recv`]
-/// calls for the envelopes they match, in post order — MPI's
-/// posted-receive-queue semantics.
-#[derive(Debug)]
-pub struct RecvRequest {
-    slot: Arc<RequestSlot>,
-}
-
-#[derive(Debug)]
-struct RequestSlot {
-    matcher: Match,
-    filled: Mutex<Option<Envelope>>,
-    ready: Condvar,
-}
-
-impl RecvRequest {
-    /// Completes the request if a matching envelope has arrived, returning
-    /// it; `None` means still pending. Completion consumes the envelope —
-    /// after a `Some`, later calls return `None` again.
-    pub fn test(&self) -> Option<Envelope> {
-        self.slot.filled.lock().take()
-    }
-
-    /// Blocks until the request completes and returns the envelope.
-    pub fn wait(self) -> Envelope {
-        let mut filled = self.slot.filled.lock();
-        loop {
-            if let Some(e) = filled.take() {
-                return e;
-            }
-            self.slot.ready.wait(&mut filled);
-        }
-    }
-}
-
 /// One rank's incoming message queue.
 #[derive(Debug, Default)]
 pub struct Mailbox {
     queue: Mutex<VecDeque<Envelope>>,
     arrived: Condvar,
-    /// Pending posted receives, in post order.
-    posted: Mutex<Vec<Arc<RequestSlot>>>,
+    /// One more than the rank whose failure stops every wait on this
+    /// mailbox (see [`MailboxSet::fail`]); 0 while none has failed.
+    /// Written under the queue lock, so a waiter cannot miss it.
+    failed: AtomicUsize,
 }
 
 impl Mailbox {
@@ -125,46 +89,14 @@ impl Mailbox {
     }
 
     fn push(&self, e: Envelope) {
-        // Posted receives intercept matching arrivals first (in post
-        // order), as in MPI. The queue lock is held across the posted-list
-        // check and the enqueue so irecv's backlog scan cannot race.
-        let mut q = self.queue.lock();
-        {
-            let mut posted = self.posted.lock();
-            if let Some(i) = posted.iter().position(|s| s.matcher.accepts(&e)) {
-                let slot = posted.remove(i);
-                *slot.filled.lock() = Some(e);
-                slot.ready.notify_all();
-                return;
-            }
-        }
-        q.push_back(e);
+        self.queue.lock().push_back(e);
         // Multiple threads of one rank may block on the same mailbox with
         // different match criteria (Compass drains messages from all team
-        // members); wake them all and let matching sort it out.
+        // members); wake them all and let matching sort it out. The lock
+        // is already released, so a woken waiter does not block on it
+        // again: a waiter checks the queue under the lock and sleeps as it
+        // releases it, so it either saw the envelope or hears this notify.
         self.arrived.notify_all();
-    }
-
-    /// Posts a nonblocking receive for the first envelope accepted by `m`
-    /// — the `MPI_Irecv` stand-in. If a matching envelope is already
-    /// queued, the request completes immediately.
-    pub fn irecv(&self, m: Match) -> RecvRequest {
-        let slot = Arc::new(RequestSlot {
-            matcher: m,
-            filled: Mutex::new(None),
-            ready: Condvar::new(),
-        });
-        // Hold the queue lock across the backlog scan and the posting so a
-        // concurrent push cannot slip an envelope past both checks.
-        let mut q = self.queue.lock();
-        if let Some(idx) = q.iter().position(|e| m.accepts(e)) {
-            let e = q.remove(idx).expect("index just found");
-            *slot.filled.lock() = Some(e);
-        } else {
-            self.posted.lock().push(Arc::clone(&slot));
-        }
-        drop(q);
-        RecvRequest { slot }
     }
 
     /// Removes and returns the first queued envelope accepted by `m`, or
@@ -175,20 +107,33 @@ impl Mailbox {
         q.remove(idx)
     }
 
+    /// Unwinds with [`WaitStopped`] once a rank of the world has failed.
+    fn stop_if_failed(&self) {
+        if let Some(failed) = self.failed.load(Ordering::Relaxed).checked_sub(1) {
+            WaitStopped { failed }.unwind()
+        }
+    }
+
     /// Blocks until an envelope accepted by `m` arrives, then removes and
     /// returns it.
+    ///
+    /// # Panics
+    /// Unwinds with [`WaitStopped`] when no match is queued and a rank of
+    /// the world has failed ([`MailboxSet::fail`]).
     pub fn recv(&self, m: Match) -> Envelope {
         let mut q = self.queue.lock();
         loop {
             if let Some(idx) = q.iter().position(|e| m.accepts(e)) {
                 return q.remove(idx).expect("index just found");
             }
+            self.stop_if_failed();
             self.arrived.wait(&mut q);
         }
     }
 
     /// Like [`Mailbox::recv`], but gives up (returning `None`) when
-    /// `give_up()` turns true while the queue holds no match.
+    /// `give_up()` turns true while the queue holds no match. A failed
+    /// rank stops it as it stops [`Mailbox::recv`].
     ///
     /// The queue is always checked *before* the predicate, so a message
     /// that arrived before the give-up condition became true is still
@@ -205,6 +150,7 @@ impl Mailbox {
             if give_up() {
                 return None;
             }
+            self.stop_if_failed();
             self.arrived.wait(&mut q);
         }
     }
@@ -243,25 +189,16 @@ pub struct MailboxSet {
 impl MailboxSet {
     /// Creates mailboxes for `ranks` ranks reporting into `metrics`.
     pub fn new(ranks: usize, metrics: Arc<TransportMetrics>) -> Self {
-        Self::with_faults(ranks, metrics, None)
+        Self::with_reliability(ranks, metrics, None, None)
     }
 
     /// Like [`MailboxSet::new`] with an optional fault injector applied to
-    /// every application-level [`MailboxSet::send`]. Collective-internal
-    /// traffic is never faulted (see [`crate::fault`] for why).
-    pub fn with_faults(
-        ranks: usize,
-        metrics: Arc<TransportMetrics>,
-        faults: Option<Arc<FaultInjector>>,
-    ) -> Self {
-        Self::with_reliability(ranks, metrics, faults, None)
-    }
-
-    /// Like [`MailboxSet::with_faults`] with an optional reliable-delivery
-    /// layer. Payloads are framed ([`ReliableWorld::frame`]) *before* the
-    /// fault injector sees them, so faults strike framed bytes — exactly
-    /// what a lossy network would corrupt. Collective-internal traffic is
-    /// neither framed nor faulted.
+    /// every application-level [`MailboxSet::send`] and an optional
+    /// reliable-delivery layer. Payloads are framed
+    /// ([`ReliableWorld::frame`]) *before* the fault injector sees them, so
+    /// faults strike framed bytes — exactly what a lossy network would
+    /// corrupt. Collective-internal traffic is neither framed nor faulted
+    /// (see [`crate::fault`] for why).
     pub fn with_reliability(
         ranks: usize,
         metrics: Arc<TransportMetrics>,
@@ -339,6 +276,19 @@ impl MailboxSet {
             // Take the queue lock so the notify cannot slide between a
             // waiter's condition check and its wait.
             let _q = b.queue.lock();
+            b.arrived.notify_all();
+        }
+    }
+
+    /// Stops every receive, blocked or to come, that finds no match
+    /// queued: each unwinds with [`WaitStopped`] naming `failed`. The
+    /// first failure recorded is the one named.
+    pub fn fail(&self, failed: Rank) {
+        for b in self.boxes.iter() {
+            let _q = b.queue.lock();
+            let _ = b
+                .failed
+                .compare_exchange(0, failed + 1, Ordering::Relaxed, Ordering::Relaxed);
             b.arrived.notify_all();
         }
     }
@@ -454,66 +404,6 @@ mod tests {
         s.send_internal(0, 1, 0, vec![0; 100]);
         assert_eq!(s.metrics().snapshot().p2p_messages, 0);
         assert_eq!(s.mailbox(1).len(), 1);
-    }
-
-    #[test]
-    fn irecv_completes_on_later_arrival() {
-        let s = set(2);
-        let req = s.mailbox(1).irecv(Match::tag(9));
-        assert!(req.test().is_none(), "nothing arrived yet");
-        s.send(0, 1, 9, vec![5]);
-        assert_eq!(req.test().map(|e| e.payload), Some(vec![5]));
-    }
-
-    #[test]
-    fn irecv_completes_immediately_from_backlog() {
-        let s = set(2);
-        s.send(0, 1, 3, vec![1]);
-        let req = s.mailbox(1).irecv(Match::tag(3));
-        assert!(req.test().is_some());
-        assert!(s.mailbox(1).is_empty(), "backlog envelope consumed");
-    }
-
-    #[test]
-    fn irecv_wait_blocks_until_arrival() {
-        let s = set(2);
-        let req = s.mailbox(1).irecv(Match::from(0, 4));
-        let s2 = s.clone();
-        let h = std::thread::spawn(move || req.wait().payload);
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        s.send(0, 1, 4, vec![9, 9]);
-        assert_eq!(h.join().unwrap(), vec![9, 9]);
-        let _ = s2;
-    }
-
-    #[test]
-    fn posted_receive_takes_priority_over_blocking_recv() {
-        let s = set(2);
-        let req = s.mailbox(1).irecv(Match::tag(7));
-        s.send(0, 1, 7, vec![1]);
-        // The arrival went to the posted request, not the queue.
-        assert!(s.mailbox(1).try_recv(Match::tag(7)).is_none());
-        assert_eq!(req.wait().payload, vec![1]);
-    }
-
-    #[test]
-    fn posted_receives_complete_in_post_order() {
-        let s = set(2);
-        let first = s.mailbox(1).irecv(Match::tag(5));
-        let second = s.mailbox(1).irecv(Match::tag(5));
-        s.send(0, 1, 5, vec![1]);
-        s.send(0, 1, 5, vec![2]);
-        assert_eq!(first.wait().payload, vec![1]);
-        assert_eq!(second.wait().payload, vec![2]);
-    }
-
-    #[test]
-    fn non_matching_arrivals_pass_posted_receives() {
-        let s = set(2);
-        let req = s.mailbox(1).irecv(Match::tag(5));
-        s.send(0, 1, 6, vec![6]);
-        assert!(req.test().is_none());
-        assert_eq!(s.mailbox(1).recv(Match::tag(6)).payload, vec![6]);
     }
 
     #[test]

@@ -59,22 +59,13 @@ pub struct PgasWorld {
 impl PgasWorld {
     /// Creates windows for `ranks` ranks reporting into `metrics`.
     pub fn new(ranks: usize, metrics: Arc<TransportMetrics>) -> Self {
-        Self::with_faults(ranks, metrics, None)
+        Self::with_reliability(ranks, metrics, None, None)
     }
 
     /// Like [`PgasWorld::new`] with an optional fault injector applied to
-    /// every [`PgasEndpoint::put`] (see [`crate::fault`]).
-    pub fn with_faults(
-        ranks: usize,
-        metrics: Arc<TransportMetrics>,
-        faults: Option<Arc<FaultInjector>>,
-    ) -> Self {
-        Self::with_reliability(ranks, metrics, faults, None)
-    }
-
-    /// Like [`PgasWorld::with_faults`] with an optional reliable-delivery
-    /// layer: puts are framed ([`ReliableWorld::frame`]) before the fault
-    /// injector sees them, so faults strike framed bytes.
+    /// every [`PgasEndpoint::put`] (see [`crate::fault`]) and an optional
+    /// reliable-delivery layer: puts are framed ([`ReliableWorld::frame`])
+    /// before the fault injector sees them, so faults strike framed bytes.
     pub fn with_reliability(
         ranks: usize,
         metrics: Arc<TransportMetrics>,
@@ -105,6 +96,13 @@ impl PgasWorld {
             detached[dead] = true;
             self.barrier.leave();
         }
+    }
+
+    /// Stops the commit barrier for good: `failed` failed outside any
+    /// crash plan and will never commit again (see
+    /// [`CentralizedBarrier::fail`]).
+    pub fn fail(&self, failed: Rank) {
+        self.barrier.fail(failed);
     }
 
     /// The inverse of [`PgasWorld::detach`]: re-adds a detached rank to

@@ -16,6 +16,7 @@ use crate::reliable::ReliableWorld;
 use crate::team::ThreadTeam;
 use crate::Rank;
 use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -45,11 +46,6 @@ impl WorldConfig {
             ranks,
             threads_per_rank,
         }
-    }
-
-    /// Total "CPU" count, the x-axis of the paper's scaling figures.
-    pub fn total_threads(&self) -> usize {
-        self.ranks * self.threads_per_rank
     }
 
     fn validate(&self) {
@@ -126,6 +122,25 @@ impl Membership {
     }
 }
 
+/// The payload a cross-rank wait unwinds with once a rank of its world
+/// has failed outside any crash plan: what the wait expects may come from
+/// that rank, and a failed rank sends nothing more, so the wait stops
+/// instead of blocking forever. A planned crash stops no wait — the
+/// survivors' death verdict answers it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WaitStopped {
+    /// The rank whose failure stopped the wait.
+    pub failed: Rank,
+}
+
+impl WaitStopped {
+    /// Unwinds the waiting thread without calling the panic hook: the
+    /// failed rank's own panic is the one report of the failure.
+    pub(crate) fn unwind(self) -> ! {
+        std::panic::resume_unwind(Box::new(self))
+    }
+}
+
 /// One rank's terminal failure, observed as data by
 /// [`World::try_run_with_recovery`]: which rank died and what it
 /// unwound with.
@@ -142,10 +157,19 @@ impl RankFailure {
         self.payload.downcast_ref::<RankCrash>()
     }
 
+    /// The stopped wait this rank unwound from, when another rank's
+    /// failure ended it rather than a fault of its own.
+    pub fn stopped(&self) -> Option<&WaitStopped> {
+        self.payload.downcast_ref::<WaitStopped>()
+    }
+
     /// Best-effort human-readable panic message.
     pub fn message(&self) -> String {
         if let Some(c) = self.crash() {
             return format!("scheduled crash at tick {}", c.tick);
+        }
+        if let Some(w) = self.stopped() {
+            return format!("stopped waiting: rank {} failed", w.failed);
         }
         if let Some(s) = self.payload.downcast_ref::<String>() {
             return s.clone();
@@ -252,7 +276,8 @@ impl World {
     /// per-rank results in rank order. Blocks until every rank finishes.
     ///
     /// # Panics
-    /// Propagates the first rank panic after all ranks have been joined.
+    /// Propagates the first rank panic after all ranks have been joined
+    /// (the failing rank's, not a wait it stopped on another rank).
     pub fn run<T, F>(config: WorldConfig, f: F) -> Vec<T>
     where
         T: Send,
@@ -297,19 +322,27 @@ impl World {
         F: Fn(&RankCtx) -> T + Sync,
     {
         let results = Self::try_run_with_recovery(config, metrics, faults, rely, f);
-        results
-            .into_iter()
-            .map(|r| match r {
-                Ok(t) => t,
+        let mut out = Vec::with_capacity(results.len());
+        for r in results {
+            match r {
+                Ok(t) => out.push(t),
+                // A stopped wait's cause is a failure of its own slot,
+                // which this loop re-raises.
+                Err(failure) if failure.stopped().is_some() => {}
                 Err(failure) => failure.resume(),
-            })
-            .collect()
+            }
+        }
+        out
     }
 
     /// Like [`World::run_with_recovery`], but a panicking rank is returned
     /// as an `Err(`[`RankFailure`]`)` in its slot instead of aborting the
     /// harness — the observation point for the rank-crash-survival
-    /// protocol. Every rank is always joined.
+    /// protocol. Every rank is always joined: a rank that unwinds with
+    /// anything but a [`RankCrash`] or a [`WaitStopped`] stops every
+    /// blocked cross-rank wait of the world (mailbox receives and the PGAS
+    /// commit barrier), so the ranks waiting on it unwind with a
+    /// [`WaitStopped`] naming it instead of hanging.
     pub fn try_run_with_recovery<T, F>(
         config: WorldConfig,
         metrics: Arc<TransportMetrics>,
@@ -339,6 +372,12 @@ impl World {
         // timing loops together, which tightens benchmark variance.
         let start_line = Arc::new(CentralizedBarrier::new(config.ranks));
 
+        // An unplanned failure stops every wait that could be waiting on
+        // the failed rank.
+        let stop_waits = |failed: Rank| {
+            mail.fail(failed);
+            pgas.fail(failed);
+        };
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..config.ranks)
                 .map(|rank| {
@@ -349,7 +388,7 @@ impl World {
                     let faults = faults.clone();
                     let rely = rely.clone();
                     let membership = Arc::clone(&membership);
-                    let f = &f;
+                    let (f, stop_waits) = (&f, &stop_waits);
                     scope.spawn(move || {
                         let ctx = RankCtx {
                             rank,
@@ -363,7 +402,14 @@ impl World {
                             membership,
                         };
                         start_line.wait();
-                        f(&ctx)
+                        panic::catch_unwind(AssertUnwindSafe(|| f(&ctx))).unwrap_or_else(
+                            |payload| {
+                                if !(payload.is::<RankCrash>() || payload.is::<WaitStopped>()) {
+                                    stop_waits(rank);
+                                }
+                                panic::resume_unwind(payload)
+                            },
+                        )
                     })
                 })
                 .collect();
@@ -447,12 +493,6 @@ mod tests {
     }
 
     #[test]
-    fn total_threads_product() {
-        assert_eq!(WorldConfig::new(4, 8).total_threads(), 32);
-        assert_eq!(WorldConfig::flat(5).total_threads(), 5);
-    }
-
-    #[test]
     fn try_run_reports_the_failed_rank_as_data() {
         let metrics = Arc::new(TransportMetrics::new());
         let results =
@@ -479,6 +519,75 @@ mod tests {
         World::run(WorldConfig::flat(2), |ctx| {
             assert!(ctx.rank() != 1, "rank 1 goes down");
         });
+    }
+
+    /// A cross-rank wait a rank body enters.
+    type Wait = fn(&RankCtx);
+
+    /// Runs a `ranks`-rank world in which the last rank panics before its
+    /// first cross-rank wait and every other rank enters `wait`, on a
+    /// spawned thread; returns what the world re-raised, within a minute.
+    fn unplanned_death(ranks: usize, wait: Wait) -> String {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let raised = panic::catch_unwind(|| {
+                World::run(WorldConfig::flat(ranks), |ctx| {
+                    assert!(ctx.rank() + 1 != ranks, "the last rank goes down");
+                    wait(ctx);
+                })
+            });
+            let _ = tx.send(raised.map(|_| ()));
+        });
+        let raised = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the world hung instead of failing");
+        let payload = raised.expect_err("the world ran to completion");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn an_unplanned_death_fails_the_world_instead_of_hanging_it() {
+        let waits: [(&str, Wait); 3] = [
+            ("reduce_scatter_sum", |ctx| {
+                ctx.comm().reduce_scatter_sum(&vec![1; ctx.world_size()]);
+            }),
+            ("barrier", |ctx| ctx.comm().barrier()),
+            ("pgas commit", |ctx| ctx.pgas().commit()),
+        ];
+        for ranks in [2, 4] {
+            for (name, wait) in waits {
+                let raised = unplanned_death(ranks, wait);
+                let last = ranks - 1;
+                assert!(
+                    raised.starts_with(&format!("rank panicked: rank {last}: ")),
+                    "{ranks} ranks, {name}: {raised}"
+                );
+                assert!(
+                    raised.contains("the last rank goes down"),
+                    "{ranks} ranks, {name}: the failed rank's own panic, got {raised}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_stopped_wait_names_the_failed_rank() {
+        let metrics = Arc::new(TransportMetrics::new());
+        let results =
+            World::try_run_with_recovery(WorldConfig::flat(3), metrics, None, None, |ctx| {
+                assert!(ctx.rank() != 1, "rank 1 goes down");
+                ctx.comm().barrier();
+            });
+        let stopped: Vec<_> = [0, 2]
+            .map(|r| results[r].as_ref().unwrap_err().stopped().copied())
+            .into();
+        assert_eq!(stopped, [Some(WaitStopped { failed: 1 }); 2]);
+        let failed = results[1].as_ref().unwrap_err();
+        assert!(failed.stopped().is_none());
+        assert!(failed.message().contains("rank 1 goes down"));
     }
 
     #[test]

@@ -585,7 +585,8 @@ struct Wire<'a> {
     me: Rank,
     n_local: usize,
     /// Crash survival armed ([`RecoveryPolicy::survive_crashes`]): replica
-    /// frames ride the data channel and death verdicts are collected.
+    /// frames ride the data channel and every tick opens with a heartbeat
+    /// round.
     survive: bool,
     /// The view's one member, with crash survival off: every collective is
     /// the identity, so none is run (see the module docs).
@@ -721,28 +722,6 @@ impl Wire<'_> {
     fn drain(&self, f: impl FnMut(Rank, &[u8])) {
         if !self.alone {
             self.ctx.pgas().drain(f);
-        }
-    }
-
-    /// The per-tick Reduce-scatter of send flags. With crash survival armed
-    /// it doubles as the death-verdict round — the verdict bits piggyback
-    /// on a collective the tick performs anyway, replacing a dedicated
-    /// heartbeat round. Every survivor sees the identical verdict on the
-    /// identical tick (the victim died at the top of this tick, before
-    /// contributing), so handling it is collective without a further
-    /// agreement round.
-    fn rs_flags(&self, contrib: &[u64], t: u32) -> (u64, Option<Rank>) {
-        if self.survive {
-            self.timed_collective(|| {
-                self.ctx.comm().reduce_scatter_flags_verdict(
-                    self.view.members(),
-                    contrib,
-                    t,
-                    self.ctx.membership(),
-                )
-            })
-        } else {
-            (self.rs_sum(contrib), None)
         }
     }
 }
@@ -972,10 +951,8 @@ pub fn run_rank_view(
     while tl.t < cfg.ticks && tl.boundary() {
         let synapse_elapsed = tl.synapse();
         tl.neuron(synapse_elapsed);
-        let verdict = tl.network();
-        if !tl.audit(verdict) {
-            break;
-        }
+        tl.network();
+        tl.audit();
     }
     let (mut outcome, tick_ns_ewma) = tl.finish();
 
@@ -1264,17 +1241,15 @@ impl<'a> TickLoop<'a> {
             }
         }
 
-        // Failure detection, PGAS path only: one empty heartbeat per live
+        // Failure detection, both backends: one empty heartbeat per live
         // peer per tick, tick-tagged so rounds never cross. The verdict is
         // deterministic: a silent peer is reported dead only via the
         // membership flag the victim set before dying, never via
         // wall-clock timeouts, so the verdict tick depends only on the
-        // crash plan. The MPI path needs no dedicated round at all — its
-        // verdict bits piggyback on the per-tick Reduce-scatter of send
-        // flags (see `Wire::rs_flags`); PGAS keeps the heartbeat because
-        // its commit barrier is not tick-scoped and cannot carry a
-        // per-tick verdict.
-        if self.wire.survive && self.cfg.backend == Backend::Pgas {
+        // crash plan. It lands before any of the tick's sends, so no
+        // survivor is still draining this tick when another starts the
+        // degraded segment.
+        if self.wire.survive {
             let hb_start = Instant::now();
             let dead =
                 self.ctx
@@ -1409,20 +1384,15 @@ impl<'a> TickLoop<'a> {
     fn wind_down(&mut self, dead: Rank) {
         let verdict_start = Instant::now();
         let me = self.wire.me;
-        let fused = self.cfg.backend == Backend::Mpi;
         self.report.death_verdicts += 1;
-        // The heartbeat verdict (PGAS) lands at the top of the tick, after
-        // the victim heartbeated every earlier tick: the newest snapshot is
-        // the common boundary. The fused verdict (MPI) lands mid-tick: the
-        // victim died at the top of this tick before shipping this
-        // boundary's replica, so its buddy mirror sits strictly before it.
-        let resume = if fused {
-            self.ring.newest_before(self.t)
-        } else {
-            self.ring.newest()
-        }
-        .expect("a snapshot boundary precedes any verdict")
-        .clone();
+        // The verdict lands at the top of the tick, before this tick's
+        // ring push, after the victim shipped every earlier boundary's
+        // replica: the newest snapshot is the common boundary.
+        let resume = self
+            .ring
+            .newest()
+            .expect("a snapshot boundary precedes any verdict")
+            .clone();
         let back_to = resume.start_tick();
         self.truncate_history(back_to);
         self.shards.discard_mail();
@@ -1433,25 +1403,6 @@ impl<'a> TickLoop<'a> {
             r.retire_rank(dead);
         }
         self.ctx.pgas().detach(dead);
-        if fused {
-            // Survivors exit this segment at skewed times (the verdict
-            // lands after live traffic), so a fast rank could start the
-            // degraded segment — and ship frames with ticks <= t — while a
-            // slow one is still inside this tick's audit, which would
-            // wrongly drain them. Hold everyone here until every
-            // survivor's audit is done; only then may any rank speak in
-            // the next segment. The heartbeat verdict needs no such fence:
-            // it lands before any of the tick's sends.
-            let survivors: Vec<Rank> = self
-                .wire
-                .view
-                .members()
-                .iter()
-                .copied()
-                .filter(|&m| m != dead)
-                .collect();
-            self.ctx.comm().allreduce_max_among(&survivors, 0);
-        }
         let adopted = (self.wire.view.buddy_of(dead) == me).then(|| {
             let rp = self
                 .wire
@@ -1634,18 +1585,15 @@ impl<'a> TickLoop<'a> {
     }
 
     /// Network phase: deliver this tick's spikes, local and remote, then
-    /// post the cross-thread mail. Returns the death verdict the MPI flags
-    /// round reached, if any — it parks here and is handled after the
-    /// audit.
-    fn network(&mut self) -> Option<Rank> {
-        let verdict = match self.cfg.backend {
+    /// post the cross-thread mail.
+    fn network(&mut self) {
+        match self.cfg.backend {
             Backend::Mpi => self.network_mpi(),
             Backend::Pgas => self.network_pgas(),
-        };
+        }
         self.shards.post_mail();
         let elapsed = self.lap();
         self.report.phases.network += elapsed;
-        verdict
     }
 
     /// MPI Network phase: the master's Reduce-scatter of send flags tells
@@ -1654,21 +1602,14 @@ impl<'a> TickLoop<'a> {
     /// routing local spikes; then all threads take turns receiving — the
     /// receive itself sits in a critical section, routing/delivery does
     /// not.
-    fn network_mpi(&mut self) -> Option<Rank> {
+    fn network_mpi(&mut self) {
         let t = self.t;
         let me = self.wire.me;
         let (ctx, cfg, wire) = (self.ctx, self.cfg, &self.wire);
         let (local, send_flags) = (&self.local_all, &self.send_flags);
         let n_local = self.shards.n_local;
         let expected = AtomicU64::new(0);
-        let verdict = AtomicUsize::new(usize::MAX);
-        let flags_round = || {
-            let (v, dead) = wire.rs_flags(send_flags, t);
-            if let Some(d) = dead {
-                verdict.store(d, Ordering::Release);
-            }
-            expected.store(v, Ordering::Release);
-        };
+        let flags_round = || expected.store(wire.rs_sum(send_flags), Ordering::Release);
         // Overlapped: the master runs the Reduce-scatter while the workers
         // route the local spikes. Ablation: strictly sequential, everyone
         // routes.
@@ -1711,8 +1652,6 @@ impl<'a> TickLoop<'a> {
                 wire.message_spikes(env.src, &env.payload, t, |d| shard.route_one(d, n_local));
             });
         self.local_all.clear();
-        let dead = verdict.load(Ordering::Acquire);
-        (dead != usize::MAX).then_some(dead)
     }
 
     /// PGAS Network phase (§VII): the master puts each destination buffer
@@ -1722,7 +1661,7 @@ impl<'a> TickLoop<'a> {
     /// Reduce-scatter, no tag matching, no probe. A rank alone puts
     /// nothing and has no window to read, so it neither commits nor
     /// drains.
-    fn network_pgas(&mut self) -> Option<Rank> {
+    fn network_pgas(&mut self) {
         let t = self.t;
         let (ctx, cfg, wire) = (self.ctx, self.cfg, &self.wire);
         let (local, agg) = (&self.local_all, &self.agg);
@@ -1759,11 +1698,10 @@ impl<'a> TickLoop<'a> {
         wire.drain(|src, bytes| {
             wire.message_spikes(src, bytes, t, |d| lander.land(d));
         });
-        None // the PGAS verdict comes from the boundary's heartbeat round
     }
 
     /// End-of-tick audit, then the clock: advances `t`, or rewinds it on a
-    /// rollback. Returns false when a death verdict ended the segment.
+    /// rollback.
     ///
     /// The Network phase fully drained, so every frame addressed to this
     /// rank at ticks <= t is either in hand or provably missing (MPI: the
@@ -1772,10 +1710,10 @@ impl<'a> TickLoop<'a> {
     /// payloads are delivered straight into the delay buffers — delivery
     /// ticks are strictly in the future and delivery ORs bits, so the late
     /// landing is trace-invisible.
-    fn audit(&mut self, verdict: Option<Rank>) -> bool {
+    fn audit(&mut self) {
         let Some(r) = self.wire.rely else {
             self.t += 1;
-            return true;
+            return;
         };
         let t = self.t;
         let me = self.wire.me;
@@ -1788,16 +1726,6 @@ impl<'a> TickLoop<'a> {
         };
         self.report.recovery_time += audit_start.elapsed();
 
-        // Fused death verdict (MPI path): this tick's flags round flagged
-        // a dead member. The any-gap collective below is skipped by every
-        // survivor unanimously, so no rank is left blocked in it; any
-        // frames genuinely lost this tick are regenerated by the degraded
-        // replay from the common boundary.
-        if let Some(dead) = verdict {
-            self.wind_down(dead);
-            return false;
-        }
-
         if self.opts.recovery.is_none() {
             assert!(
                 outcome.clean(),
@@ -1806,14 +1734,14 @@ impl<'a> TickLoop<'a> {
                 outcome.unrecovered
             );
             self.t += 1;
-            return true;
+            return;
         }
         // Collective verdict: one bit per rank, max-reduced, so either
         // every rank rolls back or none does. This is the whole per-tick
         // overhead of enabling the policy.
         if self.wire.ar_max(u64::from(!outcome.clean())) == 0 {
             self.t += 1;
-            return true;
+            return;
         }
         let rb_start = Instant::now();
         self.report.rollbacks += 1;
@@ -1840,7 +1768,6 @@ impl<'a> TickLoop<'a> {
         self.report.replayed_ticks += u64::from(t + 1 - back_to);
         self.report.recovery_time += rb_start.elapsed();
         self.t = back_to;
-        true
     }
 
     /// Flushes payloads the `Delay` fault is still holding: without this,

@@ -125,15 +125,6 @@ impl CheckpointRing {
         self.ring.back().map(|ck| ck.start_tick())
     }
 
-    /// The newest checkpoint taken strictly before `tick` — the resume
-    /// target for a death verdict reached *at* tick `tick`, where a
-    /// checkpoint taken at that very tick must be skipped (the victim
-    /// died before contributing to tick `tick`, so its buddy mirror — and
-    /// therefore the unanimous resume point — is the previous boundary).
-    pub(crate) fn newest_before(&self, tick: u32) -> Option<&RankCheckpoint> {
-        self.ring.iter().rev().find(|ck| ck.start_tick() < tick)
-    }
-
     /// Bytes the ring currently pins in memory — checkpoint staging the
     /// engine charges to [`crate::RankReport::staging_bytes`].
     pub(crate) fn resident_bytes(&self) -> u64 {
@@ -171,17 +162,6 @@ mod tests {
         ring.push(ck(4));
         ring.push(ck(8));
         assert_eq!(ring.resident_bytes(), 2 * one, "bounded by depth");
-    }
-
-    #[test]
-    fn newest_before_skips_a_same_tick_checkpoint() {
-        let mut ring = CheckpointRing::new(2);
-        assert!(ring.newest_before(8).is_none());
-        ring.push(ck(4));
-        ring.push(ck(8));
-        assert_eq!(ring.newest_before(8).unwrap().start_tick(), 4);
-        assert_eq!(ring.newest_before(9).unwrap().start_tick(), 8);
-        assert!(ring.newest_before(4).is_none());
     }
 
     #[test]

@@ -76,12 +76,11 @@ use tn_core::Spike;
 ///   all-to-all no participant passes until every other has finished
 ///   migrating).
 ///
-/// A `crash` or an `elastic` plan forces `survive_crashes` on (buddy
-/// replication and per-tick heartbeats), over the default cadence when
-/// `recovery` is `None`. Every combination [`Job::check`] accepts runs
-/// bit-identical (trace, fires per tick) to the fault-free run, but for
-/// one hazard the check cannot foresee: with `faults` and no rollback
-/// armed, a gap the retransmit budget cannot close panics the rank.
+/// `faults` arms rollback recovery at the default cadence when `recovery`
+/// is `None`, and a `crash` or an `elastic` plan forces `survive_crashes`
+/// on (buddy replication and per-tick heartbeats) over it. Every
+/// combination [`Job::check`] accepts runs bit-identical (trace, fires per
+/// tick) to the fault-free run.
 #[derive(Debug, Clone, Default)]
 pub struct Job {
     /// Seeded message faults.
@@ -146,6 +145,10 @@ impl Job {
             .crash
             .filter(|c| resume.as_ref().is_none_or(|rp| c.at_tick >= rp.tick));
         let survive = crash.is_some() || self.elastic.is_some();
+        let recovery = match self.recovery {
+            None if survive || self.faults.is_some() => Some(RecoveryPolicy::default()),
+            r => r,
+        };
         let armed = Job {
             reliable: self.reliable
                 || self.faults.is_some()
@@ -153,11 +156,7 @@ impl Job {
                 || self.crash.is_some()
                 || self.durability.is_some()
                 || self.elastic.is_some(),
-            recovery: if survive {
-                Some(self.recovery.unwrap_or_default().surviving_crashes())
-            } else {
-                self.recovery
-            },
+            recovery: recovery.map(|r| if survive { r.surviving_crashes() } else { r }),
             crash,
             ..self.clone()
         };
@@ -323,6 +322,9 @@ pub(crate) fn launch(
                 ranks.push(report);
             }
             Ok(Err(r)) => refused.push(r),
+            // Another rank's failure stopped this one's wait; that failure
+            // fills its own slot and is re-raised there.
+            Err(failure) if failure.stopped().is_some() => {}
             Err(failure) => {
                 // The planned victim's thread is gone; its pre-crash
                 // history is accounted by the adopting buddy, so its slot

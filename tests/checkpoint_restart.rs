@@ -19,7 +19,9 @@ use compass::sim::{
     RunOutcome,
 };
 use compass::tn::{CoreConfig, Spike};
-use std::sync::Arc;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 mod common;
 use common::{solo_trace, sort_key};
@@ -378,5 +380,60 @@ fn checkpoint_cost_is_accounted_per_rank() {
         assert!(o.checkpoint.is_none());
         assert_eq!(o.report.checkpoint_bytes, 0);
         assert_eq!(o.report.checkpoint_time, std::time::Duration::ZERO);
+    }
+}
+
+/// A rank that resumes a checkpoint of other cores fails the job: its
+/// panic is re-raised within a minute, and the rank it leaves waiting in
+/// the first collective of the tick loop stops instead of hanging.
+#[test]
+fn a_rank_resuming_another_ranks_cores_fails_the_job() {
+    let model = NetworkModel::stochastic_field(4, 40, 3);
+    for backend in [Backend::Mpi, Backend::Pgas] {
+        let engine = EngineConfig {
+            ticks: 20,
+            backend,
+            ..EngineConfig::default()
+        };
+        let taken = |ranks| -> Vec<RankCheckpoint> {
+            let world = WorldConfig::flat(ranks);
+            let outcomes = run_with(&model, world, &engine, None, None, |_| RunOptions {
+                checkpoint_at: Some(10),
+                kill_at: Some(10),
+                ..RunOptions::default()
+            });
+            outcomes
+                .into_iter()
+                .map(|o| o.checkpoint.unwrap())
+                .collect()
+        };
+        // Rank 1 of three holds core 2; rank 1 of two holds cores 2 and 3.
+        let cks = [taken(2)[0].clone(), taken(3)[1].clone()];
+        let model = model.clone();
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let raised = panic::catch_unwind(AssertUnwindSafe(|| {
+                run_with(&model, WorldConfig::flat(2), &engine, None, None, |rank| {
+                    RunOptions {
+                        resume: Some(cks[rank].clone()),
+                        ..RunOptions::default()
+                    }
+                })
+            }));
+            let _ = tx.send(
+                raised
+                    .err()
+                    .and_then(|p| p.downcast_ref::<String>().cloned()),
+            );
+        });
+        let raised = rx
+            .recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("{backend:?}: the job hung instead of failing"))
+            .unwrap_or_else(|| panic!("{backend:?}: the job ran to completion"));
+        assert!(
+            raised.starts_with("rank panicked: rank 1: ")
+                && raised.contains("checkpoint does not hold exactly this rank's cores"),
+            "{backend:?}: {raised}"
+        );
     }
 }

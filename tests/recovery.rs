@@ -307,3 +307,31 @@ fn soak_mixed_faults_at_300_permille_on_four_ranks() {
         );
     }
 }
+
+/// Faults alone arm rollback: a `Job` with a plan and no `recovery`
+/// rolls back over the default cadence where the retransmit budget
+/// cannot close a gap. At 700‰ on four ranks gaps stay open (the first
+/// at tick 8), and the run must still equal the oracle.
+#[test]
+fn faults_alone_arm_rollback() {
+    let model = NetworkModel::relay_ring(8, 8, 1);
+    let ticks = 30u32;
+    let oracle = solo_trace(&model, ticks);
+    for backend in [Backend::Mpi, Backend::Pgas] {
+        let job = Job {
+            faults: Some(FaultPlan::all(11, 700)),
+            ..Job::default()
+        };
+        let engine = EngineConfig {
+            ticks,
+            backend,
+            record_trace: true,
+            ..EngineConfig::default()
+        };
+        let report = job
+            .run(&model, WorldConfig::flat(4), &engine)
+            .expect("valid");
+        assert_eq!(report.sorted_trace(), oracle, "{backend:?}");
+        assert!(report.total_rollbacks() > 0, "{backend:?}: no rollback");
+    }
+}
