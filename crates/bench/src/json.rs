@@ -434,6 +434,7 @@ const KERNEL_ARRAY_SECTIONS: [(&str, &[&str]); 6] = [
             "replicating_ns_per_tick",
             "replication_overhead",
             "replication_bytes",
+            "staging_bytes",
             "kill_tick",
             "time_to_recover_ns",
             "replayed_ticks",
@@ -620,6 +621,7 @@ pub fn validate_kernels_json(text: &str) -> Result<(), String> {
                 "baseline_ns_per_tick",
                 "reliable_ns_per_tick",
                 "armed_ns_per_tick",
+                "staging_bytes",
             ],
         ),
     ] {
@@ -856,7 +858,7 @@ mod tests {
              \"checkpoint\": {{\"core_snapshot_bytes\": 3632, \
              \"snapshot_ns_per_core\": 1, \"restore_ns_per_core\": 1}}, \
              \"recovery\": {{\"baseline_ns_per_tick\": 1, \"reliable_ns_per_tick\": 1, \
-             \"armed_ns_per_tick\": 1}}{sections}}}",
+             \"armed_ns_per_tick\": 1, \"staging_bytes\": 1}}{sections}}}",
             SYNAPSE_KERNEL_MIN_DUE, SYNAPSE_KERNEL_MIN_EVENTS,
         )
     }

@@ -585,14 +585,16 @@ pub(crate) const FULL_EVERY: u64 = 8;
 
 /// The sender's side of a full-or-delta stream (the buddy replica, the
 /// durable generations): what the receiver holds after the last ship —
-/// the base the next delta is diffed against. Senders keep one per engine
-/// call on purpose: a fresh base (`ships == 0`) ships a full frame, so a
-/// fresh or degraded segment re-anchors its receivers unconditionally.
-#[derive(Debug)]
+/// the tick of the base the next delta is diffed against, and how much
+/// history it has. The base image itself is the sender's to keep (the
+/// engine's newest checkpoint, the durable writer's previous
+/// generation). Senders keep one per engine call on purpose: a fresh
+/// stream (`ships == 0`) ships a full frame, so a fresh or degraded
+/// segment re-anchors its receivers unconditionally.
+#[derive(Debug, Default)]
 pub(crate) struct DeltaBase {
-    /// The checkpoint the receiver holds: the sender's runs, at the tick
-    /// of the last ship.
-    pub(crate) held: RankCheckpoint,
+    /// The tick of the last ship: the boundary the receiver holds.
+    tick: u32,
     ships: u64,
     /// Recorded history the receiver already holds.
     trace_len: usize,
@@ -600,45 +602,32 @@ pub(crate) struct DeltaBase {
 }
 
 impl DeltaBase {
-    /// A base that has shipped nothing, for rank `rank` hosting `runs`.
-    pub(crate) fn over(rank: u32, runs: Vec<Range<CoreId>>) -> Self {
-        let held = RankCheckpoint::new(rank, 0, runs, Vec::new());
-        DeltaBase {
-            held,
-            ships: 0,
-            trace_len: 0,
-            fires_len: 0,
-        }
-    }
-
-    /// Ships the rank's state at boundary `t` — `blob`, the snapshots of
-    /// the runs this base is over, in slot order — with its recorded
-    /// history `trace`/`fires`: clears `out`, writes into it the frame
-    /// that advances the receiver to that state, and makes the state the
-    /// new base. Returns whether the frame is full; `blob` comes back
-    /// holding the previous base's bytes, a buffer to reuse.
+    /// Ships `cur`, the rank's state at its boundary, with its recorded
+    /// history `trace`/`fires`: clears `out` and writes into it the frame
+    /// that advances the receiver to that state, diffed against `old`,
+    /// the blob of the runs at the previous ship's boundary. Returns
+    /// whether the frame is full.
     ///
     /// The frame is full — the bytes of `ReplicaPayload { .. }.to_bytes()`
     /// — on the first ship, on every [`FULL_EVERY`]-th, at a boundary at
     /// or before the base's (a rollback replay), and when `reanchor` (the
-    /// receiver changed). Otherwise it is a delta against the base, in one
-    /// sweep: each slot that [`travels`] appends its chunk mask and the
-    /// 64-byte chunks it selects, neighbours that travel share a run
-    /// header, and the history suffix follows; slots that stay home cost
-    /// nothing on the wire.
+    /// receiver changed); `old` is then not read. Otherwise it is a delta
+    /// against the base, in one sweep: each slot that [`travels`] appends
+    /// its chunk mask and the 64-byte chunks it selects, neighbours that
+    /// travel share a run header, and the history suffix follows; slots
+    /// that stay home cost nothing on the wire.
     pub(crate) fn ship(
         &mut self,
         out: &mut Vec<u8>,
-        t: u32,
-        blob: &mut Vec<u8>,
+        cur: &RankCheckpoint,
+        old: &[u8],
         reanchor: bool,
         trace: &[Spike],
         fires: &[u64],
     ) -> bool {
-        let base = std::mem::replace(&mut self.held.start_tick, t);
+        let t = cur.start_tick;
+        let base = std::mem::replace(&mut self.tick, t);
         let full = reanchor || self.ships.is_multiple_of(FULL_EVERY) || t <= base;
-        std::mem::swap(&mut self.held.blob, blob);
-        let (cur, old) = (&self.held, &blob[..]);
         out.clear();
         if full {
             let tail = trace.len() * SPIKE_WIRE_BYTES + fires.len() * 8;
@@ -713,13 +702,14 @@ pub fn replay_delta(
     base: &RankCheckpoint,
     cur: &RankCheckpoint,
 ) -> Result<(Vec<Range<CoreId>>, RankCheckpoint), CheckpointError> {
-    let mut sender = DeltaBase::over(base.rank, base.runs.clone());
-    sender.held.clone_from(base);
     // Past the anchoring first ship, so the next one is a delta.
-    sender.ships = 1;
+    let mut sender = DeltaBase {
+        tick: base.start_tick,
+        ships: 1,
+        ..DeltaBase::default()
+    };
     let mut frame = Vec::new();
-    let mut blob = cur.blob.clone();
-    sender.ship(&mut frame, cur.start_tick, &mut blob, false, &[], &[]);
+    sender.ship(&mut frame, cur, &base.blob, false, &[], &[]);
     let delta = decode(&frame)?;
     let travelled = delta.1.ckpt.runs.clone();
     let mut mirror = Some(decode(&base.to_bytes())?.1);
@@ -1100,15 +1090,13 @@ pub(crate) mod tests {
         cur.blob[S + 200] = 0xAB;
 
         let mut sender = DeltaBase {
-            held: base.clone(),
+            tick: 17,
             ships: 1,
-            trace_len: 0,
-            fires_len: 0,
+            ..DeltaBase::default()
         };
         let mut frame = Vec::new();
-        let mut blob = cur.blob.clone();
-        assert!(!sender.ship(&mut frame, 21, &mut blob, false, &[], &[]));
-        assert_eq!((&sender.held, &blob), (&cur, &base.blob), "bases swapped");
+        assert!(!sender.ship(&mut frame, &cur, &base.blob, false, &[], &[]));
+        assert_eq!(sender.tick, 21, "the base advanced");
         let chunks = 2 * DELTA_CHUNK_BYTES;
         assert_eq!(frame.len(), HEADER_BYTES + RUN_HEADER_BYTES + 8 + chunks);
         assert!(frame.len() < S / 2);
@@ -1226,9 +1214,8 @@ pub(crate) mod tests {
             let (trace_had, trace_new, fires_had, fires_new) = history;
             let trace = spikes(trace_had + trace_new, base_tick);
             let fires: Vec<u64> = (0..fires_had + fires_new).map(|_| next()).collect();
-            let held = RankCheckpoint::new(5, base_tick, runs.clone(), base.clone());
             let db = || DeltaBase {
-                held: held.clone(),
+                tick: base_tick,
                 ships: 3,
                 trace_len: trace_had,
                 fires_len: fires_had,
@@ -1244,7 +1231,7 @@ pub(crate) mod tests {
                 let want = ReplicaPayload { ckpt: ckpt.clone(), trace: history, fires_per_tick };
                 let want = want.to_bytes();
                 let mut out = stale();
-                let full = db().ship(&mut out, at, &mut cur.clone(), reanchor, &trace, &fires);
+                let full = db().ship(&mut out, &ckpt, &base, reanchor, &trace, &fires);
                 proptest::prop_assert!(full, "tick {} shipped a delta", at);
                 proptest::prop_assert_eq!(&out, &want, "full payload at tick {}", at);
             }
@@ -1260,10 +1247,10 @@ pub(crate) mod tests {
             }
             let suffix = (&trace[trace_had..], &fires[fires_had..]);
             let want = reference_delta(base_tick, &now, &base, &travelling, suffix.0, suffix.1);
-            let (mut out, mut blob, mut sender) = (stale(), cur.clone(), db());
-            proptest::prop_assert!(!sender.ship(&mut out, t, &mut blob, false, &trace, &fires));
+            let (mut out, mut sender) = (stale(), db());
+            proptest::prop_assert!(!sender.ship(&mut out, &now, &base, false, &trace, &fires));
             proptest::prop_assert_eq!(&out, &want, "delta");
-            proptest::prop_assert_eq!((&sender.held, &blob), (&now, &base), "bases swapped");
+            proptest::prop_assert_eq!(sender.tick, t, "the base advanced");
         }
 
         /// One property over every frame kind, on random rank states of
@@ -1334,16 +1321,14 @@ pub(crate) mod tests {
                 }
             }
             let want = ReplicaPayload { ckpt: now.clone(), trace: trace.clone(), fires_per_tick: fires.clone() };
-            let mut sender = DeltaBase::over(rank, runs.clone());
+            let mut sender = DeltaBase::default();
             let mut frame = Vec::new();
             let (was_trace, was_fires) = (&trace[..trace_had], &fires[..fires_had]);
-            let mut blob = was.blob.clone();
-            let full = sender.ship(&mut frame, t0, &mut blob, false, was_trace, was_fires);
+            let full = sender.ship(&mut frame, &was, &[], false, was_trace, was_fires);
             proptest::prop_assert!(full, "the first ship anchors");
             let mut mirror = None;
             proptest::prop_assert_eq!(absorb(&mut mirror, &frame), Ok(()));
-            blob.clone_from(&now.blob);
-            let full = sender.ship(&mut frame, t0 + gap, &mut blob, false, &trace, &fires);
+            let full = sender.ship(&mut frame, &now, &was.blob, false, &trace, &fires);
             proptest::prop_assert!(!full, "the second ship is a delta");
             proptest::prop_assert_eq!(absorb(&mut mirror, &frame), Ok(()));
             proptest::prop_assert_eq!(mirror.as_ref(), Some(&want));

@@ -103,7 +103,7 @@ use crate::checkpoint::{
 };
 use crate::model::ModelError;
 use crate::partition::{Partition, SurvivorView};
-use crate::recovery::{CheckpointRing, RecoveryPolicy, MAX_ROLLBACKS};
+use crate::recovery::{RecoveryPolicy, MAX_ROLLBACKS};
 use crate::route::{self, Delivery, Landing, Routes, Runs};
 use crate::stats::RankReport;
 use crate::store::{DurabilityPolicy, DurableWriter};
@@ -246,7 +246,7 @@ pub struct RunOptions {
     /// truncations preserve the seeded prefix.
     pub seed_history: Option<(Vec<Spike>, Vec<u64>)>,
     /// Durable persistence: snapshot at the policy's cadence (same
-    /// inbox-drained tick boundaries as the recovery ring) and hand the
+    /// inbox-drained tick boundaries as the rollback checkpoint) and hand the
     /// staged copy to a per-rank background writer that persists it into
     /// a [`CheckpointStore`] — the tick loop never blocks on I/O. Every
     /// rank of a world must carry the same policy; a restarted job
@@ -1027,9 +1027,10 @@ struct TickLoop<'a> {
     snap: Vec<u8>,
     snap_fresh: bool,
     checkpoint: Option<RankCheckpoint>,
-    /// Rollback-recovery (see `crate::recovery`): recent in-memory
-    /// snapshots.
-    ring: CheckpointRing,
+    /// Rollback-recovery (see `crate::recovery`): the newest cadence
+    /// boundary, the one image of it the rank keeps — the rollback target,
+    /// the wind-down's resume point and the replica delta's base.
+    newest: Option<RankCheckpoint>,
     /// The global core runs this rank hosts in this segment: what every
     /// checkpoint and frame it takes holds.
     runs: Vec<std::ops::Range<CoreId>>,
@@ -1155,8 +1156,8 @@ impl<'a> TickLoop<'a> {
             snap: Vec::new(),
             snap_fresh: false,
             checkpoint: None,
-            ring: CheckpointRing::new(2),
-            ship: (me, DeltaBase::over(me as u32, runs.clone())),
+            newest: None,
+            ship: (me, DeltaBase::default()),
             runs,
             durable,
             durable_error,
@@ -1168,26 +1169,28 @@ impl<'a> TickLoop<'a> {
     /// The pool's state at the top of this tick, as one flat blob. Tick
     /// t-1's Network phase fully drained on every rank, so the only
     /// simulation state outside the cores is what sits in the inboxes: land
-    /// it, and the core snapshots are then the complete state. Taken once
-    /// per tick and shared by the boundary's consumers — no consumer
-    /// touches core state — until one keeps the buffer (the replica ship,
-    /// the durable stage) and clears `snap_fresh`. One bounded arena copy
-    /// per field, not a per-core serializer.
+    /// it, and the core snapshots are then the complete state. One bounded
+    /// arena copy per field, not a per-core serializer — or none, when the
+    /// newest checkpoint sits at this tick (kept at this boundary, or the
+    /// one a rollback just restored): its bytes are the state, so a
+    /// boundary snapshots the pool at most once. Taken once per tick and
+    /// shared by the boundary's consumers — no consumer touches core
+    /// state — until one keeps the buffer (the newest checkpoint, the
+    /// durable stage) and clears `snap_fresh`.
     fn snapshot(&mut self) -> &[u8] {
         if !self.snap_fresh {
-            self.shards.land_inboxes();
             self.snap.clear();
-            self.snap.reserve(self.shards.n_local * CORE_SNAPSHOT_BYTES);
-            self.shards.snapshot_into(&mut self.snap);
+            match &self.newest {
+                Some(ck) if ck.start_tick() == self.t => self.snap.extend_from_slice(&ck.blob),
+                _ => {
+                    self.shards.land_inboxes();
+                    self.snap.reserve(self.shards.n_local * CORE_SNAPSHOT_BYTES);
+                    self.shards.snapshot_into(&mut self.snap);
+                }
+            }
             self.snap_fresh = true;
         }
         &self.snap
-    }
-
-    /// This tick's boundary as an owned checkpoint.
-    fn checkpoint_now(&mut self) -> RankCheckpoint {
-        let blob = self.snapshot().to_vec();
-        RankCheckpoint::new(self.wire.me as u32, self.t, self.runs.clone(), blob)
     }
 
     /// Discards recorded history from tick `back_to` on (rollback and
@@ -1204,15 +1207,18 @@ impl<'a> TickLoop<'a> {
     /// all in-flight simulation state lives in the cores, and therefore
     /// where every layer that is not the simulation acts, in this order:
     /// explicit checkpoint, kill, crash injection, heartbeat verdict,
-    /// recovery ring, replica ship, durable stage, input injection.
-    /// Returns false when the segment ends here.
+    /// newest checkpoint, replica ship, durable stage, input injection.
+    /// The pool is snapshotted at most once: the newest checkpoint takes
+    /// the snapshot's buffer, the replica ships from it, and the durable
+    /// stage copies it. Returns false when the segment ends here.
     fn boundary(&mut self) -> bool {
         let t = self.t;
         let me = self.wire.me;
         self.snap_fresh = false;
         if self.opts.checkpoint_at == Some(t) {
             let ck_start = Instant::now();
-            let ck = self.checkpoint_now();
+            let blob = self.snapshot().to_vec();
+            let ck = RankCheckpoint::new(me as u32, t, self.runs.clone(), blob);
             self.report.checkpoint_bytes = ck.total_bytes();
             self.report.checkpoint_time = ck_start.elapsed();
             self.checkpoint = Some(ck);
@@ -1262,16 +1268,21 @@ impl<'a> TickLoop<'a> {
             }
         }
 
-        // Auto-checkpoint for rollback-recovery, kept in a bounded in-
-        // memory ring. After a rollback the replay skips re-snapshotting
-        // the tick it restored (the state would be bit-identical).
+        // Auto-checkpoint for rollback-recovery: the snapshot becomes the
+        // newest checkpoint, and `snap` takes back the buffer of the one it
+        // replaces — the image the buddy's mirror holds, which the replica
+        // ship below diffs against. After a rollback the replay keeps the
+        // image it restored (the state is bit-identical).
         if let Some(pol) = &self.opts.recovery {
             if on_cadence(t, self.start_tick, pol.auto_checkpoint_every)
-                && self.ring.newest_tick() != Some(t)
+                && self.newest.as_ref().map(RankCheckpoint::start_tick) != Some(t)
             {
                 let ck_start = Instant::now();
-                let ck = self.checkpoint_now();
-                self.ring.push(ck);
+                self.snapshot();
+                self.snap_fresh = false;
+                let blob = std::mem::take(&mut self.snap);
+                let kept = RankCheckpoint::new(me as u32, t, self.runs.clone(), blob);
+                self.snap = self.newest.replace(kept).map_or(Vec::new(), |old| old.blob);
                 self.report.recovery_time += ck_start.elapsed();
             }
         }
@@ -1305,10 +1316,11 @@ impl<'a> TickLoop<'a> {
     /// newest checkpoint plus this rank's recorded history to the ring
     /// buddy over the ordinary tick-tagged reliable channel, so the
     /// replica enjoys the same CRC framing, dedup, and retransmit audit as
-    /// spike traffic. Deliberately *not* guarded by the ring push: a
-    /// rollback replay re-sends the replica (as a full frame: the boundary
-    /// is at or before the base's) with fresh sequence numbers, keeping
-    /// send/expect counts symmetric across ranks.
+    /// spike traffic. Deliberately *not* guarded by the checkpoint's
+    /// renewal: a rollback replay re-sends the replica (as a full frame of
+    /// the image it restored: the boundary is at or before the base's)
+    /// with fresh sequence numbers, keeping send/expect counts symmetric
+    /// across ranks.
     fn ship_replica(&mut self) {
         let t = self.t;
         let me = self.wire.me;
@@ -1322,19 +1334,19 @@ impl<'a> TickLoop<'a> {
             return;
         }
         let rep_start = Instant::now();
-        // The boundary snapshot is the state the ring just took (or, on a
-        // replay, restored). The buddy mirror is re-anchored with a full
-        // payload when the buddy changed; `DeltaBase::ship` decides the
-        // rest. The ship keeps the snapshot as its next base.
-        self.snapshot();
-        self.snap_fresh = false;
+        // The boundary's state is the newest checkpoint, kept just above
+        // (or, on a replay, restored); a delta's base is the image it
+        // replaced, back in `snap`. The buddy mirror is re-anchored with a
+        // full payload when the buddy changed; `DeltaBase::ship` decides
+        // the rest.
+        let cur = self.newest.as_ref().expect("a cadence boundary is kept");
         let (ship_buddy, base) = &mut self.ship;
         let (trace, fires) = (&self.report.trace, &self.report.fires_per_tick);
         // The mailbox takes the payload by value, so this buffer is new
         // every ship (the durable path's come back; see `DurableWriter`).
         let mut payload = Vec::new();
         let reanchor = *ship_buddy != buddy;
-        let full = base.ship(&mut payload, t, &mut self.snap, reanchor, trace, fires);
+        let full = base.ship(&mut payload, cur, &self.snap, reanchor, trace, fires);
         *ship_buddy = buddy;
         if full {
             self.report.full_replica_ships += 1;
@@ -1386,13 +1398,12 @@ impl<'a> TickLoop<'a> {
         let me = self.wire.me;
         self.report.death_verdicts += 1;
         // The verdict lands at the top of the tick, before this tick's
-        // ring push, after the victim shipped every earlier boundary's
-        // replica: the newest snapshot is the common boundary.
+        // checkpoint, after the victim shipped every earlier boundary's
+        // replica: the newest checkpoint is the common boundary.
         let resume = self
-            .ring
-            .newest()
-            .expect("a snapshot boundary precedes any verdict")
-            .clone();
+            .newest
+            .take()
+            .expect("a snapshot boundary precedes any verdict");
         let back_to = resume.start_tick();
         self.truncate_history(back_to);
         self.shards.discard_mail();
@@ -1758,8 +1769,8 @@ impl<'a> TickLoop<'a> {
         // `dormant`) — the first replayed phases recompute it exactly.
         self.shards.discard_mail();
         let ck = self
-            .ring
-            .newest()
+            .newest
+            .as_ref()
             .expect("starting tick is always snapshotted");
         let back_to = ck.start_tick();
         self.shards.restore(boundary_blobs(ck));
@@ -1834,18 +1845,28 @@ impl<'a> TickLoop<'a> {
         report.collective_time =
             Duration::from_nanos(self.wire.collective_ns.load(Ordering::Relaxed));
         // Staging is rank-resident memory: the record and spike buffers,
-        // and the flat arena copies the explicit checkpoint, the in-memory
-        // recovery ring and the newest buddy replica pin for the rest of
-        // the run. The routes are the pool's target words.
+        // the snapshot's scratch, and every rank image pinned for the rest
+        // of the run — the explicit checkpoint, the newest checkpoint and
+        // the buddy mirror (or, after a death verdict, the resume point and
+        // the adopted replica they became), and the durable writer's base
+        // and payload buffers, charged at its join below. The routes are
+        // the pool's target words.
         let spikes = |v: &Vec<Spike>| (v.capacity() * std::mem::size_of::<Spike>()) as u64;
         let records = |v: &Vec<u64>| (v.capacity() * route::RECORD_BYTES) as u64;
         let bytes = |bufs: &[Vec<u8>]| bufs.iter().map(|b| b.capacity() as u64).sum::<u64>();
         let mirror = self.wire.mirror.lock().expect("replica mirror poisoned");
+        let ended = self.interrupt.as_ref();
+        let newest = self.newest.as_ref().or(ended.map(|i| &i.resume));
+        let replica = mirror.as_ref().or(ended.and_then(|i| i.adopted.as_ref()));
         report.staging_bytes = records(&self.local_all)
             + bytes(&self.agg)
-            + self.checkpoint.as_ref().map_or(0, |ck| ck.total_bytes())
-            + self.ring.resident_bytes()
-            + mirror.as_ref().map_or(0, |rp| {
+            + self.snap.capacity() as u64
+            + self
+                .checkpoint
+                .as_ref()
+                .map_or(0, RankCheckpoint::total_bytes)
+            + newest.map_or(0, RankCheckpoint::total_bytes)
+            + replica.map_or(0, |rp| {
                 rp.ckpt.total_bytes() + spikes(&rp.trace) + 8 * rp.fires_per_tick.capacity() as u64
             });
         for shard in &self.shards.all {
@@ -1865,9 +1886,10 @@ impl<'a> TickLoop<'a> {
         let mut durable_error = self.durable_error;
         if let Some(ds) = self.durable {
             let join_start = Instant::now();
-            let (bytes, gens, err) = ds.join();
+            let (bytes, gens, pinned, err) = ds.join();
             report.durable_bytes = bytes;
             report.durable_generations = gens;
+            report.staging_bytes += pinned;
             report.durable_time += join_start.elapsed();
             durable_error = err.or(durable_error);
         }
@@ -1885,7 +1907,7 @@ impl<'a> TickLoop<'a> {
 mod tests {
     use super::*;
     use crate::model::NetworkModel;
-    use compass_comm::{World, WorldConfig};
+    use compass_comm::{ReliableConfig, ReliableWorld, TransportMetrics, World, WorldConfig};
 
     /// Runs `model` under `world`/`engine` and returns the per-rank reports.
     fn run_model(
@@ -2510,22 +2532,35 @@ mod tests {
 
     #[test]
     fn staging_bytes_charge_checkpoint_and_replica_buffers() {
-        // The recovery ring pins two full-rank arena copies in memory;
-        // `staging_bytes` must charge them (regression: they used to be
-        // invisible next to the spike buffers).
+        // `staging_bytes` charges every rank image the tick loop pins next
+        // to its spike buffers, exactly: the snapshot's scratch (one blob of
+        // the rank's cores) and each checkpoint or replica at its frame
+        // size.
         let model = NetworkModel::relay_ring(4, 4, 1);
         let engine = EngineConfig {
-            ticks: 12,
+            ticks: 9,
             ..Default::default()
         };
-        let plain = run_model_with(&model, WorldConfig::flat(1), engine, |_| {
-            RunOptions::default()
-        });
-        let ring = run_model_with(&model, WorldConfig::flat(1), engine, |_| RunOptions {
-            recovery: Some(RecoveryPolicy::every(2)),
-            ..RunOptions::default()
-        });
-        let base = plain[0].report.staging_bytes;
+        let run = |ranks: usize, opts: RunOptions| -> Vec<RankReport> {
+            let metrics = Arc::new(TransportMetrics::new());
+            let rely = ReliableWorld::new(ranks, Arc::clone(&metrics), ReliableConfig::default());
+            let partition = Partition::uniform(model.total_cores(), ranks);
+            let world = WorldConfig::flat(ranks);
+            World::run_with_recovery(world, metrics, None, Some(Arc::new(rely)), |ctx| {
+                let block = partition.block(ctx.rank());
+                let configs = model.cores[block.start as usize..block.end as usize].to_vec();
+                let inputs = &model.initial_deliveries;
+                run_rank_with(ctx, &partition, configs, inputs, &engine, &opts).report
+            })
+        };
+        let blob = |cores: u64| cores * CORE_SNAPSHOT_BYTES as u64;
+        // A frame's runs are ranges: a list of one run is meant.
+        #[allow(clippy::single_range_in_vec_init)]
+        let image = |cores: u64| {
+            let ck = RankCheckpoint::new(0, 0, vec![0..cores], vec![0; blob(cores) as usize]);
+            ck.total_bytes()
+        };
+        let base = run(1, RunOptions::default())[0].staging_bytes;
         // The local records one tick stages (4 spikes in flight) are
         // charged to every run; the routes are the pool's target words,
         // which the pool's own accounting charges.
@@ -2533,22 +2568,42 @@ mod tests {
             base >= 4 * route::RECORD_BYTES as u64,
             "record buffers must be charged: {base}"
         );
-        let with_ring = ring[0].report.staging_bytes;
-        assert!(
-            with_ring >= base + 2 * (4 * tn_core::CORE_SNAPSHOT_BYTES) as u64,
-            "two ring checkpoints of 4 cores must be charged: {with_ring} vs base {base}"
-        );
-
-        // An explicit checkpoint is charged too.
-        let explicit = run_model_with(&model, WorldConfig::flat(1), engine, |_| RunOptions {
+        let pinned = |opts: RunOptions| run(1, opts)[0].staging_bytes - base;
+        // An explicit checkpoint: the scratch it was copied from, and it.
+        let explicit = pinned(RunOptions {
             checkpoint_at: Some(6),
             ..RunOptions::default()
         });
-        let with_ck = explicit[0].report.staging_bytes;
-        assert!(
-            with_ck >= base + (4 * tn_core::CORE_SNAPSHOT_BYTES) as u64,
-            "the kept checkpoint must be charged: {with_ck} vs base {base}"
+        assert_eq!(explicit, blob(4) + image(4), "explicit checkpoint");
+        // Recovery only: the scratch and the newest checkpoint, whose
+        // buffers trade places at every boundary.
+        let recovering = pinned(RunOptions {
+            recovery: Some(RecoveryPolicy::every(2)),
+            ..RunOptions::default()
+        });
+        assert_eq!(recovering, blob(4) + image(4), "recovery-only rank");
+
+        // Survival armed, two ranks of two cores: the scratch, the newest
+        // checkpoint and the mirror of the buddy's. The last ship (tick 8,
+        // the stream's ninth) is full, so the mirror holds exactly the 8
+        // fires-per-tick counts before it.
+        let plain = run(2, RunOptions::default());
+        let surviving = run(
+            2,
+            RunOptions {
+                recovery: Some(RecoveryPolicy::surviving(1)),
+                ..RunOptions::default()
+            },
         );
+        for (rank, (plain, armed)) in plain.iter().zip(&surviving).enumerate() {
+            assert_eq!(armed.full_replica_ships, 2);
+            let pinned = armed.staging_bytes - plain.staging_bytes;
+            assert_eq!(
+                pinned,
+                blob(2) + 2 * image(2) + 8 * 8,
+                "survival-armed rank {rank}"
+            );
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Automatic rollback-recovery: policy knobs and the in-memory
-//! checkpoint ring behind the engine's self-healing loop.
+//! Automatic rollback-recovery: the policy knobs of the engine's
+//! self-healing loop.
 //!
 //! The reliable layer (`compass_comm::reliable`) can re-deliver most
 //! faulted traffic from the sender's retained ring, but a gap becomes
@@ -18,9 +18,10 @@
 //! one `allreduce_max` of the per-rank verdicts makes the decision
 //! unanimous — either every rank rolls back to the same tick or none does,
 //! so no rank is ever left replaying against peers that moved on.
-
-use crate::checkpoint::RankCheckpoint;
-use std::collections::VecDeque;
+//! Repeated rollbacks within one cadence interval all land on the same
+//! image: a replay re-executes ticks before the next boundary, so the
+//! newest checkpoint stays the target until that boundary replaces it,
+//! and a rank keeps no other.
 
 /// Hard cap on rollbacks in one run; exceeding it panics, because a run
 /// that cannot outrun its fault rate will never terminate.
@@ -28,11 +29,13 @@ pub const MAX_ROLLBACKS: u32 = 64;
 
 /// Rollback-recovery controls for one [`crate::RunOptions`].
 ///
-/// When set, the engine keeps an in-memory ring of recent
-/// [`RankCheckpoint`]s (one is always taken at the starting tick, so a
-/// rollback target exists from the first audit onward) and answers any
-/// unrecoverable delivery gap with a collective rollback + replay instead
-/// of a panic.
+/// When set, the engine keeps one in-memory
+/// [`RankCheckpoint`](crate::RankCheckpoint) of its newest cadence
+/// boundary (the starting tick is always one, so a rollback target exists
+/// from the first audit onward) and answers any unrecoverable delivery
+/// gap with a collective rollback + replay to it instead of a panic.
+/// With crash survival armed the same image is the wind-down's resume
+/// point and the base the buddy replica's delta is diffed against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryPolicy {
     /// Snapshot all local cores at every tick divisible by this (plus the
@@ -86,94 +89,14 @@ impl RecoveryPolicy {
     }
 }
 
-/// A bounded ring of the last `depth` in-memory checkpoints of one rank.
-///
-/// Rollback always targets the newest entry; older entries exist so the
-/// ring survives the newest being superseded mid-replay (a new checkpoint
-/// taken during replay advances the rollback floor, guaranteeing forward
-/// progress across repeated rollbacks).
-#[derive(Debug, Default)]
-pub(crate) struct CheckpointRing {
-    depth: usize,
-    ring: VecDeque<RankCheckpoint>,
-}
-
-impl CheckpointRing {
-    pub(crate) fn new(depth: usize) -> Self {
-        assert!(depth >= 1, "a rollback target must fit");
-        Self {
-            depth,
-            ring: VecDeque::with_capacity(depth),
-        }
-    }
-
-    /// Adds `ck` as the newest checkpoint, evicting the oldest when full.
-    pub(crate) fn push(&mut self, ck: RankCheckpoint) {
-        if self.ring.len() == self.depth {
-            self.ring.pop_front();
-        }
-        self.ring.push_back(ck);
-    }
-
-    /// The newest checkpoint — the rollback target.
-    pub(crate) fn newest(&self) -> Option<&RankCheckpoint> {
-        self.ring.back()
-    }
-
-    /// Tick of the newest checkpoint, if any.
-    pub(crate) fn newest_tick(&self) -> Option<u32> {
-        self.ring.back().map(|ck| ck.start_tick())
-    }
-
-    /// Bytes the ring currently pins in memory — checkpoint staging the
-    /// engine charges to [`crate::RankReport::staging_bytes`].
-    pub(crate) fn resident_bytes(&self) -> u64 {
-        self.ring.iter().map(RankCheckpoint::total_bytes).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ck(tick: u32) -> RankCheckpoint {
-        RankCheckpoint::new(0, tick, Vec::new(), Vec::new())
-    }
-
-    #[test]
-    fn ring_keeps_the_newest_depth_entries() {
-        let mut ring = CheckpointRing::new(2);
-        assert!(ring.newest().is_none());
-        ring.push(ck(0));
-        ring.push(ck(4));
-        ring.push(ck(8));
-        assert_eq!(ring.newest_tick(), Some(8));
-        assert_eq!(ring.ring.len(), 2);
-        assert_eq!(ring.ring[0].start_tick(), 4, "oldest evicted");
-    }
-
-    #[test]
-    fn resident_bytes_track_ring_contents() {
-        let mut ring = CheckpointRing::new(2);
-        assert_eq!(ring.resident_bytes(), 0);
-        ring.push(ck(0));
-        let one = ring.resident_bytes();
-        assert!(one > 0, "even an empty-rank checkpoint has a header");
-        ring.push(ck(4));
-        ring.push(ck(8));
-        assert_eq!(ring.resident_bytes(), 2 * one, "bounded by depth");
-    }
 
     #[test]
     fn policy_defaults_are_sane() {
         let p = RecoveryPolicy::default();
         assert!(p.auto_checkpoint_every > 0);
         assert_eq!(RecoveryPolicy::every(7).auto_checkpoint_every, 7);
-    }
-
-    #[test]
-    #[should_panic(expected = "rollback target")]
-    fn zero_depth_ring_is_rejected() {
-        let _ = CheckpointRing::new(0);
     }
 }

@@ -46,7 +46,7 @@
 //! that (the constant buddy replication shares), bounding every rebuild
 //! chain.
 
-use crate::checkpoint::{decode, CheckpointError, DeltaBase, ReplicaPayload};
+use crate::checkpoint::{decode, CheckpointError, DeltaBase, RankCheckpoint, ReplicaPayload};
 use compass_comm::crc32;
 use std::collections::BTreeMap;
 use std::fs::{self, File};
@@ -754,7 +754,9 @@ pub(crate) struct DurableWriter {
     ranks: u32,
     /// The policy's cadence in ticks.
     pub(crate) every: u32,
-    /// The previous staged generation — the next delta's base.
+    /// The previous staged generation — the next delta's base: its own
+    /// image, because its cadence and its receiver are not the replica's.
+    held: RankCheckpoint,
     base: DeltaBase,
 }
 
@@ -779,19 +781,20 @@ impl DurableWriter {
             }
             Ok(bytes)
         };
-        Self::spawn_with(persist, pol.every, ranks, DeltaBase::over(me, runs))
+        let held = RankCheckpoint::new(me, 0, runs, Vec::new());
+        Self::spawn_with(persist, pol.every, ranks, held)
     }
 
     /// [`DurableWriter::spawn`] over any `persist` step (returns the bytes
-    /// it wrote), from `base`: the seam the tests gate or kill the writer
-    /// through.
+    /// it wrote), for the rank and runs of `held`: the seam the tests gate
+    /// or kill the writer through.
     fn spawn_with(
         mut persist: impl FnMut(Manifest, &[u8]) -> Result<u64, StoreError> + Send + 'static,
         every: u32,
         ranks: u32,
-        base: DeltaBase,
+        held: RankCheckpoint,
     ) -> Result<Self, String> {
-        let me = base.held.rank;
+        let me = held.rank;
         let (tx, rx) = mpsc::channel::<(Manifest, Vec<u8>)>();
         let (free_tx, free) = mpsc::channel();
         for _ in 0..WRITER_BUFFERS {
@@ -822,7 +825,8 @@ impl DurableWriter {
             handle,
             ranks,
             every,
-            base,
+            held,
+            base: DeltaBase::default(),
         })
     }
 
@@ -841,12 +845,15 @@ impl DurableWriter {
     /// Blocks while every payload buffer is still with the writer thread:
     /// a disk slower than the tick loop slows the run, it does not grow it.
     pub(crate) fn stage(&mut self, t: u32, snap: &mut Vec<u8>, trace: &[Spike], fires: &[u64]) {
-        let since = self.base.held.start_tick;
+        let since = std::mem::replace(&mut self.held.start_tick, t);
+        std::mem::swap(&mut self.held.blob, snap);
         // A closed channel means the writer thread died; its failure
         // surfaces at join time, and until then a fresh buffer keeps the
         // tick loop moving.
         let mut payload = self.free.recv().unwrap_or_default();
-        let full = self.base.ship(&mut payload, t, snap, false, trace, fires);
+        let full = self
+            .base
+            .ship(&mut payload, &self.held, snap, false, trace, fires);
         let manifest = Manifest {
             gen: u64::from(t),
             kind: if full { GenKind::Full } else { GenKind::Delta },
@@ -857,15 +864,19 @@ impl DurableWriter {
     }
 
     /// Closes the channel so the writer finishes the queued generations,
-    /// and waits for it. Returns bytes written, generations persisted, and
-    /// the first failure, rendered.
-    pub(crate) fn join(self) -> (u64, u64, Option<String>) {
-        let me = self.base.held.rank;
+    /// and waits for it. Returns bytes written, generations persisted, the
+    /// bytes the writer pinned — its base image and the payload buffers
+    /// that came back — and the first failure, rendered.
+    pub(crate) fn join(self) -> (u64, u64, u64, Option<String>) {
         drop(self.tx);
-        match self.handle.join() {
-            Ok((bytes, gens, err)) => (bytes, gens, err.map(|e| format!("rank {me}: {e}"))),
-            Err(_) => (0, 0, Some(format!("rank {me}: durable writer panicked"))),
-        }
+        let (bytes, gens, err) = match self.handle.join() {
+            Ok((bytes, gens, err)) => (bytes, gens, err.map(|e| e.to_string())),
+            Err(_) => (0, 0, Some("durable writer panicked".to_string())),
+        };
+        let buffers = self.free.try_iter().map(|b| b.capacity() as u64);
+        let pinned = self.held.total_bytes() + buffers.sum::<u64>();
+        let me = self.held.rank;
+        (bytes, gens, pinned, err.map(|e| format!("rank {me}: {e}")))
     }
 }
 
@@ -876,7 +887,6 @@ mod tests {
 
     use super::*;
     use crate::checkpoint::tests::reference_delta;
-    use crate::checkpoint::RankCheckpoint;
     use tn_core::CORE_SNAPSHOT_BYTES;
 
     fn scratch(name: &str) -> PathBuf {
@@ -1273,9 +1283,9 @@ mod tests {
         }
     }
 
-    /// A writer's base for rank `rank` hosting cores `0..cores`.
-    fn base(rank: u32, cores: u64) -> DeltaBase {
-        DeltaBase::over(rank, vec![0..cores])
+    /// A writer's empty base for rank `rank` hosting cores `0..cores`.
+    fn base(rank: u32, cores: u64) -> RankCheckpoint {
+        RankCheckpoint::new(rank, 0, vec![0..cores], Vec::new())
     }
 
     /// Stages a one-core boundary at tick `t` without a recorded history.
@@ -1328,7 +1338,7 @@ mod tests {
         gate.send(()).unwrap();
         assert_eq!(picked.recv().unwrap(), 8);
         gate.send(()).unwrap();
-        let (bytes, gens, err) = tick_loop.join().unwrap();
+        let (bytes, gens, _, err) = tick_loop.join().unwrap();
         assert_eq!((gens, err), (3, None));
         assert!(
             bytes > CORE_SNAPSHOT_BYTES as u64,
@@ -1352,7 +1362,7 @@ mod tests {
         for t in [4, 8, 12, 16] {
             stage_tick(&mut writer, t);
         }
-        let (bytes, gens, err) = writer.join();
+        let (bytes, gens, _, err) = writer.join();
         assert_eq!((bytes, gens), (0, 0));
         assert!(err.unwrap().contains("durable writer panicked"));
     }
@@ -1368,8 +1378,8 @@ mod tests {
                 Ok(body.len() as u64)
             }
         };
-        let mut writer =
-            DurableWriter::spawn_with(persist, 4, 3, DeltaBase::over(2, runs(2))).unwrap();
+        let held = RankCheckpoint::new(2, 0, runs(2), Vec::new());
+        let mut writer = DurableWriter::spawn_with(persist, 4, 3, held).unwrap();
         let blob = |t: u32, body: u8| {
             let mut b = payload(2, t, 1).ckpt.blob;
             b[300] = body;
@@ -1419,7 +1429,7 @@ mod tests {
             writer.stage(t, &mut snap, &[], history);
             prev = Some((t, cur));
         }
-        assert_eq!(writer.join().2, None);
+        assert_eq!(writer.join().3, None);
         let seen = seen.lock().unwrap();
         assert_eq!(seen.len(), want.len());
         for (k, (got, want)) in seen.iter().zip(&want).enumerate() {

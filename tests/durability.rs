@@ -393,13 +393,16 @@ fn store_bytes_match_the_golden_digest() {
 }
 
 /// The boundary every snapshot consumer shares: the explicit checkpoint,
-/// the recovery ring, the buddy replica and the durable generation all
-/// fall on tick 10 of a 2x2 world, while the relay ring's
+/// the newest checkpoint, the buddy replica and the durable generation
+/// all fall on tick 10 of a 2x2 world, while the relay ring's
 /// whole wavefront sits in a cross-thread inbox (core 0 fired at tick 9
 /// into core 1; the worker thread routed it, thread 0 owns core 1). The
-/// three consumers must hold byte-identical core blobs, and a restart from
-/// any of them must reproduce the oracle — a snapshot that missed the
-/// inbox would lose all eight spikes and kill the ring.
+/// pool is snapshotted once there: the newest checkpoint keeps the
+/// snapshot, the replica ships from it and the durable stage copies it.
+/// The three copies that leave the rank must hold byte-identical core
+/// blobs, and a restart from any of them must reproduce the oracle — a
+/// snapshot that missed the inbox would lose all eight spikes and kill
+/// the ring.
 #[test]
 fn coinciding_boundary_consumers_share_one_snapshot() {
     let model = NetworkModel::relay_ring(8, 8, 1);

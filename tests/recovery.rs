@@ -335,3 +335,48 @@ fn faults_alone_arm_rollback() {
         assert!(report.total_rollbacks() > 0, "{backend:?}: no rollback");
     }
 }
+
+/// Repeated rollbacks land on one image. With `every(16)` over 16 ticks
+/// the starting tick is the run's only cadence boundary, so each rollback
+/// — the later ones hitting ticks a replay is re-executing — restores the
+/// same newest checkpoint, tick 0, and replays at most the whole interval.
+/// A rank keeps no older image for forward progress, and at 700‰ on four
+/// ranks (3 rollbacks) the run still equals the oracle.
+#[test]
+fn repeated_rollbacks_land_on_one_image() {
+    let model = NetworkModel::relay_ring(8, 8, 1);
+    let (every, ticks) = (16u32, 16u32);
+    let oracle = solo_trace(&model, ticks);
+    for backend in [Backend::Mpi, Backend::Pgas] {
+        let job = Job {
+            faults: Some(FaultPlan::all(11, 700)),
+            recovery: Some(RecoveryPolicy::every(every)),
+            ..Job::default()
+        };
+        let engine = EngineConfig {
+            ticks,
+            backend,
+            record_trace: true,
+            ..EngineConfig::default()
+        };
+        let report = job
+            .run(&model, WorldConfig::flat(4), &engine)
+            .expect("valid");
+        assert_eq!(report.sorted_trace(), oracle, "{backend:?}");
+        let rollbacks = report.total_rollbacks();
+        assert!(rollbacks >= 2, "{backend:?}: {rollbacks} rollback(s)");
+        for r in &report.ranks {
+            assert_eq!(
+                r.rollbacks, rollbacks,
+                "{backend:?}: rollback is collective"
+            );
+            // Each rollback from tick t to tick 0 replays t + 1 ticks, at
+            // least one and at most the interval.
+            assert!(
+                (rollbacks..=rollbacks * u64::from(every)).contains(&r.replayed_ticks),
+                "{backend:?}: {} ticks replayed by {rollbacks} rollbacks to tick 0",
+                r.replayed_ticks
+            );
+        }
+    }
+}
